@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: census, check, key-expand, verify-consistency, experiment.
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 usage error, 2 verification failure, 3 resource
+limit (recursion depth or memory exhausted).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ def build_parser() -> _Parser:
     c.add_argument("type", help="Cartan type, e.g. A4, B3, D4, F4, I2(5)")
     c.add_argument("--slow", action="store_true",
                    help="allow the long enumerations (S7 and beyond)")
-    c.add_argument("--jobs", type=int, default=None, help="worker processes")
     c.add_argument("--json", dest="json_path", help="write full entries as JSON")
     c.add_argument("--expect-nonspherical", type=int, default=None,
                    help="fail (exit 2) unless the census count matches")
@@ -93,6 +93,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except (RecursionError, MemoryError) as exc:
+        sys.stderr.write(f"resource limit: {str(exc) or type(exc).__name__}\n")
+        return 3
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -116,8 +119,7 @@ def _dispatch(args) -> int:
             sys.stderr.write(f"  ...{done}/{total} elements\n")
 
         report = harness.run_census(
-            args.type, jobs=args.jobs,
-            progress=progress if args.slow else None,
+            args.type, progress=progress if args.slow else None
         )
         _emit(args, report.to_json_dict(), report.summary())
         if (

@@ -1,9 +1,8 @@
 """Censuses, cross-checks, and experiment drivers behind the CLI.
 
 Each runner returns a small report object that formats itself as a table and
-serializes to the documented JSON shape. Censuses share witness-search state
-across elements with the same descent set; an optional process pool shards
-the element list for the larger groups.
+serializes to the documented JSON shape. Censuses run `spherical.census`,
+which shares witness-search state across elements with the same descent set.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterError, CoxeterSystem, coxeter_system
@@ -82,84 +80,25 @@ def _element_label(system: CoxeterSystem, w) -> str:
     return words.format_word(w.word())
 
 
-def _census_entries(system: CoxeterSystem, elements) -> list[CensusEntry]:
-    searchers: dict = {}
-    out = []
-    for w in elements:
-        J = system.left_descents(w)
-        searcher = searchers.get(J)
-        if searcher is None:
-            searcher = searchers[J] = spherical.WitnessSearcher(system, J)
-        witness = searcher.search(w)
-        out.append(
-            CensusEntry(
-                _element_label(system, w),
-                tuple(sorted(J)),
-                witness is not None,
-                None if witness is None else words.format_word(witness),
-            )
-        )
-    return out
-
-
-def _census_shard(args) -> list[dict]:
-    type_string, shard = args
-    system = coxeter_system(type_string)
-    elements = [words.evaluate(system, word) for word in shard]
-    return [e.to_json_dict() for e in _census_entries(system, elements)]
-
-
 def run_census(
-    type_string: str,
-    cap: int | None = None,
-    jobs: int | None = None,
-    progress=None,
+    type_string: str, cap: int | None = None, progress=None
 ) -> CensusReport:
-    """Maximal-sphericality census of a whole group.
-
-    `jobs` > 1 shards the element list (grouped by descent set so each worker
-    keeps one searcher per set) over a process pool.
-    """
+    """Maximal-sphericality census of a whole group, in enumeration order."""
     start = time.time()
     system = coxeter_system(type_string)
     elements = system.elements(cap)
-    if jobs and jobs > 1:
-        by_descents: dict = {}
-        for w in elements:
-            by_descents.setdefault(system.left_descents(w), []).append(w.word())
-        shards = [(type_string, shard) for shard in by_descents.values()]
-        entries = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for got in pool.map(_census_shard, shards):
-                entries.extend(
-                    CensusEntry(
-                        d["element"], tuple(d["J"]), d["spherical"], d["witness"]
-                    )
-                    for d in got
-                )
-                if progress:
-                    progress(len(entries), len(elements))
-        order = {_element_label(system, w): i for i, w in enumerate(elements)}
-        entries.sort(key=lambda e: order[e.element])
-    else:
-        entries = []
-        searchers: dict = {}
-        for i, w in enumerate(elements):
-            J = system.left_descents(w)
-            searcher = searchers.get(J)
-            if searcher is None:
-                searcher = searchers[J] = spherical.WitnessSearcher(system, J)
-            witness = searcher.search(w)
-            entries.append(
-                CensusEntry(
-                    _element_label(system, w),
-                    tuple(sorted(J)),
-                    witness is not None,
-                    None if witness is None else words.format_word(witness),
-                )
+    entries = []
+    for i, (w, J, word) in enumerate(spherical.census(system, elements)):
+        entries.append(
+            CensusEntry(
+                _element_label(system, w),
+                tuple(sorted(J)),
+                word is not None,
+                None if word is None else words.format_word(word),
             )
-            if progress and (i + 1) % 500 == 0:
-                progress(i + 1, len(elements))
+        )
+        if progress and (i + 1) % 500 == 0:
+            progress(i + 1, len(elements))
     return CensusReport(type_string, len(elements), entries, time.time() - start)
 
 
@@ -477,20 +416,14 @@ def _experiment_distinct_lambda(n: int, seed: int, tries: int = 40) -> dict:
     also has split multiplicity."""
     rng = random.Random(seed)
     system = coxeter_system(f"A{n - 1}")
-    searchers: dict = {}
     examined = 0
     found = 0
     misses = []
-    for w in system.elements():
-        line = typea.element_to_perm(system, w)
-        J = tuple(typea.left_descents(line))
-        Iset = frozenset(J)
-        searcher = searchers.get(Iset)
-        if searcher is None:
-            searcher = searchers[Iset] = spherical.WitnessSearcher(system, Iset)
-        if searcher.search(w) is not None:
+    for w, Iset, word in spherical.census(system, system.elements()):
+        if word is not None:
             continue
         examined += 1
+        line = typea.element_to_perm(system, w)
         D = tuple(j for j in range(1, n) if j not in Iset)
         split = polyring.SplitSet(n, D)
         hit = None

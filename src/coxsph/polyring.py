@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
 
+from .coxeter import CoxeterError
 from .typea import act_on_composition, left_descents
 
 
@@ -494,7 +495,10 @@ def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
         sol = _solve_exact(mat, rhs)
         for lams, value in zip(cands, sol):
             if value:
-                assert value.denominator == 1
+                if value.denominator != 1:
+                    raise CoxeterError(
+                        f"solver gave the non-integral coefficient {value}"
+                    )
                 coeffs[lams] = int(value)
     return SplitExpansion(split, coeffs)
 

@@ -165,24 +165,26 @@ def is_maximally_spherical(system: CoxeterSystem, w: Element) -> bool:
     return is_I_spherical(system, w, system.left_descents(w))
 
 
-def nonspherical_census(system: CoxeterSystem, cap: int | None = None) -> list[Element]:
-    """Every element that is not J(w)-spherical, in enumeration order."""
-    return [w for w, cert in census_with_witnesses(system, cap) if cert is None]
+def census(system: CoxeterSystem, elements):
+    """Yield (w, J(w), J(w)-witness word or None) for each element in order.
 
-
-def census_with_witnesses(system: CoxeterSystem, cap: int | None = None):
-    """(element, witness-or-None) for the whole group, sharing search state."""
+    One searcher per descent set is built on first use and shared by every
+    later element with that set, so its failure memo carries across them.
+    """
     searchers: dict[frozenset, WitnessSearcher] = {}
-    out = []
-    for w in system.elements(cap):
+    for w in elements:
         J = system.left_descents(w)
         searcher = searchers.get(J)
         if searcher is None:
             searcher = searchers[J] = WitnessSearcher(system, J)
-        word = searcher.search(w)
-        cert = None if word is None else certificate_from_word(system, J, word)
-        out.append((w, cert))
-    return out
+        yield w, J, searcher.search(w)
+
+
+def nonspherical_census(system: CoxeterSystem, cap: int | None = None) -> list[Element]:
+    """Every element that is not J(w)-spherical, in enumeration order."""
+    return [
+        w for w, _, word in census(system, system.elements(cap)) if word is None
+    ]
 
 
 def w0_sphericality_closed_form(system: CoxeterSystem, I) -> bool:

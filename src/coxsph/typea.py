@@ -37,7 +37,10 @@ def parse_composition(text: str) -> tuple[int, ...]:
     text = text.strip().lstrip("(").rstrip(")")
     if not text:
         return ()
-    return tuple(int(t) for t in text.split(","))
+    parts = tuple(int(t) for t in text.split(","))
+    if any(p < 0 for p in parts):
+        raise CoxeterError(f"composition {text!r} has a negative part")
+    return parts
 
 
 # -- basic permutation operations ---------------------------------------------
@@ -158,7 +161,8 @@ def bigrassmannian_spherical(line) -> bool:
         raise CoxeterError("bigrassmannian_spherical needs a bigrassmannian input")
     c = [v for v in code(line) if v]
     a, b = len(c), c[0]
-    assert all(v == b for v in c), "bigrassmannian code must be a rectangle"
+    if any(v != b for v in c):
+        raise CoxeterError("bigrassmannian code must be a rectangle")
     return a == 1 or b == 1 or (a == 2 and b == 2)
 
 

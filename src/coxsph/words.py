@@ -12,7 +12,12 @@ from .coxeter import CoxeterError, CoxeterSystem, Element
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """Parse 's2 s3 s4' (or bare '2 3 4') into a letter tuple."""
+    """Parse 's2 s3 s4' (or bare '2 3 4') into a letter tuple.
+
+    '<id>', which `format_word` writes for the empty word, parses to ().
+    """
+    if text.strip() == "<id>":
+        return ()
     letters = []
     for tok in text.split():
         tok = tok.lower().lstrip("s")

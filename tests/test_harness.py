@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from coxsph import cli, harness
+from coxsph import cli, coxeter_system, harness, nonspherical_census
 from coxsph.coxeter import CoxeterError
 
 from golden_data import KEY_15243_D24_EXPANSION, S5_NONSPHERICAL
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_census_report_shape():
@@ -29,13 +35,13 @@ def test_census_is_deterministic():
     assert a.nonspherical == b.nonspherical
 
 
-def test_census_parallel_matches_serial():
-    serial = harness.run_census("A4")
-    parallel = harness.run_census("A4", jobs=2)
-    assert [e.element for e in serial.entries] == [e.element for e in parallel.entries]
-    assert [e.spherical for e in serial.entries] == [
-        e.spherical for e in parallel.entries
-    ]
+def test_census_report_matches_nonspherical_census():
+    for t in ("A4", "B3", "I2(7)"):
+        system = coxeter_system(t)
+        assert harness.run_census(t).nonspherical == [
+            harness._element_label(system, w)
+            for w in nonspherical_census(system)
+        ]
 
 
 def test_check_reports():
@@ -174,6 +180,20 @@ def test_cli_key_expand(capsys, tmp_path):
         [[5, 2], [4, 2], [2]],
         [[5, 3], [3, 2], [2]],
     ]
+    assert cli.main(["key-expand", "(1,-1)", "--D", "1"]) == 1
+    assert "negative part" in capsys.readouterr().err
+
+
+def test_cli_resource_limit_is_reported_without_traceback():
+    word = " ".join(["s1 s2"] * 750)  # the longest element of I2(1500)
+    done = subprocess.run(
+        [sys.executable, "-m", "coxsph.cli", "check", "I2(1500)", word,
+         "--I", "1,2"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode in (0, 1, 2, 3)
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_verify_consistency(capsys):

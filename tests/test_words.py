@@ -7,6 +7,7 @@ from coxsph import (
     bruhat_leq,
     coxeter_system,
     evaluate,
+    format_word,
     is_reduced,
     parse_word,
     reduced_word_count,
@@ -20,6 +21,7 @@ from golden_data import E8_WORD_NOT_WITNESS
 def test_parse_and_format():
     assert parse_word("s2 s3 s4") == (2, 3, 4)
     assert parse_word("2 3 4") == (2, 3, 4)
+    assert parse_word(format_word(())) == ()
     with pytest.raises(CoxeterError):
         parse_word("s2 xx")
 
