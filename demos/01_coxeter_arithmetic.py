@@ -3,8 +3,8 @@
 
 from coxsph import coxeter_system, evaluate, parse_word
 
-# Systems are built from type strings and cached. Crystallographic types carry
-# their positive roots in the simple-root basis.
+# Systems are built from type strings and cached. Types A-G carry their
+# positive roots in the simple-root basis.
 b3 = coxeter_system("B3")
 print("B3 positive roots:", len(b3.positive_roots))
 print("B3 group order:   ", b3.order())
@@ -18,7 +18,7 @@ print("  left descents: ", sorted(b3.left_descents(w)))
 print("  right descents:", sorted(b3.right_descents(w)))
 print("  inverse word:  ", w.inverse())
 
-# Dihedral groups use an alternating normal form instead of roots.
+# Dihedral groups store w = (s1 s2)^r s1^f as the pair (r mod m, f) instead of roots.
 d7 = coxeter_system("I2(7)")
 print("\nI2(7) order:", d7.order(), " longest element:", d7.longest_element())
 

@@ -1,13 +1,16 @@
 """Exact arithmetic in finite Coxeter groups.
 
-Crystallographic groups (types A, B, D, E, F, G) are realized through their
-action on positive roots written in the simple-root basis: an element is
-stored as the signed permutation it induces on the list of positive roots.
-This gives O(#roots) multiplication, inversion-free length queries, and a
+`CoxeterSystem` realizes types A, B, D, E, F, G through their action on
+positive roots written in the simple-root basis: an element is stored as the
+signed permutation it induces on the list of positive roots. This gives
+O(#roots) multiplication, inversion-free length and descent queries, and a
 canonical representation (two elements are equal iff their tuples are).
 
-Dihedral groups I2(m) have no integral root basis for general m, so their
-elements are stored in alternating normal form (start letter, word length).
+`DihedralSystem` handles I2(m), which has no integral root basis for general
+m and whose root permutations would make every product O(m): it stores
+w = (s1 s2)^r s1^f as the pair (r mod m, f), with O(1) closed forms for
+products, lengths and descents. `CoxeterSystem.from_string` picks the class
+once, from the Cartan type.
 
 Node labels are 1-based and follow the diagram conventions used by the test
 data: type A node i is the transposition (i, i+1); in E6/E7/E8 the chain is
@@ -81,10 +84,6 @@ class CartanType:
             return f"I2({self.gonality})"
         return f"{self.family}{self.rank}"
 
-    @property
-    def crystallographic(self) -> bool:
-        return self.family != "I"
-
 
 def _simply_laced_edges(t: CartanType) -> list[tuple[int, int]]:
     r = t.rank
@@ -137,8 +136,8 @@ _BOND_TO_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 class Element:
     """Canonical group element of a CoxeterSystem.
 
-    `rep` is the signed root permutation (crystallographic) or the
-    (start letter, length) normal form (dihedral). Immutable and hashable.
+    `rep` is the signed root permutation (`CoxeterSystem`) or the rotation
+    and reflection pair (r, f) (`DihedralSystem`). Immutable and hashable.
     """
 
     __slots__ = ("system", "rep", "_length")
@@ -204,34 +203,44 @@ class ComponentDecomposition:
 
 
 class CoxeterSystem:
-    """A finite Coxeter system with exact element arithmetic."""
+    """A finite Weyl group (types A-G) with exact element arithmetic.
+
+    Elements are signed permutations of the positive roots; `from_string`
+    returns a `DihedralSystem` for I2(m).
+    """
 
     def __init__(self, cartan_type: CartanType):
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
-        if cartan_type.crystallographic:
-            self.cartan_matrix = _cartan_matrix(cartan_type)
-            self.positive_roots = self._close_roots()
-            self._root_index = {r: i for i, r in enumerate(self.positive_roots)}
-            self._gen_action = tuple(
-                self._generator_action(i) for i in range(1, self.rank + 1)
-            )
-            self.coxeter_matrix = self._coxeter_from_cartan()
-        else:
-            self.cartan_matrix = None
-            self.positive_roots = None
-            m = cartan_type.gonality
-            self.coxeter_matrix = ((1, m), (m, 1))
-        self._identity = self._make_identity()
-        self._generators = tuple(
-            self._make_generator(i) for i in range(1, self.rank + 1)
+        self.cartan_matrix = _cartan_matrix(cartan_type)
+        self.positive_roots = self._close_roots()
+        self._root_index = {r: i for i, r in enumerate(self.positive_roots)}
+        # the nodes each positive root involves, for `support` and budgets
+        self._root_supports = tuple(
+            frozenset(j + 1 for j, c in enumerate(root) if c)
+            for root in self.positive_roots
+        )
+        self._negative_simple = frozenset(range(-self.rank, 0))
+        self.coxeter_matrix = self._coxeter_from_cartan()
+        self._set_elements(
+            tuple(range(1, len(self.positive_roots) + 1)),
+            [self._generator_action(i) for i in range(1, self.rank + 1)],
         )
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def from_string(text: str) -> "CoxeterSystem":
-        return CoxeterSystem(CartanType.parse(text))
+        t = CartanType.parse(text)
+        return DihedralSystem(t) if t.family == "I" else CoxeterSystem(t)
+
+    def _set_elements(self, identity_rep: tuple, generator_reps) -> None:
+        self._identity = Element(self, identity_rep)
+        self._identity._length = 0
+        self._generators = tuple(Element(self, rep) for rep in generator_reps)
+        for s in self._generators:
+            s._length = 1
+        self._longest = None
 
     def _reflect(self, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
         A = self.cartan_matrix
@@ -281,24 +290,6 @@ class CoxeterSystem:
                     M[i][j] = _BOND_TO_ORDER[A[i][j] * A[j][i]]
         return tuple(tuple(row) for row in M)
 
-    def _make_identity(self) -> Element:
-        if self.cartan_type.crystallographic:
-            rep = tuple(range(1, len(self.positive_roots) + 1))
-        else:
-            rep = (0, 0)
-        e = Element(self, rep)
-        e._length = 0
-        return e
-
-    def _make_generator(self, i: int) -> Element:
-        if self.cartan_type.crystallographic:
-            rep = self._gen_action[i - 1]
-        else:
-            rep = (i, 1)
-        e = Element(self, rep)
-        e._length = 1
-        return e
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -333,9 +324,7 @@ class CoxeterSystem:
             return {6: 51840, 7: 2903040, 8: 696729600}[r]
         if t.family == "F":
             return 1152
-        if t.family == "G":
-            return 12
-        return 2 * t.gonality
+        return 12  # G2
 
     def _check_member(self, w: Element):
         if w.system is not self and w.system.cartan_type != self.cartan_type:
@@ -344,130 +333,55 @@ class CoxeterSystem:
     def multiply(self, u: Element, v: Element) -> Element:
         self._check_member(u)
         self._check_member(v)
-        if self.cartan_type.crystallographic:
-            urep, vrep = u.rep, v.rep
-            out = []
-            for q in vrep:
-                if q > 0:
-                    out.append(urep[q - 1])
-                else:
-                    out.append(-urep[-q - 1])
-            return Element(self, tuple(out))
-        return self._dihedral_element(*self._dihedral_compose(u.rep, v.rep))
+        urep = u.rep
+        out = []
+        for q in v.rep:
+            if q > 0:
+                out.append(urep[q - 1])
+            else:
+                out.append(-urep[-q - 1])
+        return Element(self, tuple(out))
 
     def inverse(self, w: Element) -> Element:
         self._check_member(w)
-        if self.cartan_type.crystallographic:
-            out = [0] * len(w.rep)
-            for p, q in enumerate(w.rep):
-                if q > 0:
-                    out[q - 1] = p + 1
-                else:
-                    out[-q - 1] = -(p + 1)
-            return Element(self, tuple(out))
-        r, f = self._to_rotation(w.rep)
-        if f:
-            return w  # reflections are involutions
-        n = self.cartan_type.gonality
-        return self._dihedral_element((-r) % n, 0)
+        out = [0] * len(w.rep)
+        for p, q in enumerate(w.rep):
+            if q > 0:
+                out[q - 1] = p + 1
+            else:
+                out[-q - 1] = -(p + 1)
+        return Element(self, tuple(out))
 
     def length(self, w: Element) -> int:
         self._check_member(w)
-        if self.cartan_type.crystallographic:
-            return sum(1 for q in w.rep if q < 0)
-        return w.rep[1]
+        return sum(1 for q in w.rep if q < 0)
 
     def right_descents(self, w: Element) -> frozenset[int]:
-        if self.cartan_type.crystallographic:
-            return frozenset(
-                i for i in range(1, self.rank + 1) if w.rep[i - 1] < 0
-            )
-        return self._dihedral_descents(w.rep, left=False)
+        return frozenset(i for i in range(1, self.rank + 1) if w.rep[i - 1] < 0)
 
     def left_descents(self, w: Element) -> frozenset[int]:
-        if self.cartan_type.crystallographic:
-            return self.right_descents(self.inverse(w))
-        return self._dihedral_descents(w.rep, left=True)
+        # i is a left descent iff w^-1 sends alpha_i negative, that is iff
+        # some positive root goes to -alpha_i, whose entry in rep is -i; the
+        # set intersection scans rep in C, faster than building the inverse
+        return frozenset([-q for q in self._negative_simple.intersection(w.rep)])
 
     def longest_element(self) -> Element:
-        if not self.cartan_type.crystallographic:
-            return self._dihedral_element_from_normal(1, self.cartan_type.gonality)
-        w = self.identity
-        while True:
-            up = next((i for i in range(1, self.rank + 1) if w.rep[i - 1] > 0), None)
-            if up is None:
-                return w
-            w = self.multiply(w, self.generator(up))
+        # cached: the climb takes l(w0) products, which is m for I2(m)
+        if self._longest is None:
+            w, everything = self.identity, frozenset(range(1, self.rank + 1))
+            while up := everything - self.right_descents(w):
+                w = self.multiply(w, self.generator(min(up)))
+            self._longest = w
+        return self._longest
 
     def support(self, w: Element) -> frozenset[int]:
         """Nodes whose generator appears in every reduced word of w."""
         self._check_member(w)
-        if not self.cartan_type.crystallographic:
-            if w.rep[1] == 0:
-                return frozenset()
-            if w.rep[1] == 1:
-                return frozenset({w.rep[0]})
-            return frozenset({1, 2})
         supp = set()
-        roots = self.positive_roots
-        for p, q in enumerate(w.rep):
+        for root_support, q in zip(self._root_supports, w.rep):
             if q < 0:
-                supp.update(j + 1 for j, c in enumerate(roots[p]) if c)
+                supp |= root_support
         return frozenset(supp)
-
-    # -- dihedral internals ---------------------------------------------------
-
-    def _dihedral_compose(self, a: tuple[int, int], b: tuple[int, int]):
-        n = self.cartan_type.gonality
-        r1, f1 = self._to_rotation(a)
-        r2, f2 = self._to_rotation(b)
-        return ((r1 - r2) % n if f1 else (r1 + r2) % n, f1 ^ f2)
-
-    def _to_rotation(self, rep: tuple[int, int]) -> tuple[int, int]:
-        n = self.cartan_type.gonality
-        start, L = rep
-        m, odd = divmod(L, 2)
-        if start in (0, 1):
-            return (m % n, 1) if odd else (m % n, 0)
-        # start letter 2
-        return ((n - 1 - m) % n, 1) if odd else ((-m) % n, 0)
-
-    def _dihedral_element(self, r: int, f: int) -> Element:
-        n = self.cartan_type.gonality
-        if f == 0:
-            if r == 0:
-                return self._identity
-            if 2 * r < 2 * (n - r):
-                return self._dihedral_element_from_normal(1, 2 * r)
-            if 2 * r > 2 * (n - r):
-                return self._dihedral_element_from_normal(2, 2 * (n - r))
-            return self._dihedral_element_from_normal(1, n)  # w0, n even
-        L1 = 2 * r + 1
-        L2 = 2 * (n - 1 - r) + 1
-        if L1 < L2:
-            return self._dihedral_element_from_normal(1, L1)
-        if L2 < L1:
-            return self._dihedral_element_from_normal(2, L2)
-        return self._dihedral_element_from_normal(1, n)  # w0, n odd
-
-    def _dihedral_element_from_normal(self, start: int, L: int) -> Element:
-        if L == 0:
-            return self._identity
-        e = Element(self, (start, L))
-        e._length = L
-        return e
-
-    def _dihedral_descents(self, rep, left: bool) -> frozenset[int]:
-        n = self.cartan_type.gonality
-        start, L = rep
-        if L == 0:
-            return frozenset()
-        if L == n:
-            return frozenset({1, 2})
-        if left:
-            return frozenset({start})
-        last = start if L % 2 == 1 else 3 - start
-        return frozenset({last})
 
     # -- enumeration and subsets ---------------------------------------------
 
@@ -525,15 +439,71 @@ class CoxeterSystem:
         return ComponentDecomposition(I, tuple(comps), budgets)
 
     def _component_budget(self, comp: tuple[int, ...]) -> int:
-        if not self.cartan_type.crystallographic:
-            longest = self.cartan_type.gonality if len(comp) == 2 else 1
-            return longest + len(comp)
-        cset = set(c - 1 for c in comp)
-        longest = 0
-        for root in self.positive_roots:
-            if all(c == 0 or j in cset for j, c in enumerate(root)):
-                longest += 1
-        return longest + len(comp)
+        # l(w0 of W_C) is the number of positive roots supported inside C
+        cset = frozenset(comp)
+        return sum(1 for s in self._root_supports if s <= cset) + len(comp)
+
+
+_S1, _S2, _S12 = frozenset({1}), frozenset({2}), frozenset({1, 2})
+
+
+class DihedralSystem(CoxeterSystem):
+    """I2(m) with w = (s1 s2)^r s1^f stored as rep = (r mod m, f).
+
+    At each length below m, tuple order on reps puts the element whose
+    reduced word starts with s1 first; `elements()` sorts ties by rep, so
+    this fixes the enumeration order.
+    """
+
+    cartan_matrix = None
+    positive_roots = None
+
+    def __init__(self, cartan_type: CartanType):
+        self.cartan_type = cartan_type
+        self.rank = 2
+        self.m = m = cartan_type.gonality
+        self.coxeter_matrix = ((1, m), (m, 1))
+        self._set_elements((0, 0), [(0, 1), (m - 1, 1)])  # s2 = (s1 s2)^-1 s1
+
+    def order(self) -> int:
+        return 2 * self.m
+
+    def multiply(self, u: Element, v: Element) -> Element:
+        self._check_member(u)
+        self._check_member(v)
+        (r1, f1), (r2, f2) = u.rep, v.rep
+        # s1 (s1 s2)^r = (s1 s2)^-r s1
+        return Element(self, ((r1 - r2 if f1 else r1 + r2) % self.m, f1 ^ f2))
+
+    def inverse(self, w: Element) -> Element:
+        self._check_member(w)
+        r, f = w.rep
+        return w if f else Element(self, (-r % self.m, 0))
+
+    def length(self, w: Element) -> int:
+        self._check_member(w)
+        r, f = w.rep
+        return 2 * min(r, self.m - f - r) + f
+
+    def left_descents(self, w: Element) -> frozenset[int]:
+        # the reduced word starts with s1 when (s1 s2)^r s1^f is the shorter
+        # spelling (r < m - f - r), with s2 when the other one is; both when
+        # they tie, which happens only at w0
+        r, f = w.rep
+        other = self.m - f - r
+        if r < other:
+            return _S1 if r or f else frozenset()
+        return _S2 if r > other else _S12
+
+    def right_descents(self, w: Element) -> frozenset[int]:
+        return self.left_descents(self.inverse(w))
+
+    def support(self, w: Element) -> frozenset[int]:
+        """Nodes whose generator appears in every reduced word of w."""
+        return self.left_descents(w) if self.length(w) <= 1 else _S12
+
+    def _component_budget(self, comp: tuple[int, ...]) -> int:
+        return (self.m if len(comp) == 2 else 1) + len(comp)
 
 
 @lru_cache(maxsize=None)

@@ -84,7 +84,7 @@ def run_census(
     type_string: str, cap: int | None = None, progress=None
 ) -> CensusReport:
     """Maximal-sphericality census of a whole group, in enumeration order."""
-    start = time.time()
+    start = time.perf_counter()
     system = coxeter_system(type_string)
     elements = system.elements(cap)
     entries = []
@@ -99,7 +99,9 @@ def run_census(
         )
         if progress and (i + 1) % 500 == 0:
             progress(i + 1, len(elements))
-    return CensusReport(type_string, len(elements), entries, time.time() - start)
+    return CensusReport(
+        type_string, len(elements), entries, time.perf_counter() - start
+    )
 
 
 # -- single-element check ----------------------------------------------------
@@ -141,9 +143,13 @@ class CheckReport:
 
 
 def parse_element(system: CoxeterSystem, text: str):
-    """One-line notation for type A; generator words everywhere."""
+    """One-line notation for type A; generator words (or '<id>') everywhere."""
     text = text.strip()
-    if system.cartan_type.family == "A" and "s" not in text.lower():
+    if (
+        system.cartan_type.family == "A"
+        and "s" not in text.lower()
+        and text != "<id>"
+    ):
         line = typea.parse_permutation(text)
         return typea.perm_to_element(system, line)
     return words.evaluate(system, words.parse_word(text))
@@ -273,7 +279,7 @@ def run_consistency(n: int, progress=None) -> ConsistencyReport:
     For every w and every I inside the left descent set, the two verdicts
     must agree; any disagreement is reported, never silently dropped.
     """
-    start = time.time()
+    start = time.perf_counter()
     system = coxeter_system(f"A{n - 1}")
     searchers: dict = {}
     cache: dict = {}
@@ -304,7 +310,7 @@ def run_consistency(n: int, progress=None) -> ConsistencyReport:
                     disagreements.append((line, Iset, comb, stair))
         if progress and (idx + 1) % 100 == 0:
             progress(idx + 1, len(elements))
-    return ConsistencyReport(n, pairs, disagreements, time.time() - start)
+    return ConsistencyReport(n, pairs, disagreements, time.perf_counter() - start)
 
 
 # -- experiments -----------------------------------------------------------------
@@ -370,17 +376,25 @@ def _experiment_vanishing_density(n: int) -> dict:
     return {"experiment": "vanishing-density", "counts": counts}
 
 
+UPONE_DRAWS_PER_TRIAL = 100
+
+
 def _random_composition(rng, n: int, maxpart: int) -> tuple[int, ...]:
     return tuple(rng.randint(0, maxpart) for _ in range(n))
 
 
 def _experiment_upone(n: int, seed: int, trials: int = 200) -> dict:
     """Raising one part (to a value no other part holds) should preserve
-    having multiplicity."""
+    having multiplicity.
+
+    Stops after `UPONE_DRAWS_PER_TRIAL * trials` random draws, because for
+    small n a draw with multiplicity may be rare or impossible.
+    """
     rng = random.Random(seed)
-    tested = 0
+    tested = draws = 0
     counterexamples = []
-    while tested < trials:
+    while tested < trials and draws < UPONE_DRAWS_PER_TRIAL * trials:
+        draws += 1
         alpha = _random_composition(rng, n, 4)
         j = rng.randrange(n)
         up = list(alpha)
@@ -405,6 +419,7 @@ def _experiment_upone(n: int, seed: int, trials: int = 200) -> dict:
     return {
         "experiment": "upone",
         "n": n,
+        "draws": draws,
         "pairs_with_multiplicity_tested": tested,
         "counterexamples": counterexamples,
         "consistent": not counterexamples,

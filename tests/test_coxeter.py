@@ -191,3 +191,37 @@ def test_dihedral_normal_forms():
     s1s2 = evaluate(system, (1, 2))
     assert system.left_descents(s1s2) == frozenset({1})
     assert system.right_descents(s1s2) == frozenset({2})
+
+
+@pytest.mark.parametrize("dihedral,weyl", [("I2(4)", "B2"), ("I2(6)", "G2")])
+def test_dihedral_arithmetic_matches_root_system(dihedral, weyl):
+    # the (r, f) closed forms against the root permutations of the same group
+    dih, root = coxeter_system(dihedral), coxeter_system(weyl)
+    elements = dih.elements()
+    image = {w: evaluate(root, w.word()) for w in elements}
+    assert len(set(image.values())) == len(elements) == root.order()
+    for w, x in image.items():
+        assert w.length == x.length
+        assert dih.left_descents(w) == root.left_descents(x)
+        assert dih.right_descents(w) == root.right_descents(x)
+        assert dih.support(w) == root.support(x)
+        for v in elements:
+            assert dih.multiply(w, v).length == root.multiply(x, image[v]).length
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_dihedral_left_descents_match_lengths(m):
+    system = coxeter_system(f"I2({m})")
+    for w in system.elements():
+        by_length = {
+            i for i in (1, 2)
+            if system.multiply(system.generator(i), w).length < w.length
+        }
+        assert system.left_descents(w) == by_length
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
+def test_left_descents_are_right_descents_of_inverse(name):
+    system = coxeter_system(name)
+    for w in system.elements():
+        assert system.left_descents(w) == system.right_descents(system.inverse(w))

@@ -116,6 +116,13 @@ def test_experiment_upone():
     assert result["pairs_with_multiplicity_tested"] >= 100
 
 
+def test_experiment_upone_stops_when_multiplicity_is_rare():
+    # with seed 0 no draw at n = 4 has multiplicity; the draw bound ends it
+    result = harness.run_experiment("upone", n=4)
+    assert result["pairs_with_multiplicity_tested"] < 200
+    assert result["draws"] == harness.UPONE_DRAWS_PER_TRIAL * 200
+
+
 def test_experiment_distinct_lambda():
     result = harness.run_experiment("distinct-lambda", n=5, seed=0)
     assert result["consistent"]
@@ -156,6 +163,12 @@ def test_cli_check(capsys):
     out = capsys.readouterr().out
     assert "I-spherical: False" in out
     assert "multiplicity-free: False" in out
+    # a census writes the identity's witness as <id>; it parses back
+    assert cli.main(["check", "A3", "<id>"]) == 0
+    out = capsys.readouterr().out
+    assert "element 1234" in out
+    assert "I-spherical: True" in out
+    assert "witness: <id>" in out
 
 
 def test_cli_check_usage_errors(capsys):
