@@ -87,6 +87,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except harness.CrossCheckFailure as exc:
+        sys.stderr.write(f"verification failure: {exc}\n")
+        return 2
     except CoxeterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

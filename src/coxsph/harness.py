@@ -183,6 +183,10 @@ def run_check(
 # -- key expansion -------------------------------------------------------------
 
 
+class CrossCheckFailure(CoxeterError):
+    """Expansion oracles that must agree do not (the CLI exits with 2)."""
+
+
 def run_key_expand(
     alpha,
     D,
@@ -193,8 +197,9 @@ def run_key_expand(
     """Expand a key polynomial on the block-Schur basis.
 
     oracle 'peel' subtracts lead terms of the polynomial; 'ry' counts tableau
-    sequences. `cross_check` runs both plus the exact linear solver and
-    insists they agree.
+    sequences. `cross_check` runs peeling, the tableau rule and the exact
+    linear solver once each and raises `CrossCheckFailure`, naming the
+    oracles that disagree, unless all three agree.
     """
     alpha = tuple(alpha)
     if n is None:
@@ -206,22 +211,25 @@ def run_key_expand(
         raise ValueError(
             f"descents {sorted(desc)} of the composition lie outside D={split.D}"
         )
-    if oracle == "ry":
-        expansion = splitrule.ry_expand(padded, split)
-    elif oracle == "peel":
-        expansion = polyring.split_expand(polyring.key_polynomial(padded), split)
-    else:
+    if oracle not in ("peel", "ry"):
         raise CoxeterError(f"unknown oracle {oracle!r} (use 'peel' or 'ry')")
+    kappa = polyring.key_polynomial(padded) if cross_check or oracle == "peel" else None
+    runs = {
+        "peel": lambda: polyring.split_expand(kappa, split),
+        "ry": lambda: splitrule.ry_expand(padded, split),
+        "solver": lambda: polyring.split_expand_via_solver(kappa, split),
+    }
+    found = {name: runs[name]() for name in (runs if cross_check else (oracle,))}
     if cross_check:
-        kappa = polyring.key_polynomial(padded)
-        others = [
-            polyring.split_expand(kappa, split).coefficients,
-            splitrule.ry_expand(padded, split).coefficients,
-            polyring.split_expand_via_solver(kappa, split).coefficients,
-        ]
-        if any(o != expansion.coefficients for o in others):
-            raise CoxeterError("expansion cross-check failed")
-    return expansion
+        coeffs = {name: e.coefficients for name, e in found.items()}
+        odd = [a for a in coeffs if sum(coeffs[a] == c for c in coeffs.values()) < 2]
+        if odd:
+            raise CrossCheckFailure(
+                "expansion cross-check failed: "
+                f"{', '.join(odd)} {'disagrees' if len(odd) == 1 else 'disagree'} "
+                "with the other oracles"
+            )
+    return found[oracle]
 
 
 def format_expansion(expansion) -> str:

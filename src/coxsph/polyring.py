@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
+from math import gcd
 
 from .coxeter import CoxeterError
 from .typea import act_on_composition, left_descents
@@ -70,15 +71,7 @@ class Poly:
         return Poly(self.nvars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) - c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return Poly(self.nvars, out)
+        return self + other.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -352,29 +345,27 @@ class SplitExpansion:
         return {"n": self.split.n, "D": list(self.split.D), "terms": terms}
 
 
-@lru_cache(maxsize=100000)
-def _embedded_schur(lam: tuple[int, ...], start: int, size: int, n: int) -> Poly:
-    base = schur(lam, size)
-    out = {}
-    for e, c in base.terms.items():
-        full = [0] * n
-        full[start - 1 : start - 1 + size] = e
-        out[tuple(full)] = c
-    return Poly(n, out)
-
-
 def d_schur(split: SplitSet, lams) -> Poly:
-    """Product of one Schur polynomial per block."""
-    lams = tuple(tuple(lam) for lam in lams)
-    if len(lams) != len(split.blocks):
+    """Product of one Schur polynomial per block.
+
+    The blocks use disjoint variables, so each monomial of the product is one
+    Schur monomial per block written side by side, with the product of their
+    coefficients, and no two choices meet on the same monomial.
+    """
+    blocks = split.blocks
+    if len(lams) != len(blocks):
         raise ValueError("one partition per block required")
-    out = Poly.one(split.n)
-    for (a, b), lam in zip(split.blocks, lams):
-        lam_clean = tuple(p for p in lam if p)
-        if len(lam_clean) > b - a + 1:
-            raise ValueError(f"partition {lam} too long for block {(a, b)}")
-        out = out * _embedded_schur(lam_clean, a, b - a + 1, split.n)
-    return out
+    factors = [
+        schur(lam, b - a + 1).terms.items() for (a, b), lam in zip(blocks, lams)
+    ]
+    out = {}
+    for pick in _iproduct(*factors):
+        exps, coeff = (), 1
+        for e, c in pick:
+            exps += e
+            coeff *= c
+        out[exps] = coeff
+    return Poly(split.n, out)
 
 
 def is_split_symmetric(f: Poly, split: SplitSet) -> bool:
@@ -464,8 +455,13 @@ def expand_in_keys(f: Poly) -> dict:
 
 
 def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
-    """Independent expansion oracle: exact linear solve against all candidate
-    D-Schur products. Exponential; test and cross-check use only."""
+    """Independent expansion oracle: an exact linear solve.
+
+    Per block-degree profile of f, every D-Schur product of that profile is
+    an unknown and every monomial one equation. `_solve_exact` assumes no
+    row order and no unit pivot, so this route does not use the
+    unitriangularity that `split_expand` peels by. Test and cross-check use.
+    """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
     blocks = split.blocks
@@ -475,30 +471,19 @@ def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
         profiles.setdefault(prof, {})[e] = c
     coeffs: dict = {}
     for prof, sub in profiles.items():
-        cands = []
         per_block = [
             _partitions_fixed(total, b - a + 1) for total, (a, b) in zip(prof, blocks)
         ]
-        for lams in _iproduct(*per_block):
-            cands.append(lams)
-        polys = [d_schur(split, lams) for lams in cands]
-        monos = sorted(
-            set(sub) | {e for p in polys for e in p.terms}, reverse=True
-        )
-        mindex = {e: i for i, e in enumerate(monos)}
-        rows = len(monos)
-        mat = [[Fraction(0)] * len(cands) for _ in range(rows)]
-        rhs = [Fraction(sub.get(e, 0)) for e in monos]
-        for cidx, p in enumerate(polys):
-            for e, c in p.terms.items():
-                mat[mindex[e]][cidx] = Fraction(c)
-        sol = _solve_exact(mat, rhs)
-        for lams, value in zip(cands, sol):
+        cands = list(_iproduct(*per_block))
+        rows = {e: {} for e in sub}
+        for cidx, lams in enumerate(cands):
+            for e, c in d_schur(split, lams).terms.items():
+                rows.setdefault(e, {})[cidx] = c
+        eqs = [(row, sub.get(e, 0)) for e, row in rows.items()]
+        for lams, value in zip(cands, _solve_exact(eqs, len(cands))):
+            if value.denominator != 1:
+                raise CoxeterError(f"solver gave the non-integral coefficient {value}")
             if value:
-                if value.denominator != 1:
-                    raise CoxeterError(
-                        f"solver gave the non-integral coefficient {value}"
-                    )
                 coeffs[lams] = int(value)
     return SplitExpansion(split, coeffs)
 
@@ -520,37 +505,50 @@ def _partitions_fixed(total: int, max_parts: int):
     return out
 
 
-def _solve_exact(mat, rhs):
-    """Gaussian elimination over the rationals; requires a unique solution."""
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-                rhs[i] = rhs[i] - factor * rhs[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    if len(pivots) != cols:
+def _solve_exact(rows, ncols: int) -> list:
+    """Sparse fraction-free elimination (after Bareiss); needs a unique solution.
+
+    Each row is ({column: int}, int rhs). On the column it leads with (its
+    smallest), a row is reduced by row <- p*row - q*pivot_row and divided by
+    the gcd of its entries and rhs, or becomes that column's pivot row. No
+    pivot is assumed to be 1; only the back-substitution uses Fractions.
+    """
+    pivots: dict = {}
+    consistent = True
+    for row, rhs in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = (row, rhs)
+                break
+            prow, prhs = pivots[lead]
+            g = gcd(prow[lead], row[lead])
+            p, q = prow[lead] // g, row[lead] // g
+            for c in row:
+                row[c] *= p
+            for c, v in prow.items():
+                nv = row.get(c, 0) - q * v
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+            rhs = p * rhs - q * prhs
+            g = gcd(rhs, *row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+                rhs //= g
+        else:
+            consistent = consistent and rhs == 0
+    if len(pivots) != ncols:
         raise ValueError("expansion is not unique; basis candidates degenerate")
-    for i in range(r, rows):
-        if rhs[i] != 0:
-            raise ValueError("inconsistent system; input outside the span")
-    sol = [Fraction(0)] * cols
-    for row, c in enumerate(pivots):
-        sol[c] = rhs[row]
+    if not consistent:
+        raise ValueError("inconsistent system; input outside the span")
+    sol = [Fraction(0)] * ncols
+    for lead in range(ncols - 1, -1, -1):
+        prow, prhs = pivots[lead]
+        rest = sum(v * sol[c] for c, v in prow.items() if c != lead)
+        sol[lead] = Fraction(prhs - rest, prow[lead])
     return sol
 
 

@@ -75,6 +75,46 @@ def test_key_expand_runner():
         harness.run_key_expand((2, 1), (), n=2)  # descent outside D
 
 
+def test_key_expand_cross_check_runs_each_oracle_once(monkeypatch):
+    from coxsph import polyring, splitrule
+
+    calls = {}
+    for module, name in ((polyring, "key_polynomial"), (polyring, "split_expand"),
+                         (splitrule, "ry_expand"),
+                         (polyring, "split_expand_via_solver")):
+        def counted(*args, _inner=getattr(module, name), _name=name, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    for oracle in ("peel", "ry"):
+        calls.clear()
+        expansion = harness.run_key_expand(
+            (1, 5, 2, 4, 3), (2, 4), oracle=oracle, cross_check=True
+        )
+        assert expansion.coefficients == KEY_15243_D24_EXPANSION
+        assert calls == {"key_polynomial": 1, "split_expand": 1, "ry_expand": 1,
+                         "split_expand_via_solver": 1}
+
+
+def test_key_expand_cross_check_names_the_disagreeing_oracle(monkeypatch):
+    from coxsph import polyring
+
+    def wrong(f, split):
+        right = polyring.split_expand(f, split)
+        lams = max(right.coefficients)
+        return polyring.SplitExpansion(
+            split, {**right.coefficients, lams: right.coefficients[lams] + 1}
+        )
+
+    monkeypatch.setattr(polyring, "split_expand_via_solver", wrong)
+    with pytest.raises(harness.CrossCheckFailure, match="solver disagrees"):
+        harness.run_key_expand((1, 5, 2, 4, 3), (2, 4), cross_check=True)
+    # without the cross-check the solver does not run
+    assert harness.run_key_expand((1, 5, 2, 4, 3), (2, 4)).coefficients == (
+        KEY_15243_D24_EXPANSION
+    )
+
+
 def test_consistency_runner():
     for n in (3, 4):
         report = harness.run_consistency(n)
@@ -195,6 +235,23 @@ def test_cli_key_expand(capsys, tmp_path):
     ]
     assert cli.main(["key-expand", "(1,-1)", "--D", "1"]) == 1
     assert "negative part" in capsys.readouterr().err
+
+
+def test_cli_cross_check_failure_exits_2(capsys, monkeypatch):
+    from coxsph import polyring, splitrule
+
+    monkeypatch.setattr(
+        splitrule, "ry_expand",
+        lambda alpha, split: polyring.SplitExpansion(split, {}),
+    )
+    code = cli.main(["key-expand", "(1,5,2,4,3)", "--D", "2,4", "--cross-check"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure: ")
+    assert "ry disagrees" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_cli_resource_limit_is_reported_without_traceback():

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from coxsph import polyring
+from coxsph.coxeter import CoxeterError
 from coxsph.polyring import (
     Poly,
     SplitSet,
@@ -18,6 +20,7 @@ from coxsph.polyring import (
     split_expand_via_solver,
     staircase_composition,
     staircase_test,
+    _solve_exact,
 )
 from coxsph import typea as ta
 
@@ -278,6 +281,93 @@ def test_peel_matches_solver_on_random_instances():
         solved = split_expand_via_solver(f, split)
         assert peeled.coefficients == expected
         assert solved.coefficients == expected
+
+
+# -- exact solver and D-Schur products --------------------------------------------
+
+
+def test_solver_handles_non_unitriangular_systems():
+    # x = (3, -1, 2); pivots 2, -3 and 2, plus two redundant rows
+    rows = [
+        ({0: 2, 1: 1, 2: -1}, 3),
+        ({1: 6, 2: -2}, -10),
+        ({1: -3, 2: 1}, 5),
+        ({2: 2}, 4),
+        ({0: 4, 2: 1}, 14),
+    ]
+    x = (3, -1, 2)
+    for sigma in itertools.permutations(range(3)):
+        permuted = [({sigma[c]: v for c, v in row.items()}, rhs) for row, rhs in rows]
+        for order in itertools.permutations(permuted):
+            sol = _solve_exact(list(order), 3)
+            assert [sol[sigma[c]] for c in range(3)] == list(x)
+
+
+def test_solver_rejects_degenerate_and_inconsistent_systems():
+    with pytest.raises(ValueError, match="not unique"):
+        _solve_exact([({0: 1, 1: 1}, 2), ({0: 2, 1: 2}, 4)], 2)
+    with pytest.raises(ValueError, match="inconsistent"):
+        _solve_exact([({0: 2}, 2), ({0: 3}, 4)], 1)
+    with pytest.raises(ValueError, match="inconsistent"):
+        _solve_exact([({0: 1}, 1), ({}, 5)], 1)
+
+
+def test_solver_rejects_duplicated_candidates(monkeypatch):
+    real = polyring._partitions_fixed
+    monkeypatch.setattr(polyring, "_partitions_fixed", lambda t, k: real(t, k) * 2)
+    with pytest.raises(ValueError, match="not unique"):
+        split_expand_via_solver(schur((2, 1), 3), SplitSet(3, ()))
+
+
+def test_solver_rejects_input_outside_the_span(monkeypatch):
+    real = polyring.d_schur
+
+    def lead_term_only(split, lams):
+        p = real(split, lams)
+        lead = max(p.terms)
+        return Poly(p.nvars, {lead: p.terms[lead]})
+
+    f = schur((1,), 2)
+    monkeypatch.setattr(polyring, "d_schur", lead_term_only)
+    with pytest.raises(ValueError, match="inconsistent"):
+        split_expand_via_solver(f, SplitSet(2, ()))
+
+
+def test_solver_rejects_non_integral_solution(monkeypatch):
+    real = polyring.d_schur
+    split = SplitSet(4, (2,))
+    f = real(split, ((2, 1), (1, 0)))
+    monkeypatch.setattr(polyring, "d_schur", lambda s, lams: real(s, lams).scale(2))
+    with pytest.raises(CoxeterError, match="non-integral"):
+        split_expand_via_solver(f, split)
+
+
+def _embedded_schur_product(split, lams):
+    out = Poly.one(split.n)
+    for (a, b), lam in zip(split.blocks, lams):
+        block = {}
+        for e, c in schur(lam, b - a + 1).terms.items():
+            full = [0] * split.n
+            full[a - 1 : b] = e
+            block[tuple(full)] = c
+        out = out * Poly(split.n, block)
+    return out
+
+
+def test_d_schur_equals_product_of_embedded_block_schurs():
+    count = 0
+    for n in range(1, 6):
+        for r in range(n):
+            for D in itertools.combinations(range(1, n), r):
+                split = SplitSet(n, D)
+                per_block = [
+                    list(itertools.combinations_with_replacement((3, 2, 1, 0), size))
+                    for size in split.block_sizes()
+                ]
+                for lams in itertools.product(*per_block):
+                    assert d_schur(split, lams) == _embedded_schur_product(split, lams)
+                    count += 1
+    assert count > 1000
 
 
 def test_split_coefficients_of_staircase_keys_nonnegative():
