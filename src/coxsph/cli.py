@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: census, check, key-expand, verify-consistency, experiment.
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 resource
-limit (recursion depth or memory exhausted).
+Exit codes: 0 success, 1 usage error (an unwritable --json path included),
+2 verification failure, 3 resource limit (recursion depth or memory
+exhausted).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     except CoxeterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (RecursionError, MemoryError) as exc:

@@ -80,13 +80,11 @@ def _element_label(system: CoxeterSystem, w) -> str:
     return words.format_word(w.word())
 
 
-def run_census(
-    type_string: str, cap: int | None = None, progress=None
-) -> CensusReport:
+def run_census(type_string: str, progress=None) -> CensusReport:
     """Maximal-sphericality census of a whole group, in enumeration order."""
     start = time.perf_counter()
     system = coxeter_system(type_string)
-    elements = system.elements(cap)
+    elements = system.elements()
     entries = []
     for i, (w, J, word) in enumerate(spherical.census(system, elements)):
         entries.append(
@@ -197,20 +195,16 @@ def run_key_expand(
     """Expand a key polynomial on the block-Schur basis.
 
     oracle 'peel' subtracts lead terms of the polynomial; 'ry' counts tableau
-    sequences. `cross_check` runs peeling, the tableau rule and the exact
-    linear solver once each and raises `CrossCheckFailure`, naming the
-    oracles that disagree, unless all three agree.
+    sequences. `cross_check` runs peeling, the tableau rule and the
+    bialternant oracle (named 'solver') once each and raises
+    `CrossCheckFailure`, naming the oracles that disagree, unless all three
+    agree.
     """
     alpha = tuple(alpha)
     if n is None:
         n = max(len(alpha), (max(D) + 1) if D else len(alpha))
     split = polyring.SplitSet(n, tuple(D))
-    padded = alpha + (0,) * (n - len(alpha))
-    desc = {i + 1 for i in range(n - 1) if padded[i] > padded[i + 1]}
-    if not desc <= set(split.D):
-        raise ValueError(
-            f"descents {sorted(desc)} of the composition lie outside D={split.D}"
-        )
+    padded = split.pad_composition(alpha)
     if oracle not in ("peel", "ry"):
         raise CoxeterError(f"unknown oracle {oracle!r} (use 'peel' or 'ry')")
     kappa = polyring.key_polynomial(padded) if cross_check or oracle == "peel" else None
@@ -281,7 +275,7 @@ class ConsistencyReport:
         return "\n".join(rows)
 
 
-def run_consistency(n: int, progress=None) -> ConsistencyReport:
+def run_consistency(n: int) -> ConsistencyReport:
     """Compare the witness search with the staircase-key test on all of S_n.
 
     For every w and every I inside the left descent set, the two verdicts
@@ -293,8 +287,7 @@ def run_consistency(n: int, progress=None) -> ConsistencyReport:
     cache: dict = {}
     pairs = 0
     disagreements = []
-    elements = system.elements()
-    for idx, w in enumerate(elements):
+    for w in system.elements():
         line = typea.element_to_perm(system, w)
         J = tuple(typea.left_descents(line))
         kappa = polyring.key_polynomial(
@@ -316,8 +309,6 @@ def run_consistency(n: int, progress=None) -> ConsistencyReport:
                 )
                 if comb != stair:
                     disagreements.append((line, Iset, comb, stair))
-        if progress and (idx + 1) % 100 == 0:
-            progress(idx + 1, len(elements))
     return ConsistencyReport(n, pairs, disagreements, time.perf_counter() - start)
 
 
@@ -328,18 +319,25 @@ EXPERIMENTS = ("pattern-avoidance", "vanishing-density", "upone", "distinct-lamb
 
 
 def run_experiment(name: str, n: int | None = None, seed: int = 0) -> dict:
-    """Empirical conjecture probes; results are data, not assertions."""
+    """Empirical conjecture probes; results are data, not assertions.
+
+    n defaults to 6 for the census experiments and to 5 for the others.
+    """
+    if name not in EXPERIMENTS:
+        raise CoxeterError(
+            f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
+        )
+    if n is None:
+        n = 6 if name in ("pattern-avoidance", "vanishing-density") else 5
+    elif n < 1:
+        raise CoxeterError(f"experiment size n must be at least 1, not {n}")
     if name == "pattern-avoidance":
-        return _experiment_pattern_avoidance(n or 6)
+        return _experiment_pattern_avoidance(n)
     if name == "vanishing-density":
-        return _experiment_vanishing_density(n or 6)
+        return _experiment_vanishing_density(n)
     if name == "upone":
-        return _experiment_upone(n or 5, seed)
-    if name == "distinct-lambda":
-        return _experiment_distinct_lambda(n or 5, seed)
-    raise CoxeterError(
-        f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
-    )
+        return _experiment_upone(n, seed)
+    return _experiment_distinct_lambda(n, seed)
 
 
 def _s5_bad_patterns() -> list[tuple[int, ...]]:
@@ -487,8 +485,8 @@ def paranoid_self_check(n_max: int = 5, seed: int = 0) -> dict:
     """Redundant-route validation across the stack.
 
     Runs closed forms against the search, both key rules against each other,
-    peeling against the linear solver, and the tableau rule against peeling,
-    on small ranges. Returns per-check booleans.
+    peeling against the bialternant oracle, and the tableau rule against
+    peeling, on small ranges. Returns per-check booleans.
     """
     rng = random.Random(seed)
     results = {}

@@ -11,18 +11,18 @@ basis is the products of one Schur polynomial per block ("D-Schur" products).
 `split_expand` peels the lexicographically largest monomial, whose per-block
 exponents are weakly decreasing and name the basis element to subtract.
 `expand_in_keys` runs the same loop from the lexicographically smallest
-monomial, which names a key polynomial.
+monomial, which names a key polynomial. `split_expand_via_solver` checks
+`split_expand` without building any Schur polynomial: it multiplies by the
+Vandermonde product of every block and reads each coefficient off one
+monomial (Jacobi's bialternant formula).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
-from math import gcd
 
-from .coxeter import CoxeterError
 from .typea import act_on_composition, left_descents
 
 
@@ -110,15 +110,6 @@ class Poly:
 
     def coeff(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
-
-    def swap_variables(self, j: int) -> "Poly":
-        """Exchange x_j and x_{j+1} (1-based)."""
-        out = {}
-        for e, c in self.terms.items():
-            le = list(e)
-            le[j - 1], le[j] = le[j], le[j - 1]
-            out[tuple(le)] = c
-        return Poly(self.nvars, out)
 
     def is_symmetric_in(self, j: int) -> bool:
         for e, c in self.terms.items():
@@ -309,6 +300,19 @@ class SplitSet:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b - a + 1 for a, b in self.blocks)
 
+    def pad_composition(self, alpha) -> tuple[int, ...]:
+        """alpha padded with zeros to n parts; its descents must lie in D."""
+        alpha = tuple(alpha)
+        if len(alpha) > self.n:
+            raise ValueError(f"composition {alpha} has more than {self.n} parts")
+        alpha += (0,) * (self.n - len(alpha))
+        desc = [i for i in range(1, self.n) if alpha[i - 1] > alpha[i]]
+        if not set(desc) <= set(self.D):
+            raise ValueError(
+                f"descents {desc} of the composition lie outside D={self.D}"
+            )
+        return alpha
+
 
 @dataclass
 class SplitExpansion:
@@ -320,13 +324,6 @@ class SplitExpansion:
 
     split: SplitSet
     coefficients: dict
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SplitExpansion)
-            and self.split == other.split
-            and self.coefficients == other.coefficients
-        )
 
     def is_multiplicity_free(self) -> bool:
         return all(c == 1 for c in self.coefficients.values())
@@ -455,101 +452,36 @@ def expand_in_keys(f: Poly) -> dict:
 
 
 def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
-    """Independent expansion oracle: an exact linear solve.
+    """Independent expansion oracle: Jacobi's bialternant formula.
 
-    Per block-degree profile of f, every D-Schur product of that profile is
-    an unknown and every monomial one equation. `_solve_exact` assumes no
-    row order and no unit pivot, so this route does not use the
-    unitriangularity that `split_expand` peels by. Test and cross-check use.
+    For a block of m variables, s_lam * a_delta = a_{lam+delta}, where
+    a_delta is the product of (x_i - x_j) over i < j in the block and
+    delta = (m-1, ..., 0) (Macdonald, I.(3.1)). Each alternant a_{lam+delta}
+    has exactly one monomial that strictly decreases inside the block,
+    x^{lam+delta}, with coefficient 1. So after multiplying f by a_delta of
+    every block, each monomial that strictly decreases inside every block
+    carries the coefficient of the D-Schur product with lam = block
+    exponents - delta. Uses neither `d_schur` nor `schur`, nor the lead
+    monomials that `split_expand` peels by. Test and cross-check use.
     """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
-    blocks = split.blocks
-    profiles = {}
-    for e, c in f.terms.items():
-        prof = tuple(sum(e[a - 1 : b]) for a, b in blocks)
-        profiles.setdefault(prof, {})[e] = c
+    n, blocks = split.n, split.blocks
+    for a, b in blocks:
+        for i in range(a, b):
+            for j in range(i + 1, b + 1):
+                f = f * (Poly.variable(i, n) - Poly.variable(j, n))
     coeffs: dict = {}
-    for prof, sub in profiles.items():
-        per_block = [
-            _partitions_fixed(total, b - a + 1) for total, (a, b) in zip(prof, blocks)
-        ]
-        cands = list(_iproduct(*per_block))
-        rows = {e: {} for e in sub}
-        for cidx, lams in enumerate(cands):
-            for e, c in d_schur(split, lams).terms.items():
-                rows.setdefault(e, {})[cidx] = c
-        eqs = [(row, sub.get(e, 0)) for e, row in rows.items()]
-        for lams, value in zip(cands, _solve_exact(eqs, len(cands))):
-            if value.denominator != 1:
-                raise CoxeterError(f"solver gave the non-integral coefficient {value}")
-            if value:
-                coeffs[lams] = int(value)
-    return SplitExpansion(split, coeffs)
-
-
-def _partitions_fixed(total: int, max_parts: int):
-    """Partitions of `total` with at most max_parts parts, zero padded."""
-    out = []
-
-    def rec(rest, maxpart, acc):
-        if rest == 0:
-            out.append(tuple(acc) + (0,) * (max_parts - len(acc)))
-            return
-        if len(acc) == max_parts:
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            rec(rest - p, p, acc + [p])
-
-    rec(total, total, [])
-    return out
-
-
-def _solve_exact(rows, ncols: int) -> list:
-    """Sparse fraction-free elimination (after Bareiss); needs a unique solution.
-
-    Each row is ({column: int}, int rhs). On the column it leads with (its
-    smallest), a row is reduced by row <- p*row - q*pivot_row and divided by
-    the gcd of its entries and rhs, or becomes that column's pivot row. No
-    pivot is assumed to be 1; only the back-substitution uses Fractions.
-    """
-    pivots: dict = {}
-    consistent = True
-    for row, rhs in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                pivots[lead] = (row, rhs)
+    for e, c in f.terms.items():
+        lams = []
+        for a, b in blocks:
+            block = e[a - 1 : b]
+            if any(block[k] <= block[k + 1] for k in range(len(block) - 1)):
                 break
-            prow, prhs = pivots[lead]
-            g = gcd(prow[lead], row[lead])
-            p, q = prow[lead] // g, row[lead] // g
-            for c in row:
-                row[c] *= p
-            for c, v in prow.items():
-                nv = row.get(c, 0) - q * v
-                if nv:
-                    row[c] = nv
-                else:
-                    del row[c]
-            rhs = p * rhs - q * prhs
-            g = gcd(rhs, *row.values())
-            if g > 1:
-                row = {c: v // g for c, v in row.items()}
-                rhs //= g
+            lams.append(tuple(p - (b - a - k) for k, p in enumerate(block)))
         else:
-            consistent = consistent and rhs == 0
-    if len(pivots) != ncols:
-        raise ValueError("expansion is not unique; basis candidates degenerate")
-    if not consistent:
-        raise ValueError("inconsistent system; input outside the span")
-    sol = [Fraction(0)] * ncols
-    for lead in range(ncols - 1, -1, -1):
-        prow, prhs = pivots[lead]
-        rest = sum(v * sol[c] for c, v in prow.items() if c != lead)
-        sol[lead] = Fraction(prhs - rest, prow[lead])
-    return sol
+            coeffs[tuple(lams)] = c
+    return SplitExpansion(split, coeffs)
 
 
 def staircase_composition(line) -> tuple[int, ...]:

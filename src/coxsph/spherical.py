@@ -180,10 +180,10 @@ def census(system: CoxeterSystem, elements):
         yield w, J, searcher.search(w)
 
 
-def nonspherical_census(system: CoxeterSystem, cap: int | None = None) -> list[Element]:
+def nonspherical_census(system: CoxeterSystem) -> list[Element]:
     """Every element that is not J(w)-spherical, in enumeration order."""
     return [
-        w for w, _, word in census(system, system.elements(cap)) if word is None
+        w for w, _, word in census(system, system.elements()) if word is None
     ]
 
 

@@ -53,9 +53,6 @@ class IncreasingTableau:
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def min_entry(self):
-        return min((r[0] for r in self.rows), default=None)
-
     def columns(self) -> tuple[tuple[int, ...], ...]:
         ncols = len(self.rows[0]) if self.rows else 0
         return tuple(
@@ -293,26 +290,15 @@ class _RuleSearch:
             self.sequences.setdefault(key, []).append(seq)
 
 
-def _prepare_alpha(alpha, split: SplitSet) -> tuple[int, ...]:
-    alpha = tuple(alpha)
-    if len(alpha) > split.n:
-        raise ValueError("composition longer than the variable count")
-    alpha = alpha + (0,) * (split.n - len(alpha))
-    desc = {i + 1 for i in range(split.n - 1) if alpha[i] > alpha[i + 1]}
-    if not desc <= set(split.D):
-        raise ValueError(f"descents {sorted(desc)} not contained in D={split.D}")
-    return alpha
-
-
 def ry_expand(alpha, split: SplitSet) -> SplitExpansion:
     """Block-Schur expansion of the key polynomial of alpha by the tableau rule."""
-    search = _RuleSearch(_prepare_alpha(alpha, split), split, collect=False)
+    search = _RuleSearch(split.pad_composition(alpha), split, collect=False)
     search.run()
     return SplitExpansion(split, search.counts)
 
 
 def ry_tableau_sequences(alpha, split: SplitSet) -> dict:
     """All counted tableau sequences, grouped by their shape tuple."""
-    search = _RuleSearch(_prepare_alpha(alpha, split), split, collect=True)
+    search = _RuleSearch(split.pad_composition(alpha), split, collect=True)
     search.run()
     return search.sequences

@@ -73,6 +73,8 @@ def test_key_expand_runner():
         harness.run_key_expand((1, 5, 2, 4, 3), (2, 4), oracle="nope")
     with pytest.raises(ValueError):
         harness.run_key_expand((2, 1), (), n=2)  # descent outside D
+    with pytest.raises(ValueError):
+        harness.run_key_expand((1, 0, 0), (1,), n=2)  # more parts than variables
 
 
 def test_key_expand_cross_check_runs_each_oracle_once(monkeypatch):
@@ -171,6 +173,12 @@ def test_experiment_distinct_lambda():
         harness.run_experiment("nothing")
 
 
+def test_experiment_rejects_sizes_below_one():
+    for name in harness.EXPERIMENTS:
+        with pytest.raises(CoxeterError, match="at least 1"):
+            harness.run_experiment(name, n=0)
+
+
 def test_paranoid_self_check():
     results = harness.paranoid_self_check(n_max=4, seed=0)
     assert results["all"]
@@ -190,6 +198,16 @@ def test_cli_census_and_expectations(capsys, tmp_path):
     assert payload["nonspherical"] == 18
     # wrong expectation -> verification failure
     assert cli.main(["census", "B3", "--expect-nonspherical", "3"]) == 2
+
+
+def test_cli_json_to_unwritable_path_is_one_error_line(capsys, tmp_path):
+    out = tmp_path / "missing" / "out.json"
+    assert cli.main(["census", "A3", "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_census_requires_slow_for_large_groups(capsys):
@@ -279,6 +297,11 @@ def test_cli_experiment(capsys, tmp_path):
                      "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["counts"]["5"]["nonspherical"] == 21
+    capsys.readouterr()
+    assert cli.main(["experiment", "upone", "--n", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: experiment size n must be at least 1, not 0\n"
 
 
 def test_cli_self_check(capsys):

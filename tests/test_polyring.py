@@ -4,7 +4,6 @@ import random
 import pytest
 
 from coxsph import polyring
-from coxsph.coxeter import CoxeterError
 from coxsph.polyring import (
     Poly,
     SplitSet,
@@ -20,7 +19,6 @@ from coxsph.polyring import (
     split_expand_via_solver,
     staircase_composition,
     staircase_test,
-    _solve_exact,
 )
 from coxsph import typea as ta
 
@@ -283,63 +281,31 @@ def test_peel_matches_solver_on_random_instances():
         assert solved.coefficients == expected
 
 
-# -- exact solver and D-Schur products --------------------------------------------
+# -- bialternant oracle and D-Schur products ---------------------------------------
 
 
-def test_solver_handles_non_unitriangular_systems():
-    # x = (3, -1, 2); pivots 2, -3 and 2, plus two redundant rows
-    rows = [
-        ({0: 2, 1: 1, 2: -1}, 3),
-        ({1: 6, 2: -2}, -10),
-        ({1: -3, 2: 1}, 5),
-        ({2: 2}, 4),
-        ({0: 4, 2: 1}, 14),
-    ]
-    x = (3, -1, 2)
-    for sigma in itertools.permutations(range(3)):
-        permuted = [({sigma[c]: v for c, v in row.items()}, rhs) for row, rhs in rows]
-        for order in itertools.permutations(permuted):
-            sol = _solve_exact(list(order), 3)
-            assert [sol[sigma[c]] for c in range(3)] == list(x)
+def test_solver_rejects_input_outside_the_span():
+    with pytest.raises(ValueError, match="not split-symmetric"):
+        split_expand_via_solver(Poly.variable(1, 3), SplitSet(3, (2,)))
 
 
-def test_solver_rejects_degenerate_and_inconsistent_systems():
-    with pytest.raises(ValueError, match="not unique"):
-        _solve_exact([({0: 1, 1: 1}, 2), ({0: 2, 1: 2}, 4)], 2)
-    with pytest.raises(ValueError, match="inconsistent"):
-        _solve_exact([({0: 2}, 2), ({0: 3}, 4)], 1)
-    with pytest.raises(ValueError, match="inconsistent"):
-        _solve_exact([({0: 1}, 1), ({}, 5)], 1)
+def test_solver_uses_neither_d_schur_nor_schur(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the bialternant oracle must not build Schur products")
+
+    f = key_polynomial((1, 5, 2, 4, 3))
+    monkeypatch.setattr(polyring, "d_schur", forbidden)
+    monkeypatch.setattr(polyring, "schur", forbidden)
+    expansion = split_expand_via_solver(f, SplitSet(5, (2, 4)))
+    assert expansion.coefficients == KEY_15243_D24_EXPANSION
 
 
-def test_solver_rejects_duplicated_candidates(monkeypatch):
-    real = polyring._partitions_fixed
-    monkeypatch.setattr(polyring, "_partitions_fixed", lambda t, k: real(t, k) * 2)
-    with pytest.raises(ValueError, match="not unique"):
-        split_expand_via_solver(schur((2, 1), 3), SplitSet(3, ()))
-
-
-def test_solver_rejects_input_outside_the_span(monkeypatch):
-    real = polyring.d_schur
-
-    def lead_term_only(split, lams):
-        p = real(split, lams)
-        lead = max(p.terms)
-        return Poly(p.nvars, {lead: p.terms[lead]})
-
-    f = schur((1,), 2)
-    monkeypatch.setattr(polyring, "d_schur", lead_term_only)
-    with pytest.raises(ValueError, match="inconsistent"):
-        split_expand_via_solver(f, SplitSet(2, ()))
-
-
-def test_solver_rejects_non_integral_solution(monkeypatch):
-    real = polyring.d_schur
-    split = SplitSet(4, (2,))
-    f = real(split, ((2, 1), (1, 0)))
-    monkeypatch.setattr(polyring, "d_schur", lambda s, lams: real(s, lams).scale(2))
-    with pytest.raises(CoxeterError, match="non-integral"):
-        split_expand_via_solver(f, split)
+def test_solver_on_a_six_variable_block():
+    f = key_polynomial((0, 1, 2, 3, 4, 5))
+    split = SplitSet(6, ())
+    expansion = split_expand_via_solver(f, split)
+    assert expansion.coefficients == {((5, 4, 3, 2, 1, 0),): 1}
+    assert expansion == split_expand(f, split)
 
 
 def _embedded_schur_product(split, lams):
