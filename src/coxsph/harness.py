@@ -281,6 +281,7 @@ def run_consistency(n: int) -> ConsistencyReport:
     For every w and every I inside the left descent set, the two verdicts
     must agree; any disagreement is reported, never silently dropped.
     """
+    _check_size("consistency check", n, 2)
     start = time.perf_counter()
     system = coxeter_system(f"A{n - 1}")
     searchers: dict = {}
@@ -312,6 +313,12 @@ def run_consistency(n: int) -> ConsistencyReport:
     return ConsistencyReport(n, pairs, disagreements, time.perf_counter() - start)
 
 
+def _check_size(what: str, n: int, least: int) -> None:
+    """One-line error for a size below the smallest one `what` can run."""
+    if n < least:
+        raise CoxeterError(f"{what} size n must be at least {least}, not {n}")
+
+
 # -- experiments -----------------------------------------------------------------
 
 
@@ -329,8 +336,7 @@ def run_experiment(name: str, n: int | None = None, seed: int = 0) -> dict:
         )
     if n is None:
         n = 6 if name in ("pattern-avoidance", "vanishing-density") else 5
-    elif n < 1:
-        raise CoxeterError(f"experiment size n must be at least 1, not {n}")
+    _check_size("experiment", n, 1)
     if name == "pattern-avoidance":
         return _experiment_pattern_avoidance(n)
     if name == "vanishing-density":
@@ -435,6 +441,7 @@ def _experiment_upone(n: int, seed: int, trials: int = 200) -> dict:
 def _experiment_distinct_lambda(n: int, seed: int, tries: int = 40) -> dict:
     """For non-spherical (w, I), hunt a strictly decreasing lambda whose key
     also has split multiplicity."""
+    _check_size("experiment distinct-lambda", n, 2)
     rng = random.Random(seed)
     system = coxeter_system(f"A{n - 1}")
     examined = 0
@@ -488,6 +495,7 @@ def paranoid_self_check(n_max: int = 5, seed: int = 0) -> dict:
     peeling against the bialternant oracle, and the tableau rule against
     peeling, on small ranges. Returns per-check booleans.
     """
+    _check_size("self-check", n_max, 2)
     rng = random.Random(seed)
     results = {}
 

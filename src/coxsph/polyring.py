@@ -8,15 +8,17 @@ recursion, and expansions subtract basis elements until the remainder is 0.
 A split set D = {d_1 < ... < d_k} inside [n-1] cuts x_1..x_n into consecutive
 blocks. Polynomials symmetric within every block form the ring Pi_D, whose
 basis is the products of one Schur polynomial per block ("D-Schur" products).
-`split_expand` peels the lexicographically largest monomial, whose per-block
-exponents are weakly decreasing and name the basis element to subtract.
-`expand_in_keys` runs the same loop from the lexicographically smallest
-monomial, which names a key polynomial. `split_expand_via_solver` checks
-`split_expand` without building any Schur polynomial: it multiplies by the
-Vandermonde product of every block and reads each coefficient off one
+Both expansions run one lazy peel loop, `_peel`: it yields the basis element
+that a picked monomial of the remainder names, with its coefficient, and
+only then subtracts it. `split_expand` picks the lexicographically largest
+monomial, whose per-block exponents are weakly decreasing and name a D-Schur
+product; `is_D_multiplicity_free` reads the same stream and stops at the
+first coefficient other than 1. `expand_in_keys` picks the lexicographically
+smallest monomial, which names a key polynomial. `split_expand_via_solver`
+checks `split_expand` without building any Schur polynomial: it multiplies
+by the Vandermonde product of every block and reads each coefficient off one
 monomial (Jacobi's bialternant formula).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -24,6 +26,20 @@ from functools import lru_cache
 from itertools import product as _iproduct
 
 from .typea import act_on_composition, left_descents
+
+
+def _add_into(out: dict, terms, c: int) -> dict:
+    """Add c * terms, (exponents, coefficient) pairs, to `out` in place.
+
+    The one sparse accumulate: entries that cancel to 0 are dropped.
+    """
+    for e, cc in terms:
+        nc = out.get(e, 0) + c * cc
+        if nc:
+            out[e] = nc
+        else:
+            out.pop(e, None)
+    return out
 
 
 class Poly:
@@ -61,35 +77,25 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, _add_into(dict(self.terms), other.terms.items(), 1))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-1)
+        self._check(other)
+        return Poly(self.nvars, _add_into(dict(self.terms), other.terms.items(), -1))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        out: dict = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    del out[e]
-        return Poly(self.nvars, out)
+        products = (
+            (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+            for e1, c1 in a.items()
+            for e2, c2 in b.items()
+        )
+        return Poly(self.nvars, _add_into({}, products, 1))
 
     __rmul__ = __mul__
 
@@ -147,27 +153,17 @@ def demazure_pi(j: int, f: Poly) -> Poly:
     """
     if not 1 <= j <= f.nvars - 1:
         raise ValueError(f"operator index {j} out of range 1..{f.nvars - 1}")
-    out: dict = {}
 
-    def bump(e, c):
-        nc = out.get(e, 0) + c
-        if nc:
-            out[e] = nc
-        else:
-            del out[e]
+    def shuffles():
+        for e, c in f.terms.items():
+            p, q = e[j - 1], e[j]
+            hi, lo, sign = (p, q, c) if p >= q else (q - 1, p + 1, -c)
+            le = list(e)
+            for t in range(hi - lo + 1):
+                le[j - 1], le[j] = hi - t, lo + t
+                yield tuple(le), sign
 
-    for e, c in f.terms.items():
-        p, q = e[j - 1], e[j]
-        le = list(e)
-        if p >= q:
-            for t in range(p - q + 1):
-                le[j - 1], le[j] = p - t, q + t
-                bump(tuple(le), c)
-        else:
-            for t in range(q - p - 1):
-                le[j - 1], le[j] = q - 1 - t, p + 1 + t
-                bump(tuple(le), -c)
-    return Poly(f.nvars, out)
+    return Poly(f.nvars, _add_into({}, shuffles(), 1))
 
 
 def key_polynomial(alpha, cache: dict | None = None) -> Poly:
@@ -258,11 +254,9 @@ def _schur_cached(lam: tuple[int, ...], m: int) -> Poly:
         mu_clean = tuple(p for p in mu if p)
         if len(mu_clean) > m - 1:
             continue
-        sub = _schur_cached(mu_clean, m - 1)
         last = total - sum(mu)
-        for e, c in sub.terms.items():
-            key = e + (last,)
-            out[key] = out.get(key, 0) + c
+        sub = _schur_cached(mu_clean, m - 1).terms.items()
+        _add_into(out, ((e + (last,), c) for e, c in sub), 1)
     return Poly(m, out)
 
 
@@ -329,10 +323,10 @@ class SplitExpansion:
         return all(c == 1 for c in self.coefficients.values())
 
     def reconstruct(self) -> Poly:
-        out = Poly.zero(self.split.n)
+        out: dict = {}
         for lams, c in self.coefficients.items():
-            out = out + d_schur(self.split, lams).scale(c)
-        return out
+            _add_into(out, d_schur(self.split, lams).terms.items(), c)
+        return Poly(self.split.n, out)
 
     def to_json_dict(self) -> dict:
         terms = [
@@ -388,45 +382,57 @@ def _read_block_partitions(split: SplitSet, exps) -> tuple:
     return tuple(lams)
 
 
-def split_expand(f: Poly, split: SplitSet, *, _halt_on_multiplicity=False):
+def _peel(f: Poly, pick, name, element):
+    """Lazy lead-term peeling, the one loop behind every expansion.
+
+    Yields (name(m), c) for the monomial m = pick(remainder) and its
+    coefficient c, and only after that subtracts c * element(name(m)), which
+    must have coefficient 1 at m. A consumer that stops early builds no
+    further basis element.
+    """
+    rem = dict(f.terms)
+    while rem:
+        m = pick(rem)
+        c = rem[m]
+        label = name(m)
+        yield label, c
+        _add_into(rem, element(label).terms.items(), -c)
+
+
+def _split_terms(f: Poly, split: SplitSet):
+    """(per-block partitions, coefficient) pairs of f on the D-Schur basis.
+
+    The split-symmetry check runs at call time; the pairs come lazily.
+    """
+    if not is_split_symmetric(f, split):
+        raise ValueError("polynomial is not split-symmetric for this D")
+    if all(s == 1 for s in split.block_sizes()):
+        return ((tuple((p,) for p in e), c) for e, c in f.terms.items())
+    return _peel(
+        f,
+        max,
+        lambda lead: _read_block_partitions(split, lead),
+        lambda lams: d_schur(split, lams),
+    )
+
+
+def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:
     """Expand a split-symmetric polynomial on the D-Schur basis.
 
     Greedy peeling: the lex-largest monomial of any element of Pi_D is
     weakly decreasing inside each block and is the lead monomial (with
     coefficient 1) of exactly one D-Schur product; subtract and repeat.
     """
-    if not is_split_symmetric(f, split):
-        raise ValueError("polynomial is not split-symmetric for this D")
-    if all(s == 1 for s in split.block_sizes()):
-        coeffs = {
-            tuple((p,) for p in e): c for e, c in f.terms.items()
-        }
-        if _halt_on_multiplicity and any(
-            c != 1 for c in coeffs.values()
-        ):
-            return None
-        return SplitExpansion(split, coeffs)
-    rem = dict(f.terms)
-    out: dict = {}
-    while rem:
-        lead = max(rem)
-        c = rem[lead]
-        if _halt_on_multiplicity and c != 1:
-            return None
-        lams = _read_block_partitions(split, lead)
-        out[lams] = c
-        for e, cc in d_schur(split, lams).terms.items():
-            nc = rem.get(e, 0) - c * cc
-            if nc:
-                rem[e] = nc
-            else:
-                rem.pop(e, None)
-    return SplitExpansion(split, out)
+    return SplitExpansion(split, dict(_split_terms(f, split)))
 
 
 def is_D_multiplicity_free(f: Poly, split: SplitSet) -> bool:
-    """True iff every D-Schur coefficient of f lies in {0, 1}."""
-    return split_expand(f, split, _halt_on_multiplicity=True) is not None
+    """True iff every D-Schur coefficient of f lies in {0, 1}.
+
+    Reads the peeling stream of `split_expand` and stops at the first
+    coefficient other than 1, before building its D-Schur product.
+    """
+    return all(c == 1 for _, c in _split_terms(f, split))
 
 
 def expand_in_keys(f: Poly) -> dict:
@@ -435,20 +441,10 @@ def expand_in_keys(f: Poly) -> dict:
     The lex-smallest monomial of a key polynomial is its own index (with
     coefficient 1), so peeling from the bottom is exact.
     """
-    rem = dict(f.terms)
-    out: dict = {}
     cache: dict = {}
-    while rem:
-        low = min(rem)
-        c = rem[low]
-        out[low] = c
-        for e, cc in key_polynomial(low, cache).terms.items():
-            nc = rem.get(e, 0) - c * cc
-            if nc:
-                rem[e] = nc
-            else:
-                rem.pop(e, None)
-    return out
+    return dict(
+        _peel(f, min, lambda low: low, lambda alpha: key_polynomial(alpha, cache))
+    )
 
 
 def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polyring import SplitExpansion, SplitSet
-from .typea import inversions, perm_from_code
+from .typea import apply_word, descents, inverse, inversions, perm_from_code
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,8 @@ def _eg_insert_columns(cols: tuple, x: int) -> tuple:
 def eg_column_insert(letters) -> IncreasingTableau:
     """Column-insert a reduced word, left to right."""
     letters = tuple(letters)
-    if letters:
-        n = max(letters) + 1
-        line = list(range(1, n + 1))
-        for i in letters:
-            line[i - 1], line[i] = line[i], line[i - 1]
-        if inversions(line) != len(letters):
-            raise ValueError("word is not reduced")
+    if letters and inversions(apply_word(max(letters) + 1, letters)) != len(letters):
+        raise ValueError("word is not reduced")
     cols: tuple = ()
     for x in letters:
         cols = _eg_insert_columns(cols, x)
@@ -141,7 +136,7 @@ def build_t_alpha(alpha) -> IncreasingTableau:
     n = len(line)
     cols = []
     while True:
-        desc = [i for i in range(1, n) if line[i - 1] > line[i]]
+        desc = descents(line)
         if not desc:
             break
         col = []
@@ -153,7 +148,7 @@ def build_t_alpha(alpha) -> IncreasingTableau:
             line[pick - 1], line[pick] = line[pick], line[pick - 1]
             col.append(pick)
             limit = pick
-            desc = [i for i in range(1, limit) if line[i - 1] > line[i]]
+            desc = descents(line[:limit])
         cols.append(tuple(reversed(col)))
     return IncreasingTableau.from_columns(cols)
 
@@ -176,11 +171,7 @@ class _RuleSearch:
         self.target = build_t_alpha(alpha)
         self.target_cols = self.target.columns()
         line = perm_from_code(tuple(alpha))
-        self.N = len(line)
-        inv = [0] * self.N
-        for i, v in enumerate(line):
-            inv[v - 1] = i + 1
-        self.start_vinv = tuple(inv)
+        self.start_vinv = inverse(line)
         self.length = inversions(line)
 
     # structure state: blocks_done = list of (shape, rows) per closed block
@@ -200,9 +191,6 @@ class _RuleSearch:
                        done, (), (letter,))
         return
 
-    def _left_descents(self, vinv):
-        return [j for j in range(1, self.N) if vinv[j - 1] > vinv[j]]
-
     @staticmethod
     def _apply(vinv, j):
         out = list(vinv)
@@ -218,7 +206,7 @@ class _RuleSearch:
             lo = self.cuts[block] if block < len(self.cuts) else self.cuts[-1]
             if not self._fixes(vinv, lo):
                 continue
-            for j in self._left_descents(vinv):
+            for j in descents(vinv):
                 if j > lo:
                     yield block, j
 
@@ -249,8 +237,8 @@ class _RuleSearch:
         block = len(done)
         lo = self.cuts[block]
         size = self.sizes[block]
-        descents = self._left_descents(vinv)
-        for j in descents:
+        left = descents(vinv)  # left descents of the remaining permutation
+        for j in left:
             if j > lo and j < run[-1]:
                 self._walk(self._apply(vinv, j), cols, j, done, rows,
                            run + (j,))
@@ -258,7 +246,7 @@ class _RuleSearch:
         if closed is None:
             return
         if len(closed) < size:
-            for j in descents:
+            for j in left:
                 if j > lo:
                     self._walk(self._apply(vinv, j), cols, j, done, closed, (j,))
         shape = tuple(len(r) for r in closed)

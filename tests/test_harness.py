@@ -309,6 +309,34 @@ def test_cli_self_check(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def _rejects_size_in_one_line(capsys, argv, n):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith(f"size n must be at least 2, not {n}\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_experiment_distinct_lambda_rejects_n_below_two(capsys):
+    _rejects_size_in_one_line(capsys, ["experiment", "distinct-lambda", "--n", "1"], 1)
+    assert cli.main(["experiment", "distinct-lambda", "--n", "2"]) == 0
+
+
+def test_cli_verify_consistency_rejects_n_below_two(capsys):
+    for n in (1, 0, -1):
+        _rejects_size_in_one_line(
+            capsys, ["verify-consistency", "--n", str(n)], n
+        )
+    assert cli.main(["verify-consistency", "--n", "2"]) == 0
+
+
+def test_cli_self_check_rejects_n_below_two(capsys):
+    for n in (1, 0):
+        _rejects_size_in_one_line(capsys, ["self-check", "--n", str(n)], n)
+    assert cli.main(["self-check", "--n", "2"]) == 0
+
+
 def test_enum_cap_env(monkeypatch):
     monkeypatch.setenv("COXSPH_ENUM_CAP", "10")
     from coxsph.coxeter import CoxeterSystem

@@ -252,6 +252,63 @@ def test_multiplicity_free_examples():
 def test_split_expand_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         split_expand(Poly.variable(1, 3), SplitSet(3, (2,)))
+    with pytest.raises(ValueError):
+        is_D_multiplicity_free(Poly.variable(1, 3), SplitSet(3, (2,)))
+
+
+def _count_d_schur(monkeypatch):
+    calls = []
+    real = polyring.d_schur
+
+    def counted(split, lams):
+        calls.append(lams)
+        return real(split, lams)
+
+    monkeypatch.setattr(polyring, "d_schur", counted)
+    return calls
+
+
+def test_multiplicity_verdict_stops_at_the_first_coefficient_above_one(monkeypatch):
+    kappa, split = key_polynomial((1, 5, 2, 4, 3)), SplitSet(5, (2, 4))
+    calls = _count_d_schur(monkeypatch)
+    peeled = list(split_expand(kappa, split).coefficients.items())
+    assert len(calls) == len(peeled) == 17
+    first_big = next(i for i, (_, c) in enumerate(peeled) if c >= 2)
+    assert first_big < len(peeled) - 1
+    calls.clear()
+    assert not is_D_multiplicity_free(kappa, split)
+    # one D-Schur product per coefficient 1 peeled before it, none after
+    assert calls == [lams for lams, _ in peeled[:first_big]]
+    calls.clear()
+    # one variable per block: coefficients are read off f, no product is built
+    assert not is_D_multiplicity_free(
+        Poly.monomial((1, 0), 2), SplitSet(2, (1,))
+    )
+    assert is_D_multiplicity_free(key_polynomial((0, 1)), SplitSet(2, (1,)))
+    assert calls == []
+
+
+def test_poly_cancellation_leaves_no_zero_terms():
+    f = key_polynomial((0, 2, 1))
+    assert (f - f).terms == {}
+    assert f - f == Poly.zero(3)
+    assert (f + f.scale(-1)).terms == {}
+    x1, x2 = Poly.variable(1, 2), Poly.variable(2, 2)
+    assert (x1 + x2 - x1).terms == {(0, 1): 1}
+    assert ((x1 - x2) * (x1 + x2)).terms == {(2, 0): 1, (0, 2): -1}
+
+
+def test_reconstruct_when_terms_cancel():
+    split = SplitSet(2, ())
+    # s_(2) - s_(1,1) = x1^2 + x2^2: the x1 x2 terms cancel
+    expansion = polyring.SplitExpansion(split, {((2, 0),): 1, ((1, 1),): -1})
+    assert expansion.reconstruct().terms == {(2, 0): 1, (0, 2): 1}
+    split = SplitSet(3, (1,))
+    coeffs = {((1,), (1, 0)): 2, ((2,), (0, 0)): -1, ((0,), (2, 0)): 1,
+              ((0,), (1, 1)): -1}
+    f = polyring.SplitExpansion(split, coeffs).reconstruct()
+    assert 0 not in f.terms.values()
+    assert split_expand(f, split).coefficients == coeffs
 
 
 def test_peel_matches_solver_on_random_instances():

@@ -10,6 +10,8 @@ from coxsph.polyring import (
     Poly,
     SplitSet,
     d_schur,
+    is_D_multiplicity_free,
+    key_polynomial,
     split_expand,
     split_expand_via_solver,
 )
@@ -42,3 +44,25 @@ def test_oracles_recover_random_d_schur_combinations(case):
     for expansion in (split_expand(f, split), split_expand_via_solver(f, split)):
         assert expansion.coefficients == coeffs
         assert expansion.reconstruct() == f
+
+
+@st.composite
+def keys_with_valid_splits(draw):
+    """alpha with n <= 5 parts <= 3, and a split D that contains its descents."""
+    n = draw(st.integers(1, 5))
+    alpha = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    extra = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    D = tuple(
+        j for j in range(1, n) if alpha[j - 1] > alpha[j] or extra[j - 1]
+    )
+    return alpha, SplitSet(n, D)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(keys_with_valid_splits())
+def test_multiplicity_free_verdict_matches_the_full_expansion(case):
+    alpha, split = case
+    kappa = key_polynomial(alpha)
+    assert is_D_multiplicity_free(kappa, split) == (
+        split_expand(kappa, split).is_multiplicity_free()
+    )
