@@ -143,6 +143,8 @@ class CheckReport:
 def parse_element(system: CoxeterSystem, text: str):
     """One-line notation for type A; generator words (or '<id>') everywhere."""
     text = text.strip()
+    if not text:
+        raise CoxeterError("empty element; write <id> for the identity")
     if (
         system.cartan_type.family == "A"
         and "s" not in text.lower()
@@ -280,20 +282,27 @@ def run_consistency(n: int) -> ConsistencyReport:
 
     For every w and every I inside the left descent set, the two verdicts
     must agree; any disagreement is reported, never silently dropped.
+
+    The staircase key pi_w x^(n, ..., 1) of w is one Demazure step pi_j,
+    j = min J(w), applied to the key of its left-descent parent s_j w.
     """
     _check_size("consistency check", n, 2)
     start = time.perf_counter()
     system = coxeter_system(f"A{n - 1}")
     searchers: dict = {}
-    cache: dict = {}
     pairs = 0
     disagreements = []
+    # elements() is breadth-first by length, so the parent s_j w of every w
+    # lies in the previous length level: keys of two levels are all we keep
+    keys = {system.identity: polyring.Poly.monomial(range(n, 0, -1))}
+    parents, level = {}, 0
     for w in system.elements():
-        line = typea.element_to_perm(system, w)
-        J = tuple(typea.left_descents(line))
-        kappa = polyring.key_polynomial(
-            polyring.staircase_composition(line), cache
-        )
+        J = sorted(system.left_descents(w))
+        if J:
+            if w.length > level:
+                level, parents, keys = w.length, keys, {}
+            parent = system.multiply(system.generator(J[0]), w)
+            keys[w] = polyring.demazure_pi(J[0], parents[parent])
         for r in range(len(J) + 1):
             for I in itertools.combinations(J, r):
                 pairs += 1
@@ -306,9 +315,10 @@ def run_consistency(n: int) -> ConsistencyReport:
                 comb = searcher.search(w) is not None
                 D = tuple(j for j in range(1, n) if j not in Iset)
                 stair = polyring.is_D_multiplicity_free(
-                    kappa, polyring.SplitSet(n, D)
+                    keys[w], polyring.SplitSet(n, D)
                 )
                 if comb != stair:
+                    line = typea.element_to_perm(system, w)
                     disagreements.append((line, Iset, comb, stair))
     return ConsistencyReport(n, pairs, disagreements, time.perf_counter() - start)
 

@@ -166,32 +166,25 @@ def demazure_pi(j: int, f: Poly) -> Poly:
     return Poly(f.nvars, _add_into({}, shuffles(), 1))
 
 
-def key_polynomial(alpha, cache: dict | None = None) -> Poly:
+def key_polynomial(alpha) -> Poly:
     """Key polynomial of a weak composition, by the sorting recursion.
 
-    Weakly decreasing alpha gives the monomial x^alpha; otherwise swap an
-    ascent pair and apply the Demazure operator there. An explicit `cache`
-    dict may be shared across calls that walk the same orbit of exponents.
+    Weakly decreasing alpha gives the monomial x^alpha; otherwise swap the
+    first ascent pair and apply the Demazure operator there. Each call
+    builds its key afresh: nothing is kept between calls.
     """
-    alpha = tuple(alpha)
-    if cache is None:
-        cache = {}
+    return _sorted_key(tuple(alpha))
 
-    def build(a: tuple) -> Poly:
-        got = cache.get(a)
-        if got is not None:
-            return got
-        j = next((i for i in range(len(a) - 1) if a[i] < a[i + 1]), None)
-        if j is None:
-            out = Poly.monomial(a)
-        else:
-            hat = list(a)
-            hat[j], hat[j + 1] = hat[j + 1], hat[j]
-            out = demazure_pi(j + 1, build(tuple(hat)))
-        cache[a] = out
-        return out
 
-    return build(alpha)
+def _sorted_key(a: tuple) -> Poly:
+    # recursive on purpose: depth = sorting swaps, so a composition too long
+    # to sort hits the recursion limit (exit 3) instead of exhausting memory
+    j = next((i for i in range(len(a) - 1) if a[i] < a[i + 1]), None)
+    if j is None:
+        return Poly.monomial(a)
+    hat = list(a)
+    hat[j], hat[j + 1] = hat[j + 1], hat[j]
+    return demazure_pi(j + 1, _sorted_key(tuple(hat)))
 
 
 def key_via_kohnert(alpha) -> Poly:
@@ -439,12 +432,10 @@ def expand_in_keys(f: Poly) -> dict:
     """Coefficients of f on the key-polynomial basis.
 
     The lex-smallest monomial of a key polynomial is its own index (with
-    coefficient 1), so peeling from the bottom is exact.
+    coefficient 1), so peeling from the bottom is exact. Each key peeled
+    off is built afresh by `key_polynomial`.
     """
-    cache: dict = {}
-    return dict(
-        _peel(f, min, lambda low: low, lambda alpha: key_polynomial(alpha, cache))
-    )
+    return dict(_peel(f, min, lambda low: low, key_polynomial))
 
 
 def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coxeter import CoxeterError, CoxeterSystem, Element
+from . import words
 
 
 # -- parsing / formatting ----------------------------------------------------
@@ -211,10 +212,7 @@ def _check_type_a(system: CoxeterSystem, n: int):
 
 def perm_to_element(system: CoxeterSystem, line) -> Element:
     _check_type_a(system, len(line))
-    w = system.identity
-    for i in canonical_word(line):
-        w = system.multiply(w, system.generator(i))
-    return w
+    return words.evaluate(system, canonical_word(line))
 
 
 def element_to_perm(system: CoxeterSystem, w: Element) -> tuple[int, ...]:

@@ -214,15 +214,13 @@ def test_criterion_10_oracle_equivalences():
     ok = True
     # Demazure rule == diagram-move rule, len <= 5, |alpha| <= 8
     for length in range(1, 6):
-        cache = {}
         for alpha in itertools.product(range(9), repeat=length):
             if sum(alpha) > 8:
                 continue
-            if key_polynomial(alpha, cache) != key_via_kohnert(alpha):
+            if key_polynomial(alpha) != key_via_kohnert(alpha):
                 ok = False
     # tableau rule == peeling, len <= 5, parts <= 3, every valid D
     for length in range(1, 6):
-        cache = {}
         for alpha in itertools.product(range(4), repeat=length):
             desc = {i + 1 for i in range(length - 1) if alpha[i] > alpha[i + 1]}
             kappa = None
@@ -232,7 +230,7 @@ def test_criterion_10_oracle_equivalences():
                         continue
                     split = SplitSet(length, D)
                     if kappa is None:
-                        kappa = key_polynomial(alpha, cache)
+                        kappa = key_polynomial(alpha)
                     if (
                         ry_expand(alpha, split).coefficients
                         != split_expand(kappa, split).coefficients
@@ -273,10 +271,9 @@ def test_criterion_11_km_classification():
     start = time.time()
     ok = True
     for length in range(1, 6):
-        cache = {}
         full = SplitSet(length, tuple(range(1, length)))
         for alpha in itertools.product(range(5), repeat=length):
-            mf = is_D_multiplicity_free(key_polynomial(alpha, cache), full)
+            mf = is_D_multiplicity_free(key_polynomial(alpha), full)
             if mf != typea.avoids_km(alpha):
                 ok = False
     elapsed = time.time() - start

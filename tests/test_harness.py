@@ -126,6 +126,43 @@ def test_consistency_runner():
     assert report5.pairs_checked == 541
 
 
+def test_consistency_sweep_takes_staircase_keys_in_element_order(monkeypatch):
+    import itertools
+    from coxsph import polyring, typea
+
+    seen = []
+    true_verdict = polyring.is_D_multiplicity_free
+
+    def flipped(f, split):
+        seen.append((f, split.D, not true_verdict(f, split)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(polyring, "is_D_multiplicity_free", flipped)
+    for n in range(2, 6):
+        seen.clear()
+        system = coxeter_system(f"A{n - 1}")
+        lines = [typea.element_to_perm(system, w) for w in system.elements()]
+        expected = [
+            (line, frozenset(I))
+            for line in lines
+            for r in range(len(typea.left_descents(line)) + 1)
+            for I in itertools.combinations(typea.left_descents(line), r)
+        ]
+        report = harness.run_consistency(n)
+        assert report.pairs_checked == len(expected) == len(seen)
+        # every pair disagrees, so the report lists them all, in element order
+        got = [(line, I) for line, I, _, _ in report.disagreements]
+        assert got == expected
+        assert [d[3] for d in report.disagreements] == [v for _, _, v in seen]
+        keys = {
+            line: polyring.key_polynomial(polyring.staircase_composition(line))
+            for line in lines
+        }
+        for (line, I), (kappa, D, _) in zip(expected, seen):
+            assert kappa == keys[line], (line, I)
+            assert set(D) == set(range(1, n)) - I
+
+
 def test_staircase_side_matches_reference_list():
     import itertools
     from coxsph.polyring import staircase_test
@@ -229,6 +266,16 @@ def test_cli_check(capsys):
     assert "witness: <id>" in out
 
 
+@pytest.mark.parametrize("cartan", ["A3", "B3", "I2(5)"])
+def test_cli_check_empty_element_is_one_error_line(capsys, cartan):
+    for text in ("", "  "):
+        assert cli.main(["check", cartan, text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "<id>" in err
+        assert err.count("\n") == 1
+
+
 def test_cli_check_usage_errors(capsys):
     assert cli.main(["check", "A4", "24531", "--I", "2"]) == 1
     with pytest.raises(SystemExit) as exc:
@@ -281,6 +328,20 @@ def test_cli_resource_limit_is_reported_without_traceback():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert done.returncode in (0, 1, 2, 3)
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_key_expand_too_deep_to_sort_exits_3():
+    # 1225 sorting swaps: past the recursion limit, so a resource limit
+    alpha = "(" + ",".join(str(i) for i in range(1, 51)) + ")"
+    done = subprocess.run(
+        [sys.executable, "-m", "coxsph.cli", "key-expand", alpha, "--D", ""],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("resource limit: ")
+    assert done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
 
 

@@ -115,11 +115,10 @@ def test_antidominant_key_is_schur():
 def test_demazure_equals_kohnert_sweep():
     # every composition with at most 5 parts and weight at most 8
     for length in range(1, 6):
-        cache = {}
         for alpha in itertools.product(range(9), repeat=length):
             if sum(alpha) > 8:
                 continue
-            assert key_polynomial(alpha, cache) == key_via_kohnert(alpha)
+            assert key_polynomial(alpha) == key_via_kohnert(alpha)
 
 
 def test_kohnert_agrees_on_large_key():
@@ -428,10 +427,9 @@ def test_staircase_composition():
 
 def test_km_avoidance_matches_full_split_small():
     for length in range(1, 5):
-        cache = {}
         full = SplitSet(length, tuple(range(1, length)))
         for alpha in itertools.product(range(4), repeat=length):
-            mf = is_D_multiplicity_free(key_polynomial(alpha, cache), full)
+            mf = is_D_multiplicity_free(key_polynomial(alpha), full)
             assert mf == ta.avoids_km(alpha), alpha
 
 
@@ -439,7 +437,6 @@ def test_sufficient_conditions_for_descent_split():
     """KM-avoiding with distinct parts, or additionally (0,0,1,1)-avoiding,
     implies multiplicity-freeness at the descent split."""
     for length in range(2, 6):
-        cache = {}
         for alpha in itertools.product(range(5), repeat=length):
             if sum(alpha) > 12 or not ta.avoids_km(alpha):
                 continue
@@ -449,4 +446,4 @@ def test_sufficient_conditions_for_descent_split():
                 continue
             D = tuple(ta.descents(alpha))
             split = SplitSet(length, D)
-            assert is_D_multiplicity_free(key_polynomial(alpha, cache), split), alpha
+            assert is_D_multiplicity_free(key_polynomial(alpha), split), alpha

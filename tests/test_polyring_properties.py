@@ -66,3 +66,14 @@ def test_multiplicity_free_verdict_matches_the_full_expansion(case):
     assert is_D_multiplicity_free(kappa, split) == (
         split_expand(kappa, split).is_multiplicity_free()
     )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=2, max_size=5))
+def test_key_is_symmetric_exactly_at_weak_ascents(parts):
+    # Lascoux-Schutzenberger: kappa_alpha is symmetric in x_j, x_(j+1)
+    # exactly when alpha_j <= alpha_(j+1). Reading that off alpha checks the
+    # `is_symmetric_in` scan, which gates every consistency-sweep verdict.
+    kappa = key_polynomial(parts)
+    for j in range(1, len(parts)):
+        assert kappa.is_symmetric_in(j) == (parts[j - 1] <= parts[j]), j
