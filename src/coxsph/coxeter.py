@@ -388,8 +388,11 @@ class CoxeterSystem:
     def elements(self, cap: int | None = None) -> list[Element]:
         """All group elements in BFS-by-length order (ties by representation).
 
-        Raises CoxeterError when |W| exceeds the cap (COXSPH_ENUM_CAP
-        environment variable, default 10**7).
+        Level k + 1 is built from the products w s_i with w in level k and i
+        not a right descent of w: each has length l(w) + 1, which is recorded
+        on it, so no element of an earlier level can recur and the level's
+        own dict is the only dedupe. Raises CoxeterError when |W| exceeds the
+        cap (COXSPH_ENUM_CAP environment variable, default 10**7).
         """
         if cap is None:
             cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
@@ -398,16 +401,16 @@ class CoxeterSystem:
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
         level = [self.identity]
-        seen = {self.identity.rep}
         out = []
         while level:
             out.extend(level)
             nxt = {}
             for w in level:
-                for i in range(1, self.rank + 1):
-                    wi = self.multiply(w, self.generator(i))
-                    if wi.rep not in seen:
-                        seen.add(wi.rep)
+                down, up = self.right_descents(w), w.length + 1
+                for i, s in enumerate(self._generators, 1):
+                    if i not in down:
+                        wi = self.multiply(w, s)
+                        wi._length = up
                         nxt[wi.rep] = wi
             level = [nxt[k] for k in sorted(nxt)]
         return out

@@ -75,21 +75,61 @@ class CensusReport:
 
 
 def _element_label(system: CoxeterSystem, w) -> str:
+    """One-line notation in type A, the reduced word `w.word()` elsewhere."""
     if system.cartan_type.family == "A":
         return typea.format_permutation(typea.element_to_perm(system, w))
     return words.format_word(w.word())
 
 
+def _from_parents(system: CoxeterSystem, rows, root, step):
+    """Pair each row (w, J(w), ...) with a value built from w's parent.
+
+    The identity gets `root`; any other w gets step(j, value of s_j w) with
+    j = min J(w). The rows must come in `elements()` order, which is
+    breadth-first by length, so the parent s_j w of every w lies in the
+    previous length level: values of two levels are all that is kept.
+    """
+    before, now, level = {}, {}, 0
+    for row in rows:
+        w, J = row[0], row[1]
+        if w.length > level:
+            level, before, now = w.length, now, {}
+        if J:
+            j = min(J)
+            parent = system.multiply(system.generator(j), w)
+            value = step(j, before[parent.rep])
+        else:
+            value = root
+        now[w.rep] = value
+        yield value, row
+
+
 def run_census(type_string: str, progress=None) -> CensusReport:
-    """Maximal-sphericality census of a whole group, in enumeration order."""
+    """Maximal-sphericality census of a whole group, in enumeration order.
+
+    Labels are those of `_element_label`, without spelling a reduced word
+    per element: in type A the one-line form is read off the root
+    permutation, and elsewhere the word of w is (j,) + word of s_j w with
+    j = min J(w), the recursion `Element.word()` follows.
+    """
     start = time.perf_counter()
     system = coxeter_system(type_string)
     elements = system.elements()
+    rows = spherical.census(system, elements)
+    if system.cartan_type.family == "A":
+        labelled = ((_element_label(system, row[0]), row) for row in rows)
+    else:
+        labelled = (
+            (words.format_word(reduced), row)
+            for reduced, row in _from_parents(
+                system, rows, (), lambda j, parent: (j,) + parent
+            )
+        )
     entries = []
-    for i, (w, J, word) in enumerate(spherical.census(system, elements)):
+    for i, (label, (w, J, word)) in enumerate(labelled):
         entries.append(
             CensusEntry(
-                _element_label(system, w),
+                label,
                 tuple(sorted(J)),
                 word is not None,
                 None if word is None else words.format_word(word),
@@ -162,16 +202,18 @@ def run_check(
     w = parse_element(system, element_text)
     I = frozenset(subset)
     cert = spherical.find_witness(system, w, I)
-    stair = None
     if system.cartan_type.family == "A":
         line = typea.element_to_perm(system, w)
         stair = polyring.staircase_test(line, I)
+        label = typea.format_permutation(line)
+    else:
+        stair, label = None, _element_label(system, w)
     if paranoid and cert is not None:
         if not spherical.verify_witness(system, w, I, cert.word):
             raise CoxeterError("witness failed independent recount")
     return CheckReport(
         type_string,
-        _element_label(system, w),
+        label,
         tuple(sorted(system.left_descents(w))),
         tuple(sorted(I)),
         cert is not None,
@@ -292,17 +334,10 @@ def run_consistency(n: int) -> ConsistencyReport:
     searchers: dict = {}
     pairs = 0
     disagreements = []
-    # elements() is breadth-first by length, so the parent s_j w of every w
-    # lies in the previous length level: keys of two levels are all we keep
-    keys = {system.identity: polyring.Poly.monomial(range(n, 0, -1))}
-    parents, level = {}, 0
-    for w in system.elements():
-        J = sorted(system.left_descents(w))
-        if J:
-            if w.length > level:
-                level, parents, keys = w.length, keys, {}
-            parent = system.multiply(system.generator(J[0]), w)
-            keys[w] = polyring.demazure_pi(J[0], parents[parent])
+    rows = ((w, sorted(system.left_descents(w))) for w in system.elements())
+    for key, (w, J) in _from_parents(
+        system, rows, polyring.Poly.monomial(range(n, 0, -1)), polyring.demazure_pi
+    ):
         for r in range(len(J) + 1):
             for I in itertools.combinations(J, r):
                 pairs += 1
@@ -315,7 +350,7 @@ def run_consistency(n: int) -> ConsistencyReport:
                 comb = searcher.search(w) is not None
                 D = tuple(j for j in range(1, n) if j not in Iset)
                 stair = polyring.is_D_multiplicity_free(
-                    keys[w], polyring.SplitSet(n, D)
+                    key, polyring.SplitSet(n, D)
                 )
                 if comb != stair:
                     line = typea.element_to_perm(system, w)

@@ -271,6 +271,8 @@ class SplitSet:
     D: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"variable count n must be at least 0, not {self.n}")
         D = tuple(sorted(set(self.D)))
         object.__setattr__(self, "D", D)
         if any(not 1 <= d <= self.n - 1 for d in D):

@@ -102,6 +102,13 @@ class WitnessSearcher:
             self._supp[w.rep] = supp
         return supp
 
+    def _down(self, w: Element, i: int) -> Element:
+        """w s_i for a right descent i of w, with its length l(w) - 1 recorded."""
+        sys_ = self.system
+        v = sys_.multiply(w, sys_.generator(i))
+        v._length = w.length - 1
+        return v
+
     def _dfs(self, w: Element, rem1: list, rem2: list):
         if w.length == 0:
             return []
@@ -123,21 +130,20 @@ class WitnessSearcher:
         key = (eid, tuple(rem1), tuple(rem2))
         if key in self._fail:
             return None
-        sys_ = self.system
-        for i in sorted(sys_.right_descents(w)):
+        for i in sorted(self.system.right_descents(w)):
             if i in self.I:
                 z = self.comp_of[i]
                 if rem2[z] == 0:
                     continue
                 rem2[z] -= 1
-                got = self._dfs(sys_.multiply(w, sys_.generator(i)), rem1, rem2)
+                got = self._dfs(self._down(w, i), rem1, rem2)
                 rem2[z] += 1
             else:
                 k = self.out_index[i]
                 if rem1[k] == 0:
                     continue
                 rem1[k] = 0
-                got = self._dfs(sys_.multiply(w, sys_.generator(i)), rem1, rem2)
+                got = self._dfs(self._down(w, i), rem1, rem2)
                 rem1[k] = 1
             if got is not None:
                 got.append(i)

@@ -1,12 +1,15 @@
 """Type-A specifics: one-line permutations, codes, diagrams, and patterns.
 
 Permutations are tuples (w(1), ..., w(n)). Compositions and partitions are
-plain integer tuples. Conversions to and from `coxeter` Elements go through
-reduced words, so both sides share one multiplication convention.
+plain integer tuples. A permutation becomes a `coxeter` Element through its
+canonical reduced word; an Element becomes a permutation by reading which
+positive roots e_i - e_j its root permutation inverts (w(i) > w(j) exactly
+then), with no products at all.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .coxeter import CoxeterError, CoxeterSystem, Element
@@ -215,6 +218,27 @@ def perm_to_element(system: CoxeterSystem, line) -> Element:
     return words.evaluate(system, canonical_word(line))
 
 
+@lru_cache(maxsize=None)
+def _root_ends(system: CoxeterSystem) -> tuple[tuple[int, int], ...]:
+    """(i, j), 0-based, of each positive root e_i - e_j, in root order.
+
+    e_i - e_j = alpha_(i+1) + ... + alpha_j has support {i+1, ..., j}.
+    """
+    return tuple((min(s) - 1, max(s)) for s in system._root_supports)
+
+
 def element_to_perm(system: CoxeterSystem, w: Element) -> tuple[int, ...]:
-    _check_type_a(system, system.rank + 1)
-    return apply_word(system.rank + 1, w.word())
+    """One-line notation of w, read off the signs of its root permutation.
+
+    w(i) = i + #{k > i : w(i) > w(k)} - #{k < i : w(k) > w(i)}, and
+    w(i) > w(j) for i < j exactly when w sends e_i - e_j negative; so each
+    inverted root adds 1 at its first end and takes 1 off at its second.
+    """
+    n = system.rank + 1
+    _check_type_a(system, n)
+    line = list(range(1, n + 1))
+    for (i, j), q in zip(_root_ends(system), w.rep):
+        if q < 0:
+            line[i] += 1
+            line[j] -= 1
+    return tuple(line)

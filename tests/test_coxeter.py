@@ -94,6 +94,36 @@ def test_group_orders_by_enumeration():
         assert len(set(elements)) == order
 
 
+def _breadth_first(system):
+    """Every element, level by level: all products w s_i of the last level
+    not met before, each level sorted by rep."""
+    level, seen, out = [system.identity], {system.identity.rep}, []
+    while level:
+        out.extend(level)
+        nxt = {}
+        for w in level:
+            for i in range(1, system.rank + 1):
+                wi = system.multiply(w, system.generator(i))
+                if wi.rep not in seen:
+                    seen.add(wi.rep)
+                    nxt[wi.rep] = wi
+        level = [nxt[k] for k in sorted(nxt)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "D4", "F4", "G2", "I2(5)", "I2(8)"])
+def test_elements_is_breadth_first_with_true_lengths(name):
+    system = coxeter_system(name)
+    elements = system.elements()
+    assert [w.rep for w in elements] == [w.rep for w in _breadth_first(system)]
+    for w in elements:
+        if name.startswith("I2"):
+            fresh = system.length(w)
+        else:
+            fresh = sum(1 for q in w.rep if q < 0)
+        assert w._length == fresh, w
+
+
 def test_enumeration_cap():
     with pytest.raises(CoxeterError):
         coxeter_system("E8").elements(cap=1000)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from coxsph import cli, coxeter_system, harness, nonspherical_census
 from coxsph.coxeter import CoxeterError
 
-from golden_data import KEY_15243_D24_EXPANSION, S5_NONSPHERICAL
+from golden_data import CENSUS_JSON_SHA256, KEY_15243_D24_EXPANSION, S5_NONSPHERICAL
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -42,6 +43,27 @@ def test_census_report_matches_nonspherical_census():
             harness._element_label(system, w)
             for w in nonspherical_census(system)
         ]
+
+
+@pytest.mark.parametrize("t", ["A4", "B3", "D4", "F4", "G2", "I2(7)", "I2(60)"])
+def test_census_labels_match_reduced_word_labels(t):
+    system = coxeter_system(t)
+    labels = [e.element for e in harness.run_census(t).entries]
+    assert labels == [harness._element_label(system, w) for w in system.elements()]
+
+
+@pytest.mark.parametrize(
+    "t",
+    ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "D4", "D5", "F4", "G2",
+     "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(60)",
+     pytest.param("A6", marks=pytest.mark.slow),
+     pytest.param("E6", marks=pytest.mark.slow)],
+)
+def test_census_json_matches_golden_digest(t):
+    payload = harness.run_census(t).to_json_dict()
+    del payload["elapsed_seconds"]
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_JSON_SHA256[t]
 
 
 def test_check_reports():
@@ -300,6 +322,15 @@ def test_cli_key_expand(capsys, tmp_path):
     ]
     assert cli.main(["key-expand", "(1,-1)", "--D", "1"]) == 1
     assert "negative part" in capsys.readouterr().err
+
+
+def test_cli_key_expand_rejects_negative_variable_count(capsys):
+    for n in ("-1", "-2"):
+        assert cli.main(["key-expand", "()", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: variable count n must be at least 0, not {n}\n"
+    assert cli.main(["key-expand", "()", "--n", "0"]) == 0
+    assert capsys.readouterr().out == "s[()]\n"
 
 
 def test_cli_cross_check_failure_exits_2(capsys, monkeypatch):

@@ -291,6 +291,23 @@ def test_diagram_shift_preserves_sphericality():
                 )
 
 
+@pytest.mark.parametrize("name", ["A4", "B3", "I2(7)"])
+def test_search_records_true_lengths_on_its_descent_steps(name):
+    system = coxeter_system(name)
+    visited = []
+
+    class Recording(WitnessSearcher):
+        def _dfs(self, w, rem1, rem2):
+            visited.append((w, w._length))
+            return super()._dfs(w, rem1, rem2)
+
+    for w in system.elements():
+        Recording(system, system.left_descents(w)).search(w)
+    assert len(visited) > len(system.elements())
+    for w, carried in visited:
+        assert carried == system.length(w), w
+
+
 def test_empty_I_means_distinct_letter_word():
     for name in ("A4", "B3"):
         system = coxeter_system(name)

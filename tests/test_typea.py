@@ -87,6 +87,15 @@ def test_canonical_word_reduced_everywhere_s6():
         assert ta.element_to_perm(a5, w) == line
 
 
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)]
+)
+def test_element_to_perm_matches_reduced_word_replay(n):
+    system = coxeter_system(f"A{n - 1}")
+    for w in system.elements():
+        assert ta.element_to_perm(system, w) == ta.apply_word(n, w.word())
+
+
 def test_perm_patterns():
     assert not ta.contains_perm_pattern((2, 4, 5, 3, 1), (3, 4, 1, 2))
     assert not ta.contains_perm_pattern((2, 4, 5, 3, 1), (4, 2, 3, 1))
