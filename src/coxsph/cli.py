@@ -25,9 +25,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _csv_ints(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer list") from None
 
 
 def build_parser() -> _Parser:

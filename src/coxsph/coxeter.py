@@ -198,9 +198,6 @@ class ComponentDecomposition:
     components: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
 
-    def component_of(self) -> dict[int, int]:
-        return {j: z for z, comp in enumerate(self.components) for j in comp}
-
 
 class CoxeterSystem:
     """A finite Weyl group (types A-G) with exact element arithmetic.
@@ -385,7 +382,7 @@ class CoxeterSystem:
 
     # -- enumeration and subsets ---------------------------------------------
 
-    def elements(self, cap: int | None = None) -> list[Element]:
+    def elements(self) -> list[Element]:
         """All group elements in BFS-by-length order (ties by representation).
 
         Level k + 1 is built from the products w s_i with w in level k and i
@@ -394,8 +391,7 @@ class CoxeterSystem:
         own dict is the only dedupe. Raises CoxeterError when |W| exceeds the
         cap (COXSPH_ENUM_CAP environment variable, default 10**7).
         """
-        if cap is None:
-            cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
         if self.order() > cap:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"

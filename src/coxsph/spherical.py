@@ -7,17 +7,19 @@ when some reduced word R of w satisfies both letter bounds:
   (S.2) for each connected component C of the subdiagram induced by I, the
         letters from C occur at most l(w0 of W_C) + #vertices(C) times.
 
-The search walks reduced words right-to-left over right descents, carrying
-the remaining allowance per outside node and per component, and memoizes
-failed (element, allowance) states so exhausted branches are never re-walked.
-Verification of a produced witness is an independent recount over the word.
+(S.1) is (S.2) for a one-node group of budget 1, so the search keeps one
+allowance per letter group: a singleton (j,) for each node j outside I, then
+the components of I. It walks reduced words right-to-left over right
+descents, spending one unit of each peeled letter's group, and memoizes
+failed (element, remaining allowances) states. Verification of a produced
+witness is an independent recount over the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import ComponentDecomposition, CoxeterError, CoxeterSystem, Element
+from .coxeter import CoxeterError, CoxeterSystem, Element
 from . import words as _words
 
 
@@ -70,81 +72,55 @@ def certificate_from_word(system, I, letters) -> WitnessCertificate:
 class WitnessSearcher:
     """Budgeted DFS over reduced words, reusable across queries with one I.
 
-    The failure memo is keyed by (element, remaining allowances) and is valid
-    for any query element in the same system with the same I, so censuses
-    share one searcher per descent set.
+    Group g of `groups` (singletons outside I, then components) has budget
+    `budgets[g]`; `slot[i]` is the group of node i. The failure memo key is
+    (element id, remaining allowance per group), valid for any element of the
+    system with this I, so censuses share one searcher per descent set.
+    `_seen` maps each visited rep to its element id and support.
     """
 
     def __init__(self, system: CoxeterSystem, I):
         self.system = system
         self.I = frozenset(I)
-        self.decomp: ComponentDecomposition = system.decompose_subset(self.I)
-        self.comp_of = self.decomp.component_of()
-        self.outside = tuple(
-            j for j in range(1, system.rank + 1) if j not in self.I
-        )
-        self.out_index = {j: k for k, j in enumerate(self.outside)}
+        decomp = system.decompose_subset(self.I)
+        outside = [(j,) for j in range(1, system.rank + 1) if j not in self.I]
+        self.groups = (*outside, *decomp.components)
+        self.budgets = (1,) * len(outside) + decomp.budgets
+        self.slot = {i: g for g, group in enumerate(self.groups) for i in group}
         self._fail: set = set()
-        self._ids: dict[tuple, int] = {}
-        self._supp: dict[tuple, frozenset] = {}
+        self._seen: dict[tuple, tuple[int, frozenset]] = {}
 
     def search(self, w: Element) -> tuple[int, ...] | None:
         """An I-witness for w, or None if every reduced word violates a bound."""
-        rem1 = [1] * len(self.outside)
-        rem2 = list(self.decomp.budgets)
-        got = self._dfs(w, rem1, rem2)
+        got = self._dfs(w, list(self.budgets))
         return None if got is None else tuple(got)
 
-    def _support(self, w: Element) -> frozenset:
-        supp = self._supp.get(w.rep)
-        if supp is None:
-            supp = self.system.support(w)
-            self._supp[w.rep] = supp
-        return supp
-
-    def _down(self, w: Element, i: int) -> Element:
-        """w s_i for a right descent i of w, with its length l(w) - 1 recorded."""
-        sys_ = self.system
-        v = sys_.multiply(w, sys_.generator(i))
-        v._length = w.length - 1
-        return v
-
-    def _dfs(self, w: Element, rem1: list, rem2: list):
+    def _dfs(self, w: Element, rem: list):
         if w.length == 0:
             return []
-        supp = self._support(w)
+        seen = self._seen.get(w.rep)
+        if seen is None:
+            seen = self._seen[w.rep] = (len(self._seen), self.system.support(w))
+        eid, supp = seen
         allowance = 0
-        for k, j in enumerate(self.outside):
-            if j in supp:
-                if rem1[k] == 0:
+        for g, group in enumerate(self.groups):
+            if not supp.isdisjoint(group):
+                if rem[g] == 0:
                     return None
-                allowance += rem1[k]
-        for z, comp in enumerate(self.decomp.components):
-            if any(j in supp for j in comp):
-                if rem2[z] == 0:
-                    return None
-                allowance += rem2[z]
+                allowance += rem[g]
         if w.length > allowance:
             return None
-        eid = self._ids.setdefault(w.rep, len(self._ids))
-        key = (eid, tuple(rem1), tuple(rem2))
+        key = (eid, tuple(rem))
         if key in self._fail:
             return None
+        # each right descent i lies in supp, so the prune left rem[slot[i]] >= 1
         for i in sorted(self.system.right_descents(w)):
-            if i in self.I:
-                z = self.comp_of[i]
-                if rem2[z] == 0:
-                    continue
-                rem2[z] -= 1
-                got = self._dfs(self._down(w, i), rem1, rem2)
-                rem2[z] += 1
-            else:
-                k = self.out_index[i]
-                if rem1[k] == 0:
-                    continue
-                rem1[k] = 0
-                got = self._dfs(self._down(w, i), rem1, rem2)
-                rem1[k] = 1
+            g = self.slot[i]
+            v = self.system.multiply(w, self.system.generator(i))
+            v._length = w.length - 1  # i is a right descent of w
+            rem[g] -= 1
+            got = self._dfs(v, rem)
+            rem[g] += 1
             if got is not None:
                 got.append(i)
                 return got

@@ -21,10 +21,10 @@ from . import words
 def parse_permutation(text: str) -> tuple[int, ...]:
     """One-line notation: '24531' for n <= 9, else comma-separated."""
     text = text.strip()
-    if "," in text:
-        line = tuple(int(t) for t in text.split(","))
-    else:
-        line = tuple(int(c) for c in text)
+    try:
+        line = tuple(int(t) for t in (text.split(",") if "," in text else text))
+    except ValueError:
+        raise CoxeterError(f"{text!r} is not a one-line permutation") from None
     if sorted(line) != list(range(1, len(line) + 1)):
         raise CoxeterError(f"{text!r} is not a permutation of 1..{len(line)}")
     return line
@@ -38,10 +38,11 @@ def format_permutation(line) -> str:
 
 def parse_composition(text: str) -> tuple[int, ...]:
     """Composition notation '(1,5,2,4,3)'; bare '1,5,2,4,3' also accepted."""
-    text = text.strip().lstrip("(").rstrip(")")
-    if not text:
-        return ()
-    parts = tuple(int(t) for t in text.split(","))
+    inner = text.strip().lstrip("(").rstrip(")")
+    try:
+        parts = tuple(int(t) for t in inner.split(",")) if inner else ()
+    except ValueError:
+        raise CoxeterError(f"composition {text!r} is not a list of integers") from None
     if any(p < 0 for p in parts):
         raise CoxeterError(f"composition {text!r} has a negative part")
     return parts
@@ -209,8 +210,11 @@ def avoids_km(alpha) -> bool:
 # -- bridges to Coxeter elements ------------------------------------------------
 
 def _check_type_a(system: CoxeterSystem, n: int):
-    if system.cartan_type.family != "A" or system.rank != n - 1:
-        raise CoxeterError(f"expected system A{n - 1} for permutations of size {n}")
+    t = system.cartan_type
+    if t.family != "A":
+        raise CoxeterError(f"{t} is not of type A")
+    if t.rank != n - 1:
+        raise CoxeterError(f"{t} permutes {t.rank + 1} letters, not {n}")
 
 
 def perm_to_element(system: CoxeterSystem, line) -> Element:

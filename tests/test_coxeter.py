@@ -124,9 +124,10 @@ def test_elements_is_breadth_first_with_true_lengths(name):
         assert w._length == fresh, w
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("COXSPH_ENUM_CAP", "1000")
     with pytest.raises(CoxeterError):
-        coxeter_system("E8").elements(cap=1000)
+        coxeter_system("E8").elements()
 
 
 def test_length_changes_by_one_under_generators():

@@ -305,6 +305,26 @@ def test_cli_check_usage_errors(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["key-expand", "(a)"], "composition '(a)'"),
+        (["check", "A3", " 2 1 3 4"], "'2 1 3 4' is not a one-line permutation"),
+        (["check", "A3", "2134", "--I", "1,,2"], "'1,,2'"),
+        (["check", "A3", "21"], "A3 permutes 4 letters, not 2"),
+    ],
+)
+def test_cli_parse_error_names_the_input(capsys, argv, named):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects --I itself
+        code = exc.code
+    assert code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and named in last
+    assert "invalid" not in last
+
+
 def test_cli_key_expand(capsys, tmp_path):
     out = tmp_path / "exp.json"
     code = cli.main(["key-expand", "(1,5,2,4,3)", "--D", "2,4",

@@ -257,6 +257,36 @@ def test_monotonicity_in_I():
                 assert is_I_spherical(system, w, I)
 
 
+def test_search_is_monotone_in_I_one_node_at_a_time():
+    """An I-witness is an (I + j)-witness for every j in J(w) outside I.
+
+    Letters of j occur at most once in an I-witness, and the components of I
+    that j joins have disjoint positive roots inside the merged component,
+    so their budgets only grow. Chains I < I' <= J(w) follow by transitivity.
+    """
+    pairs = 0
+    for name in ("A4", "B4", "D4", "D5", "F4", "G2", "I2(7)"):
+        system = coxeter_system(name)
+        searchers = {}
+
+        def search(w, I):
+            if I not in searchers:
+                searchers[I] = WitnessSearcher(system, I)
+            return searchers[I].search(w)
+
+        for w in system.elements():
+            J = system.left_descents(w)
+            for I in map(frozenset, _subsets(J)):
+                word = search(w, I)
+                if word is None:
+                    continue
+                for j in J - I:
+                    assert verify_witness(system, w, I | {j}, word), (w, I, j)
+                    assert search(w, I | {j}) is not None, (w, I, j)
+                    pairs += 1
+    assert pairs == 1310
+
+
 def test_parabolic_product():
     """Commuting supports decide sphericality factor by factor (A1 x A2 in A4)."""
     a4 = coxeter_system("A4")
@@ -297,9 +327,9 @@ def test_search_records_true_lengths_on_its_descent_steps(name):
     visited = []
 
     class Recording(WitnessSearcher):
-        def _dfs(self, w, rem1, rem2):
+        def _dfs(self, w, rem):
             visited.append((w, w._length))
-            return super()._dfs(w, rem1, rem2)
+            return super()._dfs(w, rem)
 
     for w in system.elements():
         Recording(system, system.left_descents(w)).search(w)
