@@ -9,12 +9,17 @@ of increasing tableaux (one per block, empty allowed) such that
       of the permutation whose code is alpha, and
   (d) column-inserting that word gives the target tableau built from alpha.
 
-The search below walks reduced words left to right over left descents,
-threading the row/column structure of the tableau being read plus the
-incremental insertion tableau; branches die as soon as the insertion leaves
-the target's shape, any cell drops below the target (cells only decrease as
-insertion proceeds), or the remaining permutation needs letters a later
-block cannot supply.
+The search reads a reduced word of w[alpha] left to right, one left descent
+of the remaining permutation at a time, and carries one state: the remaining
+permutation, the insertion columns of the letters read so far, the closed
+rows of each block so far, and the open row. One loop picks the next letter:
+it extends the open row, closes it (no longer than the row above it, and
+each entry larger than the one above it), records a finished read whose
+insertion equals the target, or opens a row in the current block or a later
+one. A branch dies as soon as the insertion leaves the target's shape, a
+cell drops below the target's (cells only decrease as insertion proceeds),
+or the remaining permutation still needs a letter that no later block may
+read.
 """
 
 from __future__ import annotations
@@ -153,128 +158,82 @@ def build_t_alpha(alpha) -> IncreasingTableau:
     return IncreasingTableau.from_columns(cols)
 
 
-def _pad_shape(shape: tuple[int, ...], size: int) -> tuple[int, ...]:
-    return shape + (0,) * (size - len(shape))
-
-
 class _RuleSearch:
-    """DFS over reduced words of w[alpha], threaded with tableau structure."""
+    """One depth-first transition over the state (vinv, cols, tabs, run).
+
+    - vinv: the inverse of the permutation still to be read;
+    - cols: the insertion columns of the letters read so far;
+    - tabs: the closed rows of each block up to the current one, which is
+      the last entry (a skipped block holds ());
+    - run: the open row, in reading (decreasing) order.
+
+    `_read` takes one letter; `_visit` is the one place that picks the next
+    letter: it extends the open row, closes it, records a finished read, or
+    opens a row in the current or a later block.
+    """
 
     def __init__(self, alpha, split: SplitSet, collect: bool):
-        self.split = split
         self.cuts = (0,) + split.D
         self.sizes = split.block_sizes()
-        self.nblocks = len(self.sizes)
         self.collect = collect
         self.counts: dict = {}
         self.sequences: dict = {}
-        self.target = build_t_alpha(alpha)
-        self.target_cols = self.target.columns()
-        line = perm_from_code(tuple(alpha))
-        self.start_vinv = inverse(line)
-        self.length = inversions(line)
-
-    # structure state: blocks_done = list of (shape, rows) per closed block
-    # (empty blocks hold ((), ())); rows = rows of the current tableau;
-    # run = current partial row in reading (decreasing) order.
+        self.target_cols = build_t_alpha(alpha).columns()
+        self.start_vinv = inverse(perm_from_code(alpha))
 
     def run(self):
-        if self.length == 0:
-            key = tuple(_pad_shape((), s) for s in self.sizes)
-            self.counts[key] = 1
-            if self.collect:
-                self.sequences[key] = [tuple(EMPTY_TABLEAU for _ in self.sizes)]
-            return
-        for block, letter in self._openings(self.start_vinv, 0):
-            done = [((), ())] * block
-            self._walk(self._apply(self.start_vinv, letter), (), letter,
-                       done, (), (letter,))
-        return
+        self._visit(self.start_vinv, (), ((),), ())
 
-    @staticmethod
-    def _apply(vinv, j):
-        out = list(vinv)
-        out[j - 1], out[j] = out[j], out[j - 1]
-        return tuple(out)
-
-    def _fixes(self, vinv, m: int) -> bool:
-        return all(vinv[x] == x + 1 for x in range(m))
-
-    def _openings(self, vinv, from_block: int):
-        """(block, letter) pairs that can start a fresh tableau."""
-        for block in range(from_block, self.nblocks):
-            lo = self.cuts[block] if block < len(self.cuts) else self.cuts[-1]
-            if not self._fixes(vinv, lo):
-                continue
-            for j in descents(vinv):
-                if j > lo:
-                    yield block, j
-
-    def _close_row(self, rows, run):
-        """Validate run as the next row; None when shape/column rules fail."""
-        row = tuple(reversed(run))
-        if rows:
-            prev = rows[-1]
-            if len(row) > len(prev):
-                return None
-            if any(row[c] <= prev[c] for c in range(len(row))):
-                return None
-        return rows + (row,)
-
-    def _walk(self, vinv, cols, last, done, rows, run):
-        cols = _eg_insert_columns(cols, last)
+    def _read(self, vinv, cols, tabs, run, j):
+        """Column-insert j, prune against the target, then swap j in vinv."""
+        cols = _eg_insert_columns(cols, j)
         if len(cols) > len(self.target_cols):
             return
-        for c, col in enumerate(cols):
-            tcol = self.target_cols[c]
-            if len(col) > len(tcol):
+        for col, tcol in zip(cols, self.target_cols):
+            if len(col) > len(tcol) or any(a < b for a, b in zip(col, tcol)):
                 return
-            if any(col[r] < tcol[r] for r in range(len(col))):
-                return
-        if all(v == i + 1 for i, v in enumerate(vinv)):
-            self._finish(cols, done, rows, run)
-            return
-        block = len(done)
-        lo = self.cuts[block]
-        size = self.sizes[block]
+        vinv = list(vinv)
+        vinv[j - 1], vinv[j] = vinv[j], vinv[j - 1]
+        self._visit(tuple(vinv), cols, tabs, run + (j,))
+
+    def _visit(self, vinv, cols, tabs, run):
+        b = len(tabs) - 1
         left = descents(vinv)  # left descents of the remaining permutation
-        for j in left:
-            if j > lo and j < run[-1]:
-                self._walk(self._apply(vinv, j), cols, j, done, rows,
-                           run + (j,))
-        closed = self._close_row(rows, run)
-        if closed is None:
+        if run:
+            for j in left:
+                if self.cuts[b] < j < run[-1]:
+                    self._read(vinv, cols, tabs, run, j)
+            rows, row = tabs[-1], run[::-1]
+            if rows and (len(row) > len(rows[-1])
+                         or any(a <= p for a, p in zip(row, rows[-1]))):
+                return
+            tabs = tabs[:-1] + (rows + (row,),)
+        if not left:
+            if cols == self.target_cols:
+                self._record(tabs)
             return
-        if len(closed) < size:
+        # When vinv does not fix 1..d_c it still needs a letter <= d_c, which
+        # neither block c nor any later block may read.
+        for c in range(b, len(self.sizes)):
+            lo = self.cuts[c]
+            if any(vinv[x] != x + 1 for x in range(lo)):
+                break
+            if c == b and len(tabs[-1]) >= self.sizes[b]:
+                continue
+            opened = tabs + ((),) * (c - b)
             for j in left:
                 if j > lo:
-                    self._walk(self._apply(vinv, j), cols, j, done, closed, (j,))
-        shape = tuple(len(r) for r in closed)
-        done_here = done + [(shape, closed)]
-        for nblock, j in self._openings(vinv, block + 1):
-            padded = done_here + [((), ())] * (nblock - block - 1)
-            self._walk(self._apply(vinv, j), cols, j, padded, (), (j,))
+                    self._read(vinv, cols, opened, (), j)
 
-    def _finish(self, cols, done, rows, run):
-        closed = self._close_row(rows, run)
-        if closed is None:
-            return
-        if len(closed) > self.sizes[len(done)]:
-            return
-        if cols != self.target_cols:
-            return
-        shape = tuple(len(r) for r in closed)
-        all_done = done + [(shape, closed)]
-        all_done += [((), ())] * (self.nblocks - len(all_done))
+    def _record(self, tabs):
+        tabs += ((),) * (len(self.sizes) - len(tabs))
         key = tuple(
-            _pad_shape(sh, size) for (sh, _), size in zip(all_done, self.sizes)
+            tuple(len(r) for r in rows) + (0,) * (size - len(rows))
+            for rows, size in zip(tabs, self.sizes)
         )
         self.counts[key] = self.counts.get(key, 0) + 1
         if self.collect:
-            seq = tuple(
-                IncreasingTableau(rws) if rws else EMPTY_TABLEAU
-                for _, rws in all_done
-            )
+            seq = tuple(IncreasingTableau(rows) for rows in tabs)
             self.sequences.setdefault(key, []).append(seq)
 
 

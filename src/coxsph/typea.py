@@ -38,7 +38,11 @@ def format_permutation(line) -> str:
 
 def parse_composition(text: str) -> tuple[int, ...]:
     """Composition notation '(1,5,2,4,3)'; bare '1,5,2,4,3' also accepted."""
-    inner = text.strip().lstrip("(").rstrip(")")
+    inner = text.strip()
+    if len(inner) >= 2 and inner[0] == "(" and inner[-1] == ")":
+        inner = inner[1:-1]
+    if "(" in inner or ")" in inner:
+        raise CoxeterError(f"composition {text!r} has mismatched parentheses")
     try:
         parts = tuple(int(t) for t in inner.split(",")) if inner else ()
     except ValueError:

@@ -21,7 +21,7 @@ def parse_word(text: str) -> tuple[int, ...]:
     letters = []
     for tok in text.split():
         tok = tok.lower().lstrip("s")
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise CoxeterError(f"bad word letter {tok!r}")
         letters.append(int(tok))
     return tuple(letters)
@@ -73,25 +73,17 @@ def reduced_word_count(system: CoxeterSystem, w: Element) -> int:
 
 
 def bruhat_leq(system: CoxeterSystem, u: Element, v: Element) -> bool:
-    """Strong Bruhat order, by the descent recursion."""
-    memo: dict[tuple[tuple, tuple], bool] = {}
+    """Strong Bruhat order, by the descent recursion run as a loop.
 
-    def leq(a: Element, b: Element) -> bool:
-        if a.length == 0:
-            return True
-        if a.length > b.length:
+    With s a left descent of v: u <= v iff su <= sv when s is a left descent
+    of u, and u <= sv otherwise.
+    """
+    while u.length > 0:
+        if u.length > v.length:
             return False
-        key = (a.rep, b.rep)
-        got = memo.get(key)
-        if got is None:
-            i = min(system.left_descents(b))
-            sb = system.multiply(system.generator(i), b)
-            sa = system.multiply(system.generator(i), a)
-            if sa.length < a.length:
-                got = leq(sa, sb)
-            else:
-                got = leq(a, sb)
-            memo[key] = got
-        return got
-
-    return leq(u, v)
+        s = system.generator(min(system.left_descents(v)))
+        v = system.multiply(s, v)
+        su = system.multiply(s, u)
+        if su.length < u.length:
+            u = su
+    return True

@@ -1,4 +1,4 @@
-"""Bounded argv fuzzing of `check` and `key-expand` (needs Hypothesis).
+"""Bounded argv fuzzing of every subcommand (needs Hypothesis).
 
 Every input must end in a documented exit code (0, 1, 2 or 3) without a
 traceback, and a usage error (exit 1) must end with one `error:` line.
@@ -13,11 +13,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from coxsph import cli
+from coxsph import cli, harness
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 TYPES = ("A1", "A2", "A3", "A4", "B3", "D4", "G2", "I2(5)")
+# Texts that name no Cartan type; the generated ones hold no nonzero digit,
+# so they never name a group large enough to make a census slow.
+NOT_TYPES = st.one_of(
+    st.sampled_from(["A0", "E9", "I2(2)", "X3", ""]), st.text("ABDEGIX()0 ", max_size=5)
+)
 
 
 def _csv(ints):
@@ -33,7 +38,7 @@ def check_argv(draw):
     words = st.lists(st.integers(1, 4), max_size=8).map(
         lambda w: " ".join(f"s{i}" for i in w) or "<id>"
     )
-    element = draw(st.one_of(st.text("0123456789s ,<>id", max_size=12), words))
+    element = draw(st.one_of(st.text("0123456789s ,<>id²()", max_size=12), words))
     argv = ["check", draw(st.sampled_from(TYPES)), element]
     argv += draw(_option("--I", st.one_of(
         _csv(st.integers(-1, 5)), st.text("0123456789,", max_size=5)
@@ -44,12 +49,36 @@ def check_argv(draw):
 @st.composite
 def key_expand_argv(draw):
     alpha = draw(st.lists(st.integers(0, 3), max_size=4))
-    argv = ["key-expand", "(" + ",".join(map(str, alpha)) + ")"]
+    text = "(" + ",".join(map(str, alpha)) + ")"
+    # Insert stray characters only: deleting a comma could glue parts into
+    # one huge part.
+    for at, char in draw(st.lists(st.tuples(st.integers(0, 12), st.sampled_from("()²")),
+                                  max_size=2)):
+        text = text[:at] + char + text[at:]
+    argv = ["key-expand", text]
     argv += draw(_option("--D", _csv(st.integers(-1, 5))))
     argv += draw(_option("--n", st.integers(-1, 4).map(str)))
     argv += draw(_option("--oracle", st.sampled_from(["peel", "ry"])))
     argv += draw(st.sampled_from([[], ["--cross-check"]]))
     return argv
+
+
+@st.composite
+def census_argv(draw):
+    argv = ["census", draw(st.one_of(st.sampled_from(TYPES), NOT_TYPES))]
+    argv += draw(st.sampled_from([[], ["--slow"]]))  # every TYPES group is small
+    return argv + draw(_option("--expect-nonspherical", st.integers(-1, 40).map(str)))
+
+
+def _sized(command, low, high):
+    return st.integers(low, high).map(lambda n: [command, "--n", str(n)])
+
+
+@st.composite
+def experiment_argv(draw):
+    name = draw(st.sampled_from(harness.EXPERIMENTS + ("no-such-experiment",)))
+    top = 2 if name == "upone" else 4  # upone is the slow one; n <= 2 keeps this quick
+    return ["experiment", name, "--n", str(draw(st.integers(-1, top)))]
 
 
 def _run(argv):
@@ -62,11 +91,26 @@ def _run(argv):
     return code, err.getvalue()
 
 
-@_SETTINGS
-@given(st.one_of(check_argv(), key_expand_argv()))
-def test_cli_fuzz_exits_cleanly(argv):
+def _assert_clean_exit(argv):
     code, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err, argv
     if code == 1:
         assert err.splitlines()[-1].startswith("error:"), (argv, err)
+
+
+@_SETTINGS
+@given(st.one_of(check_argv(), key_expand_argv()))
+def test_cli_fuzz_exits_cleanly(argv):
+    _assert_clean_exit(argv)
+
+
+@_SETTINGS
+@given(st.one_of(
+    census_argv(),
+    _sized("verify-consistency", -2, 4),
+    experiment_argv(),
+    _sized("self-check", -1, 4),
+))
+def test_cli_fuzz_other_subcommands_exit_cleanly(argv):
+    _assert_clean_exit(argv)

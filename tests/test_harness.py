@@ -312,6 +312,10 @@ def test_cli_check_usage_errors(capsys):
         (["check", "A3", " 2 1 3 4"], "'2 1 3 4' is not a one-line permutation"),
         (["check", "A3", "2134", "--I", "1,,2"], "'1,,2'"),
         (["check", "A3", "21"], "A3 permutes 4 letters, not 2"),
+        (["check", "B3", "s²"], "bad word letter '²'"),
+        (["key-expand", "((1,2)"], "composition '((1,2)'"),
+        (["key-expand", "(1,2))"], "composition '(1,2))'"),
+        (["key-expand", "(1,2"], "composition '(1,2'"),
     ],
 )
 def test_cli_parse_error_names_the_input(capsys, argv, named):

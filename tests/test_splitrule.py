@@ -13,7 +13,7 @@ from coxsph.splitrule import (
     ry_expand,
     ry_tableau_sequences,
 )
-from coxsph.typea import element_to_perm
+from coxsph.typea import apply_word, element_to_perm, inversions, perm_from_code
 
 
 def test_increasing_tableau_validation():
@@ -136,3 +136,34 @@ def test_ry_equals_peel_quick_sweep():
                     split = SplitSet(length, D)
                     peeled = split_expand(key_polynomial(alpha), split)
                     assert ry_expand(alpha, split).coefficients == peeled.coefficients
+
+
+def test_every_counted_sequence_obeys_the_rule():
+    """Each sequence meets (a)-(d) of the rule, checked from scratch."""
+    for length in range(1, 5):
+        for alpha in itertools.product(range(3), repeat=length):
+            desc = {i + 1 for i in range(length - 1) if alpha[i] > alpha[i + 1]}
+            line = perm_from_code(alpha)
+            target = build_t_alpha(alpha)
+            for r in range(length):
+                for D in itertools.combinations(range(1, length), r):
+                    if not desc <= set(D):
+                        continue
+                    split = SplitSet(length, D)
+                    cuts, sizes = (0,) + split.D, split.block_sizes()
+                    counts = ry_expand(alpha, split).coefficients
+                    found = ry_tableau_sequences(alpha, split)
+                    assert {k: len(v) for k, v in found.items()} == counts
+                    for key, seqs in found.items():
+                        assert len(set(seqs)) == len(seqs)
+                        for seq in seqs:
+                            assert len(seq) == len(sizes)
+                            word = ()
+                            for t, lam, lo, size in zip(seq, key, cuts, sizes):
+                                assert len(t.shape) <= size  # (a)
+                                assert t.shape + (0,) * (size - len(t.shape)) == lam
+                                assert all(x > lo for row in t.rows for x in row)  # (b)
+                                word += row_word(t)
+                            assert apply_word(len(line), word) == line  # (c)
+                            assert inversions(line) == len(word)
+                            assert eg_column_insert(word) == target  # (d)

@@ -22,6 +22,10 @@ def test_parsing():
     assert ta.parse_permutation("10,2,3,4,5,6,7,8,9,1")[0] == 10
     assert ta.parse_composition("(1,5,2,4,3)") == (1, 5, 2, 4, 3)
     assert ta.parse_composition("()") == ()
+    assert ta.parse_composition("1,2") == (1, 2)
+    for text in ("((1,2)", "(1,2))", "(1,2", "1,2)", "(1)(2)", "("):
+        with pytest.raises(CoxeterError, match="mismatched parentheses"):
+            ta.parse_composition(text)
     with pytest.raises(CoxeterError):
         ta.parse_permutation("1224")
 

@@ -132,3 +132,12 @@ def test_bruhat_3412_leq_4321():
     v = perm_to_element(a3, (4, 3, 2, 1))
     assert bruhat_leq(a3, u, v)
     assert not bruhat_leq(a3, v, u)
+
+
+def test_bruhat_deep_dihedral_needs_no_recursion():
+    """One loop step per length level: l(w0) = 1500 stays far from any limit."""
+    big = coxeter_system("I2(1500)")
+    w0 = big.longest_element()
+    below = big.multiply(w0, big.generator(1))
+    assert bruhat_leq(big, below, w0)
+    assert not bruhat_leq(big, w0, below)
