@@ -327,6 +327,10 @@ def run_consistency(n: int) -> ConsistencyReport:
 
     The staircase key pi_w x^(n, ..., 1) of w is one Demazure step pi_j,
     j = min J(w), applied to the key of its left-descent parent s_j w.
+
+    The staircase verdicts of each w must also form an up-set in I (adding a
+    node to I keeps a multiplicity-free key multiplicity-free, by
+    Littlewood-Richardson positivity); otherwise `CrossCheckFailure`.
     """
     _check_size("consistency check", n, 2)
     start = time.perf_counter()
@@ -338,6 +342,7 @@ def run_consistency(n: int) -> ConsistencyReport:
     for key, (w, J) in _from_parents(
         system, rows, polyring.Poly.monomial(range(n, 0, -1)), polyring.demazure_pi
     ):
+        verdicts = {}
         for r in range(len(J) + 1):
             for I in itertools.combinations(J, r):
                 pairs += 1
@@ -349,13 +354,27 @@ def run_consistency(n: int) -> ConsistencyReport:
                     )
                 comb = searcher.search(w) is not None
                 D = tuple(j for j in range(1, n) if j not in Iset)
-                stair = polyring.is_D_multiplicity_free(
+                stair = verdicts[Iset] = polyring.is_D_multiplicity_free(
                     key, polyring.SplitSet(n, D)
                 )
                 if comb != stair:
                     line = typea.element_to_perm(system, w)
                     disagreements.append((line, Iset, comb, stair))
+        _check_up_set(system, w, J, verdicts)
     return ConsistencyReport(n, pairs, disagreements, time.perf_counter() - start)
+
+
+def _check_up_set(system, w, J, verdicts: dict) -> None:
+    """Raise unless I -> verdicts[I] is monotone on the subsets of J."""
+    for I, free in verdicts.items():
+        for j in J:
+            if free and j not in I and not verdicts[I | {j}]:
+                raise CrossCheckFailure(
+                    "staircase verdicts not monotone in I: "
+                    f"w={typea.format_permutation(typea.element_to_perm(system, w))} "
+                    f"is multiplicity-free for I={sorted(I)} "
+                    f"but not for I={sorted(I | {j})}"
+                )
 
 
 def _check_size(what: str, n: int, least: int) -> None:

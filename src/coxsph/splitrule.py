@@ -10,20 +10,29 @@ of increasing tableaux (one per block, empty allowed) such that
   (d) column-inserting that word gives the target tableau built from alpha.
 
 The search reads a reduced word of w[alpha] left to right, one left descent
-of the remaining permutation at a time, and carries one state: the remaining
-permutation, the insertion columns of the letters read so far, the closed
-rows of each block so far, and the open row. One loop picks the next letter:
-it extends the open row, closes it (no longer than the row above it, and
-each entry larger than the one above it), records a finished read whose
-insertion equals the target, or opens a row in the current block or a later
-one. A branch dies as soon as the insertion leaves the target's shape, a
-cell drops below the target's (cells only decrease as insertion proceeds),
-or the remaining permutation still needs a letter that no later block may
-read.
+of the remaining permutation at a time. Its state is the remaining
+permutation, the insertion columns of the letters read so far, the current
+block with the count and the last of its closed rows, and the open row. One
+loop picks the next letter: it extends the open row, closes it (no longer
+than the row above it, and each entry larger than the one above it),
+finishes a read whose insertion equals the target, or opens a row in the
+current block or a later one. A branch dies as soon as column insertion
+writes a cell outside the target's shape or below the target's entry (cells
+only decrease as insertion proceeds), or the remaining permutation still
+needs a letter that no later block may read.
+
+Each state returns every way to finish from it, as a dict from suffix (the
+marked rows of each block from the current one on) to multiplicity, and is
+worked out once per search. `ry_expand` marks a row by its length and so
+counts shapes; `ry_tableau_sequences` marks a row by itself and so lists
+each sequence once, in the order of the depth-first walk. The rule uses
+no polynomial arithmetic, so it stays an independent check of peeling and
+of the bialternant solver.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .polyring import SplitExpansion, SplitSet
@@ -91,32 +100,35 @@ def row_word(t: IncreasingTableau) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _eg_insert_columns(cols: tuple, x: int) -> tuple:
+def _eg_insert_columns(cols: tuple, x: int, bound: tuple | None = None):
     """One step of column insertion with the bump-the-successor rule.
 
     Appending happens when x exceeds the column; if the column already holds
     x, the column is left alone and x+1 carries to the next column; otherwise
     x replaces the smallest entry >= x, which carries on.
+
+    With `bound` (the columns of a target tableau) the step returns None at
+    the first cell it writes outside the target's shape or below the target's
+    entry there. Cells only decrease, and every cell not written now was
+    checked when it was written, so this is the whole containment test.
     """
     out = list(cols)
     i, a = 0, x
     while True:
-        if i == len(out):
-            out.append((a,))
-            break
-        col = out[i]
-        if a > col[-1]:
-            out[i] = col + (a,)
-            break
-        b = min(v for v in col if v >= a)
-        if b == a:
-            a = a + 1
-        else:
-            idx = col.index(b)
-            out[i] = col[:idx] + (a,) + col[idx + 1 :]
-            a = b
-        i += 1
-    return tuple(out)
+        col = out[i] if i < len(out) else ()
+        r = bisect_left(col, a)
+        if r < len(col) and col[r] == a:
+            i, a = i + 1, a + 1
+            continue
+        if bound is not None and (
+            i >= len(bound) or r >= len(bound[i]) or a < bound[i][r]
+        ):
+            return None
+        if r == len(col):
+            out[i:i + 1] = [col + (a,)]  # appends when i == len(out)
+            return tuple(out)
+        out[i] = col[:r] + (a,) + col[r + 1 :]
+        i, a = i + 1, col[r]
 
 
 def eg_column_insert(letters) -> IncreasingTableau:
@@ -159,93 +171,119 @@ def build_t_alpha(alpha) -> IncreasingTableau:
 
 
 class _RuleSearch:
-    """One depth-first transition over the state (vinv, cols, tabs, run).
+    """A memoized depth-first walk over the state (vinv, cols, b, nrows, last, run).
 
     - vinv: the inverse of the permutation still to be read;
     - cols: the insertion columns of the letters read so far;
-    - tabs: the closed rows of each block up to the current one, which is
-      the last entry (a skipped block holds ());
+    - b: the current block;
+    - nrows, last: how many rows of block b are closed, and the last of them
+      (() before the first), all that a later row of block b is checked
+      against;
     - run: the open row, in reading (decreasing) order.
 
     `_read` takes one letter; `_visit` is the one place that picks the next
-    letter: it extends the open row, closes it, records a finished read, or
-    opens a row in the current or a later block.
+    letter. It returns a dict from suffix to multiplicity, where a suffix
+    holds, for each block from b on, the tuple of `mark(row)` over the rows
+    closed from its state on. The letters read so far multiply to the
+    permutation of `cols`, so `cols` fixes `vinv`, and `memo` keys each
+    state by the rest of it. The memo lives as long as the search.
     """
 
-    def __init__(self, alpha, split: SplitSet, collect: bool):
+    def __init__(self, alpha, split: SplitSet, mark):
         self.cuts = (0,) + split.D
         self.sizes = split.block_sizes()
-        self.collect = collect
-        self.counts: dict = {}
-        self.sequences: dict = {}
+        self.mark = mark
+        self.memo: dict = {}
         self.target_cols = build_t_alpha(alpha).columns()
         self.start_vinv = inverse(perm_from_code(alpha))
 
-    def run(self):
-        self._visit(self.start_vinv, (), ((),), ())
+    def run(self) -> dict:
+        """Every suffix from the start, one tuple of marked rows per block."""
+        return self._visit(self.start_vinv, (), 0, 0, (), ())
 
-    def _read(self, vinv, cols, tabs, run, j):
-        """Column-insert j, prune against the target, then swap j in vinv."""
-        cols = _eg_insert_columns(cols, j)
-        if len(cols) > len(self.target_cols):
-            return
-        for col, tcol in zip(cols, self.target_cols):
-            if len(col) > len(tcol) or any(a < b for a, b in zip(col, tcol)):
-                return
+    def _read(self, vinv, cols, b, nrows, last, run, j):
+        """Column-insert j inside the target, then swap j in vinv."""
+        cols = _eg_insert_columns(cols, j, self.target_cols)
+        if cols is None:
+            return {}
         vinv = list(vinv)
         vinv[j - 1], vinv[j] = vinv[j], vinv[j - 1]
-        self._visit(tuple(vinv), cols, tabs, run + (j,))
+        return self._visit(tuple(vinv), cols, b, nrows, last, run + (j,))
 
-    def _visit(self, vinv, cols, tabs, run):
-        b = len(tabs) - 1
+    def _visit(self, vinv, cols, b, nrows, last, run):
+        state = (cols, b, nrows, last, run)
+        out = self.memo.get(state)
+        if out is not None:
+            return out
+        out = self.memo[state] = {}
         left = descents(vinv)  # left descents of the remaining permutation
+        head = ()  # the marked row this state closes
         if run:
             for j in left:
                 if self.cuts[b] < j < run[-1]:
-                    self._read(vinv, cols, tabs, run, j)
-            rows, row = tabs[-1], run[::-1]
-            if rows and (len(row) > len(rows[-1])
-                         or any(a <= p for a, p in zip(row, rows[-1]))):
-                return
-            tabs = tabs[:-1] + (rows + (row,),)
+                    _join(out, (), self._read(vinv, cols, b, nrows, last, run, j))
+            row = run[::-1]
+            if last and (len(row) > len(last)
+                         or any(a <= p for a, p in zip(row, last))):
+                return out
+            nrows, last, head = nrows + 1, row, (self.mark(row),)
         if not left:
             if cols == self.target_cols:
-                self._record(tabs)
-            return
+                _join(out, head, {((),) * (len(self.sizes) - b): 1})
+            return out
         # When vinv does not fix 1..d_c it still needs a letter <= d_c, which
         # neither block c nor any later block may read.
+        fixed = 0
+        while vinv[fixed] == fixed + 1:  # stops: left is not empty
+            fixed += 1
         for c in range(b, len(self.sizes)):
             lo = self.cuts[c]
-            if any(vinv[x] != x + 1 for x in range(lo)):
+            if lo > fixed:
                 break
-            if c == b and len(tabs[-1]) >= self.sizes[b]:
+            if c > b:
+                nrows, last = 0, ()
+            elif nrows >= self.sizes[b]:
                 continue
-            opened = tabs + ((),) * (c - b)
             for j in left:
                 if j > lo:
-                    self._read(vinv, cols, opened, (), j)
+                    child = self._read(vinv, cols, c, nrows, last, (), j)
+                    _join(out, head, child, ((),) * (c - b))
+        return out
 
-    def _record(self, tabs):
-        tabs += ((),) * (len(self.sizes) - len(tabs))
-        key = tuple(
-            tuple(len(r) for r in rows) + (0,) * (size - len(rows))
-            for rows, size in zip(tabs, self.sizes)
-        )
-        self.counts[key] = self.counts.get(key, 0) + 1
-        if self.collect:
-            seq = tuple(IncreasingTableau(rows) for rows in tabs)
-            self.sequences.setdefault(key, []).append(seq)
+
+def _join(out: dict, head: tuple, suffixes: dict, skipped: tuple = ()) -> None:
+    """Add suffixes into out, after the skipped blocks, with head in front."""
+    for suffix, m in suffixes.items():
+        suffix = skipped + suffix
+        key = (head + suffix[0],) + suffix[1:]
+        out[key] = out.get(key, 0) + m
+
+
+def _shape_key(shapes, sizes) -> tuple:
+    """Pad each block's row lengths with zeros to the block's size."""
+    return tuple(
+        shape + (0,) * (size - len(shape)) for shape, size in zip(shapes, sizes)
+    )
 
 
 def ry_expand(alpha, split: SplitSet) -> SplitExpansion:
     """Block-Schur expansion of the key polynomial of alpha by the tableau rule."""
-    search = _RuleSearch(split.pad_composition(alpha), split, collect=False)
-    search.run()
-    return SplitExpansion(split, search.counts)
+    found = _RuleSearch(split.pad_composition(alpha), split, len).run()
+    sizes = split.block_sizes()
+    counts: dict = {}
+    for suffix, m in found.items():
+        key = _shape_key(suffix, sizes)
+        counts[key] = counts.get(key, 0) + m
+    return SplitExpansion(split, counts)
 
 
 def ry_tableau_sequences(alpha, split: SplitSet) -> dict:
     """All counted tableau sequences, grouped by their shape tuple."""
-    search = _RuleSearch(split.pad_composition(alpha), split, collect=True)
-    search.run()
-    return search.sequences
+    found = _RuleSearch(split.pad_composition(alpha), split, tuple).run()
+    sizes = split.block_sizes()
+    sequences: dict = {}
+    for suffix in found:
+        seq = tuple(map(IncreasingTableau, suffix))
+        key = _shape_key((t.shape for t in seq), sizes)
+        sequences.setdefault(key, []).append(seq)
+    return sequences

@@ -1,9 +1,9 @@
 """Reduced words, word evaluation, and Bruhat order.
 
 Words are plain tuples of 1-based generator indices. `reduced_words` yields
-the full set Red(w) in lexicographic order by recursing on left descents;
+the full set Red(w) in lexicographic order by walking left descents;
 `reduced_word_count` is the matching count-only fast path that never
-materializes words.
+materializes words. Both are loops, so l(w) sets no recursion limit.
 """
 
 from __future__ import annotations
@@ -44,32 +44,37 @@ def is_reduced(system: CoxeterSystem, letters) -> bool:
 
 
 def reduced_words(system: CoxeterSystem, w: Element):
-    """Yield every reduced word of w exactly once, lexicographically."""
-    if w.length == 0:
-        yield ()
-        return
-    for i in sorted(system.left_descents(w)):
-        rest = system.multiply(system.generator(i), w)
-        for tail in reduced_words(system, rest):
-            yield (i,) + tail
+    """Yield every reduced word of w exactly once, lexicographically.
+
+    A depth-first walk over left descents with an explicit stack, so the
+    length of w sets no recursion limit.
+    """
+    stack = [((), w)]
+    while stack:
+        prefix, u = stack.pop()
+        if u.length == 0:
+            yield prefix
+            continue
+        for i in sorted(system.left_descents(u), reverse=True):
+            stack.append((prefix + (i,), system.multiply(system.generator(i), u)))
 
 
 def reduced_word_count(system: CoxeterSystem, w: Element) -> int:
-    memo: dict[tuple, int] = {}
+    """Number of reduced words of w, one length level at a time.
 
-    def count(u: Element) -> int:
-        if u.length == 0:
-            return 1
-        got = memo.get(u.rep)
-        if got is None:
-            got = sum(
-                count(system.multiply(system.generator(i), u))
-                for i in system.left_descents(u)
-            )
-            memo[u.rep] = got
-        return got
-
-    return count(w)
+    `level` maps each element reached from w by removing left descents to
+    the number of ways to reach it; after l(w) levels only the identity is
+    left.
+    """
+    level = {w: 1}
+    for _ in range(w.length):
+        below: dict[Element, int] = {}
+        for u, ways in level.items():
+            for i in system.left_descents(u):
+                v = system.multiply(system.generator(i), u)
+                below[v] = below.get(v, 0) + ways
+        level = below
+    return sum(level.values())
 
 
 def bruhat_leq(system: CoxeterSystem, u: Element, v: Element) -> bool:

@@ -150,16 +150,23 @@ def test_consistency_runner():
 
 def test_consistency_sweep_takes_staircase_keys_in_element_order(monkeypatch):
     import itertools
-    from coxsph import polyring, typea
+    from coxsph import polyring, spherical, typea
 
     seen = []
     true_verdict = polyring.is_D_multiplicity_free
+    true_search = spherical.WitnessSearcher.search
 
-    def flipped(f, split):
-        seen.append((f, split.D, not true_verdict(f, split)))
+    def recorded(f, split):
+        seen.append((f, split.D, true_verdict(f, split)))
         return seen[-1][2]
 
-    monkeypatch.setattr(polyring, "is_D_multiplicity_free", flipped)
+    def flipped(searcher, w):
+        # flip the search side: every pair disagrees, and the staircase
+        # verdicts stay monotone in I, which the sweep also checks
+        return None if true_search(searcher, w) is not None else ()
+
+    monkeypatch.setattr(polyring, "is_D_multiplicity_free", recorded)
+    monkeypatch.setattr(spherical.WitnessSearcher, "search", flipped)
     for n in range(2, 6):
         seen.clear()
         system = coxeter_system(f"A{n - 1}")
@@ -183,6 +190,22 @@ def test_consistency_sweep_takes_staircase_keys_in_element_order(monkeypatch):
         for (line, I), (kappa, D, _) in zip(expected, seen):
             assert kappa == keys[line], (line, I)
             assert set(D) == set(range(1, n)) - I
+
+
+def test_consistency_sweep_raises_on_non_monotone_staircase_verdicts(monkeypatch):
+    from coxsph import polyring
+
+    def non_monotone(f, split):
+        return len(split.D) == split.n - 1  # multiplicity-free for I = {} only
+
+    monkeypatch.setattr(polyring, "is_D_multiplicity_free", non_monotone)
+    with pytest.raises(harness.CrossCheckFailure) as raised:
+        harness.run_consistency(4)
+    assert str(raised.value) == (
+        "staircase verdicts not monotone in I: w=2134 "
+        "is multiplicity-free for I=[] but not for I=[1]"
+    )
+    assert cli.main(["verify-consistency", "--n", "4"]) == 2
 
 
 def test_staircase_side_matches_reference_list():

@@ -7,6 +7,7 @@ from coxsph.polyring import SplitSet, key_polynomial, split_expand
 from coxsph.splitrule import (
     EMPTY_TABLEAU,
     IncreasingTableau,
+    _RuleSearch,
     build_t_alpha,
     eg_column_insert,
     row_word,
@@ -125,45 +126,69 @@ def test_scaling_prefix_of_full_rows():
         assert got == expected
 
 
+def _splits(length, parts):
+    """Every (alpha, SplitSet) with len(alpha) = length, parts < `parts`, and
+    D holding alpha's descents."""
+    for alpha in itertools.product(range(parts), repeat=length):
+        desc = {i + 1 for i in range(length - 1) if alpha[i] > alpha[i + 1]}
+        for r in range(length):
+            for D in itertools.combinations(range(1, length), r):
+                if desc <= set(D):
+                    yield alpha, SplitSet(length, D)
+
+
 def test_ry_equals_peel_quick_sweep():
     for length in range(1, 5):
-        for alpha in itertools.product(range(3), repeat=length):
-            desc = {i + 1 for i in range(length - 1) if alpha[i] > alpha[i + 1]}
-            for r in range(length):
-                for D in itertools.combinations(range(1, length), r):
-                    if not desc <= set(D):
-                        continue
-                    split = SplitSet(length, D)
-                    peeled = split_expand(key_polynomial(alpha), split)
-                    assert ry_expand(alpha, split).coefficients == peeled.coefficients
+        for alpha, split in _splits(length, 3):
+            peeled = split_expand(key_polynomial(alpha), split)
+            assert ry_expand(alpha, split).coefficients == peeled.coefficients
+
+
+@pytest.mark.slow
+def test_ry_equals_peel_n6():
+    """Blocks of 4-6 variables, which the n <= 5 sweeps never reach."""
+    cases = 0
+    for alpha, split in _splits(6, 3):
+        peeled = split_expand(key_polynomial(alpha), split)
+        assert ry_expand(alpha, split).coefficients == peeled.coefficients
+        cases += 1
+    assert cases == 8318
+
+
+def test_rule_search_states_are_pinned():
+    """The walk's work as a golden value: distinct memoized states summed
+    over every alpha with n <= 4, parts <= 3, and every D holding its
+    descents. CHANGES.md explains any change to this number."""
+    cases = states = 0
+    for length in range(1, 5):
+        for alpha, split in _splits(length, 4):
+            search = _RuleSearch(alpha, split, len)
+            search.run()
+            cases += 1
+            states += len(search.memo)
+    assert (cases, states) == (1225, 40713)
 
 
 def test_every_counted_sequence_obeys_the_rule():
     """Each sequence meets (a)-(d) of the rule, checked from scratch."""
     for length in range(1, 5):
-        for alpha in itertools.product(range(3), repeat=length):
-            desc = {i + 1 for i in range(length - 1) if alpha[i] > alpha[i + 1]}
+        for alpha, split in _splits(length, 3):
             line = perm_from_code(alpha)
             target = build_t_alpha(alpha)
-            for r in range(length):
-                for D in itertools.combinations(range(1, length), r):
-                    if not desc <= set(D):
-                        continue
-                    split = SplitSet(length, D)
-                    cuts, sizes = (0,) + split.D, split.block_sizes()
-                    counts = ry_expand(alpha, split).coefficients
-                    found = ry_tableau_sequences(alpha, split)
-                    assert {k: len(v) for k, v in found.items()} == counts
-                    for key, seqs in found.items():
-                        assert len(set(seqs)) == len(seqs)
-                        for seq in seqs:
-                            assert len(seq) == len(sizes)
-                            word = ()
-                            for t, lam, lo, size in zip(seq, key, cuts, sizes):
-                                assert len(t.shape) <= size  # (a)
-                                assert t.shape + (0,) * (size - len(t.shape)) == lam
-                                assert all(x > lo for row in t.rows for x in row)  # (b)
-                                word += row_word(t)
-                            assert apply_word(len(line), word) == line  # (c)
-                            assert inversions(line) == len(word)
-                            assert eg_column_insert(word) == target  # (d)
+            cuts, sizes = (0,) + split.D, split.block_sizes()
+            counts = ry_expand(alpha, split).coefficients
+            found = ry_tableau_sequences(alpha, split)
+            assert {k: len(v) for k, v in found.items()} == counts
+            for key, seqs in found.items():
+                assert len(set(seqs)) == len(seqs)
+                for seq in seqs:
+                    assert len(seq) == len(sizes)
+                    word = ()
+                    for t, lam, lo, size in zip(seq, key, cuts, sizes):
+                        assert len(t.shape) <= size  # (a)
+                        assert t.shape + (0,) * (size - len(t.shape)) == lam
+                        assert all(x > lo for row in t.rows for x in row)  # (b)
+                        word += row_word(t)
+                    assert apply_word(len(line), word) == line  # (c)
+                    assert inversions(line) == len(word)
+                    assert eg_column_insert(word) == target  # (d)

@@ -56,6 +56,15 @@ def test_reduced_word_counts():
     assert list(reduced_words(a3, a3.identity)) == [()]
 
 
+def test_reduced_words_of_a_long_dihedral_element():
+    """l(w0) = 1500 levels: no recursion limit on either function."""
+    i2 = coxeter_system("I2(1500)")
+    w0 = i2.longest_element()
+    assert reduced_word_count(i2, w0) == 2
+    got = list(reduced_words(i2, w0))
+    assert got == [(1, 2) * 750, (2, 1) * 750]
+
+
 def test_reduced_words_complete_and_lexicographic():
     b3 = coxeter_system("B3")
     for w in b3.elements():
