@@ -331,11 +331,17 @@ def run_consistency(n: int) -> ConsistencyReport:
     The staircase verdicts of each w must also form an up-set in I (adding a
     node to I keeps a multiplicity-free key multiplicity-free, by
     Littlewood-Richardson positivity); otherwise `CrossCheckFailure`.
+
+    Each I gets one searcher and one split set D = [n-1] - I. The sweep owns
+    one dict of D-Schur products, shared by every verdict and dropped when
+    it returns, so each product is built once per sweep; each key scans its
+    symmetry in x_j, x_(j+1) once per j (`Poly.is_symmetric_in`).
     """
     _check_size("consistency check", n, 2)
     start = time.perf_counter()
     system = coxeter_system(f"A{n - 1}")
-    searchers: dict = {}
+    per_I: dict = {}
+    products: dict = {}
     pairs = 0
     disagreements = []
     rows = ((w, sorted(system.left_descents(w))) for w in system.elements())
@@ -347,15 +353,17 @@ def run_consistency(n: int) -> ConsistencyReport:
             for I in itertools.combinations(J, r):
                 pairs += 1
                 Iset = frozenset(I)
-                searcher = searchers.get(Iset)
-                if searcher is None:
-                    searcher = searchers[Iset] = spherical.WitnessSearcher(
-                        system, Iset
+                got = per_I.get(Iset)
+                if got is None:
+                    D = tuple(j for j in range(1, n) if j not in Iset)
+                    got = per_I[Iset] = (
+                        spherical.WitnessSearcher(system, Iset),
+                        polyring.SplitSet(n, D),
                     )
+                searcher, split = got
                 comb = searcher.search(w) is not None
-                D = tuple(j for j in range(1, n) if j not in Iset)
                 stair = verdicts[Iset] = polyring.is_D_multiplicity_free(
-                    key, polyring.SplitSet(n, D)
+                    key, split, products
                 )
                 if comb != stair:
                     line = typea.element_to_perm(system, w)

@@ -13,11 +13,19 @@ that a picked monomial of the remainder names, with its coefficient, and
 only then subtracts it. `split_expand` picks the lexicographically largest
 monomial, whose per-block exponents are weakly decreasing and name a D-Schur
 product; `is_D_multiplicity_free` reads the same stream and stops at the
-first coefficient other than 1. `expand_in_keys` picks the lexicographically
-smallest monomial, which names a key polynomial. `split_expand_via_solver`
-checks `split_expand` without building any Schur polynomial: it multiplies
-by the Vandermonde product of every block and reads each coefficient off one
-monomial (Jacobi's bialternant formula).
+first coefficient other than 1. A caller that asks many such questions, as
+the consistency sweep does, may pass its own products dict to
+`is_D_multiplicity_free`: each D-Schur product is then built once per dict,
+and the dict lives as long as the caller keeps it. Nothing else keeps
+products; `_schur_cached` is the one module-level cache. `expand_in_keys`
+picks the lexicographically smallest monomial, which names a key
+polynomial. `split_expand_via_solver` checks `split_expand` without building
+any Schur polynomial: it multiplies by the Vandermonde product of every
+block and reads each coefficient off one monomial (Jacobi's bialternant
+formula).
+
+A Poly is never changed after it is built, so `Poly.is_symmetric_in`
+remembers its answer per j on the Poly itself.
 """
 from __future__ import annotations
 
@@ -43,9 +51,14 @@ def _add_into(out: dict, terms, c: int) -> dict:
 
 
 class Poly:
-    """Sparse polynomial with integer coefficients in nvars variables."""
+    """Sparse polynomial with integer coefficients in nvars variables.
 
-    __slots__ = ("nvars", "terms")
+    Immutable by convention: nothing changes `terms` after construction, and
+    every operation returns a new Poly. `is_symmetric_in` relies on this to
+    keep its answers in the `_symmetric` slot, which it creates on first use.
+    """
+
+    __slots__ = ("nvars", "terms", "_symmetric")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
@@ -118,6 +131,17 @@ class Poly:
         return self.terms.get(tuple(exps), 0)
 
     def is_symmetric_in(self, j: int) -> bool:
+        """True iff swapping x_j and x_(j+1) fixes self; scanned once per j."""
+        try:
+            known = self._symmetric
+        except AttributeError:
+            known = self._symmetric = {}
+        got = known.get(j)
+        if got is None:
+            got = known[j] = self._scan_symmetric(j)
+        return got
+
+    def _scan_symmetric(self, j: int) -> bool:
         for e, c in self.terms.items():
             if e[j - 1] != e[j]:
                 le = list(e)
@@ -277,14 +301,12 @@ class SplitSet:
         object.__setattr__(self, "D", D)
         if any(not 1 <= d <= self.n - 1 for d in D):
             raise ValueError(f"split positions {D} must lie in 1..{self.n - 1}")
-
-    @property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        """Inclusive 1-based (start, end) per block."""
-        cuts = (0,) + self.D + (self.n,)
-        return tuple(
+        # inclusive 1-based (start, end) per block; not a field, so ==, hash
+        # and repr see only n and D
+        cuts = (0,) + D + (self.n,)
+        object.__setattr__(self, "blocks", tuple(
             (cuts[i] + 1, cuts[i + 1]) for i in range(len(cuts) - 1)
-        )
+        ))
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b - a + 1 for a, b in self.blocks)
@@ -394,21 +416,27 @@ def _peel(f: Poly, pick, name, element):
         _add_into(rem, element(label).terms.items(), -c)
 
 
-def _split_terms(f: Poly, split: SplitSet):
+def _split_terms(f: Poly, split: SplitSet, products: dict | None = None):
     """(per-block partitions, coefficient) pairs of f on the D-Schur basis.
 
-    The split-symmetry check runs at call time; the pairs come lazily.
+    The split-symmetry check runs at call time; the pairs come lazily. Given
+    `products`, a dict from (split, lams) to `d_schur(split, lams)`, each
+    product is looked up there and built only when missing.
     """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
     if all(s == 1 for s in split.block_sizes()):
         return ((tuple((p,) for p in e), c) for e, c in f.terms.items())
-    return _peel(
-        f,
-        max,
-        lambda lead: _read_block_partitions(split, lead),
-        lambda lams: d_schur(split, lams),
-    )
+
+    def element(lams):
+        if products is None:
+            return d_schur(split, lams)
+        got = products.get((split, lams))
+        if got is None:
+            got = products[split, lams] = d_schur(split, lams)
+        return got
+
+    return _peel(f, max, lambda lead: _read_block_partitions(split, lead), element)
 
 
 def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:
@@ -421,13 +449,20 @@ def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:
     return SplitExpansion(split, dict(_split_terms(f, split)))
 
 
-def is_D_multiplicity_free(f: Poly, split: SplitSet) -> bool:
+def is_D_multiplicity_free(
+    f: Poly, split: SplitSet, products: dict | None = None
+) -> bool:
     """True iff every D-Schur coefficient of f lies in {0, 1}.
 
     Reads the peeling stream of `split_expand` and stops at the first
     coefficient other than 1, before building its D-Schur product.
+
+    `products`, when given, is a dict owned by the caller from (split, lams)
+    to `d_schur(split, lams)`: products found there are reused and products
+    built are added, so a caller that keeps one dict over many calls builds
+    each product once. Without it every call builds its products afresh.
     """
-    return all(c == 1 for _, c in _split_terms(f, split))
+    return all(c == 1 for _, c in _split_terms(f, split, products))
 
 
 def expand_in_keys(f: Poly) -> dict:

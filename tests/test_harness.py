@@ -156,7 +156,7 @@ def test_consistency_sweep_takes_staircase_keys_in_element_order(monkeypatch):
     true_verdict = polyring.is_D_multiplicity_free
     true_search = spherical.WitnessSearcher.search
 
-    def recorded(f, split):
+    def recorded(f, split, products=None):
         seen.append((f, split.D, true_verdict(f, split)))
         return seen[-1][2]
 
@@ -195,7 +195,7 @@ def test_consistency_sweep_takes_staircase_keys_in_element_order(monkeypatch):
 def test_consistency_sweep_raises_on_non_monotone_staircase_verdicts(monkeypatch):
     from coxsph import polyring
 
-    def non_monotone(f, split):
+    def non_monotone(f, split, products=None):
         return len(split.D) == split.n - 1  # multiplicity-free for I = {} only
 
     monkeypatch.setattr(polyring, "is_D_multiplicity_free", non_monotone)
@@ -206,6 +206,33 @@ def test_consistency_sweep_raises_on_non_monotone_staircase_verdicts(monkeypatch
         "is multiplicity-free for I=[] but not for I=[1]"
     )
     assert cli.main(["verify-consistency", "--n", "4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "n, products, scans",
+    [(5, 505, 240), pytest.param(6, 3531, 1800, marks=pytest.mark.slow)],
+)
+def test_consistency_sweep_work_budget(monkeypatch, n, products, scans):
+    # golden work counts: each D-Schur product is built once per sweep and
+    # each key scans its symmetry once per j; explain any change in CHANGES.md
+    from coxsph import polyring
+
+    built, scanned = [], []
+    real_d_schur, real_scan = polyring.d_schur, polyring.Poly._scan_symmetric
+
+    def counted_d_schur(split, lams):
+        built.append((split, lams))
+        return real_d_schur(split, lams)
+
+    def counted_scan(f, j):
+        scanned.append((frozenset(f.terms.items()), j))
+        return real_scan(f, j)
+
+    monkeypatch.setattr(polyring, "d_schur", counted_d_schur)
+    monkeypatch.setattr(polyring.Poly, "_scan_symmetric", counted_scan)
+    assert harness.run_consistency(n).disagreements == []
+    assert len(built) == len(set(built)) == products
+    assert len(scanned) == len(set(scanned)) == scans
 
 
 def test_staircase_side_matches_reference_list():

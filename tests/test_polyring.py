@@ -173,6 +173,11 @@ def test_split_set_blocks():
     assert split.block_sizes() == (2, 2, 1)
     with pytest.raises(ValueError):
         SplitSet(3, (3,))
+    # blocks are built once, outside the fields that ==, hash and repr see
+    same = SplitSet(5, (4, 2, 2))
+    assert same == split and hash(same) == hash(split)
+    assert same.blocks == split.blocks and same.blocks is same.blocks
+    assert repr(same) == "SplitSet(n=5, D=(2, 4))"
 
 
 def test_split_symmetry_checks():

@@ -10,6 +10,7 @@ from coxsph.polyring import (
     Poly,
     SplitSet,
     d_schur,
+    demazure_pi,
     is_D_multiplicity_free,
     key_polynomial,
     split_expand,
@@ -77,3 +78,45 @@ def test_key_is_symmetric_exactly_at_weak_ascents(parts):
     kappa = key_polynomial(parts)
     for j in range(1, len(parts)):
         assert kappa.is_symmetric_in(j) == (parts[j - 1] <= parts[j]), j
+
+
+def test_a_shared_products_dict_never_changes_a_verdict():
+    products: dict = {}
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(keys_with_valid_splits())
+    def check(case):
+        alpha, split = case
+        kappa = key_polynomial(alpha)
+        assert is_D_multiplicity_free(kappa, split, products) == (
+            is_D_multiplicity_free(kappa, split)
+        )
+
+    check()
+    assert products  # the dict was shared and filled across examples
+
+
+@st.composite
+def key_and_poly(draw):
+    """A key with n <= 5 parts <= 2, a sparse Poly in n variables, a scalar."""
+    n = draw(st.integers(2, 5))
+    alpha = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    g = draw(st.dictionaries(exps, st.integers(-2, 2).filter(bool), max_size=5))
+    return key_polynomial(alpha), Poly(n, g), draw(st.integers(-2, 2))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(key_and_poly())
+def test_symmetry_answers_are_not_carried_to_derived_polys(case):
+    f, g, c = case
+    js = range(1, f.nvars)
+    for h in (f, g):  # fill both memos before deriving anything from them
+        for j in js:
+            h.is_symmetric_in(j)
+    derived = [f, g, f + g, f - g, g - f, f * g, f.scale(c), g.scale(c)]
+    derived += [demazure_pi(j, p) for j in js for p in (f, g)]
+    for h in derived:
+        fresh = Poly(h.nvars, dict(h.terms))
+        for j in js:
+            assert h.is_symmetric_in(j) == fresh.is_symmetric_in(j), (h, j)
