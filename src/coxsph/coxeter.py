@@ -6,6 +6,12 @@ signed permutation it induces on the list of positive roots. This gives
 O(#roots) multiplication, inversion-free length and descent queries, and a
 canonical representation (two elements are equal iff their tuples are).
 
+`step(w, i)` is the one way to move by a simple reflection: it returns w s_i
+(s_i w with `left=True`) with its length l(w) - 1 or l(w) + 1 recorded, so
+the callers that walk reduced words (enumeration, the witness search, words
+and Bruhat order) never recount a length or multiply by a generator.
+`multiply` is the general product.
+
 `DihedralSystem` handles I2(m), which has no integral root basis for general
 m and whose root permutations would make every product O(m): it stores
 w = (s1 s2)^r s1^f as the pair (r mod m, f), with O(1) closed forms for
@@ -25,6 +31,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 ENUM_CAP_ENV = "COXSPH_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10**7
@@ -178,7 +185,7 @@ class Element:
                 break
             i = min(J)
             letters.append(i)
-            w = sys_.multiply(sys_.generator(i), w)
+            w = sys_.step(w, i, left=True)
         return tuple(letters)
 
     def __repr__(self):
@@ -222,6 +229,20 @@ class CoxeterSystem:
         self._set_elements(
             tuple(range(1, len(self.positive_roots) + 1)),
             [self._generator_action(i) for i in range(1, self.rank + 1)],
+        )
+        # `step` tables, one per generator. w s_i lists w's entries in the
+        # order of s_i's root permutation, then negates entry i; with a single
+        # root (A1) that order is the identity, and `tuple` stands in for an
+        # itemgetter of one index, which would return a scalar. s_i w maps
+        # each entry q of w through s_i: a list with s_i's images at 1..N and
+        # their negatives at -N..-1, read from its end.
+        self._right_orders = tuple(
+            itemgetter(*(abs(q) - 1 for q in s.rep)) if len(s.rep) > 1 else tuple
+            for s in self._generators
+        )
+        self._left_images = tuple(
+            [0, *s.rep, *(-q for q in reversed(s.rep))].__getitem__
+            for s in self._generators
         )
 
     # -- construction -----------------------------------------------------
@@ -339,6 +360,29 @@ class CoxeterSystem:
                 out.append(-urep[-q - 1])
         return Element(self, tuple(out))
 
+    def step(self, w: Element, i: int, left: bool = False) -> Element:
+        """w s_i, or s_i w when `left`, carrying its length l(w) +- 1.
+
+        i is a right descent of w iff w sends alpha_i negative (entry i of
+        rep is negative), and a left descent iff some root goes to -alpha_i
+        (-i is in rep); the length drops by one exactly then.
+        """
+        self._check_member(w)
+        if not 0 < i <= self.rank:
+            raise CoxeterError(f"generator index {i} out of range 1..{self.rank}")
+        rep = w.rep
+        if left:
+            down = -i in rep
+            out = tuple(map(self._left_images[i - 1], rep))
+        else:
+            down = rep[i - 1] < 0
+            out = list(self._right_orders[i - 1](rep))
+            out[i - 1] = -out[i - 1]
+            out = tuple(out)
+        v = Element(self, out)
+        v._length = w.length - 1 if down else w.length + 1
+        return v
+
     def inverse(self, w: Element) -> Element:
         self._check_member(w)
         out = [0] * len(w.rep)
@@ -367,7 +411,7 @@ class CoxeterSystem:
         if self._longest is None:
             w, everything = self.identity, frozenset(range(1, self.rank + 1))
             while up := everything - self.right_descents(w):
-                w = self.multiply(w, self.generator(min(up)))
+                w = self.step(w, min(up))
             self._longest = w
         return self._longest
 
@@ -385,11 +429,11 @@ class CoxeterSystem:
     def elements(self) -> list[Element]:
         """All group elements in BFS-by-length order (ties by representation).
 
-        Level k + 1 is built from the products w s_i with w in level k and i
-        not a right descent of w: each has length l(w) + 1, which is recorded
-        on it, so no element of an earlier level can recur and the level's
-        own dict is the only dedupe. Raises CoxeterError when |W| exceeds the
-        cap (COXSPH_ENUM_CAP environment variable, default 10**7).
+        Level k + 1 is built from the steps w s_i with w in level k and i
+        not a right descent of w: each has length l(w) + 1, so no element of
+        an earlier level can recur and the level's own dict is the only
+        dedupe. Raises CoxeterError when |W| exceeds the cap
+        (COXSPH_ENUM_CAP environment variable, default 10**7).
         """
         cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
         if self.order() > cap:
@@ -402,11 +446,10 @@ class CoxeterSystem:
             out.extend(level)
             nxt = {}
             for w in level:
-                down, up = self.right_descents(w), w.length + 1
-                for i, s in enumerate(self._generators, 1):
+                down = self.right_descents(w)
+                for i in range(1, self.rank + 1):
                     if i not in down:
-                        wi = self.multiply(w, s)
-                        wi._length = up
+                        wi = self.step(w, i)
                         nxt[wi.rep] = wi
             level = [nxt[k] for k in sorted(nxt)]
         return out
@@ -481,8 +524,30 @@ class DihedralSystem(CoxeterSystem):
 
     def length(self, w: Element) -> int:
         self._check_member(w)
-        r, f = w.rep
+        return self._rep_length(*w.rep)
+
+    def _rep_length(self, r: int, f: int) -> int:
         return 2 * min(r, self.m - f - r) + f
+
+    def step(self, w: Element, i: int, left: bool = False) -> Element:
+        """Closed form of `CoxeterSystem.step`, with the closed-form length.
+
+        Both generators flip f. With s2 = (s1 s2)^-1 s1: w s1 keeps r, w s2
+        turns r by one (up when f = 1), s1 w negates r and s2 w sends r to
+        -r - 1.
+        """
+        self._check_member(w)
+        if not 0 < i <= 2:
+            raise CoxeterError(f"generator index {i} out of range 1..2")
+        r, f = w.rep
+        if left:
+            r = -r - i + 1
+        elif i == 2:
+            r = r + 1 if f else r - 1
+        rep = (r % self.m, 1 - f)
+        v = Element(self, rep)
+        v._length = self._rep_length(*rep)
+        return v
 
     def left_descents(self, w: Element) -> frozenset[int]:
         # the reduced word starts with s1 when (s1 s2)^r s1^f is the shorter

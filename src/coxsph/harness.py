@@ -96,7 +96,7 @@ def _from_parents(system: CoxeterSystem, rows, root, step):
             level, before, now = w.length, now, {}
         if J:
             j = min(J)
-            parent = system.multiply(system.generator(j), w)
+            parent = system.step(w, j, left=True)
             value = step(j, before[parent.rep])
         else:
             value = root

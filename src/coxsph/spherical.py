@@ -91,13 +91,46 @@ class WitnessSearcher:
         self._seen: dict[tuple, tuple[int, frozenset]] = {}
 
     def search(self, w: Element) -> tuple[int, ...] | None:
-        """An I-witness for w, or None if every reduced word violates a bound."""
-        got = self._dfs(w, list(self.budgets))
-        return None if got is None else tuple(got)
+        """An I-witness for w, or None if every reduced word violates a bound.
 
-    def _dfs(self, w: Element, rem: list):
-        if w.length == 0:
-            return []
+        A depth-first walk with an explicit stack, so l(w) sets no recursion
+        limit. `frames` holds, for each open node of the current path, the
+        node, its failure key and its right descents not yet tried, in
+        ascending order; `letters` holds the descents peeled so far, whose
+        units are spent from `rem` and given back on backtrack. A node whose
+        descents are all exhausted goes into the failure memo.
+        """
+        system, slot = self.system, self.slot
+        rem, frames, letters = list(self.budgets), [], []
+        while True:
+            if w.length == 0:
+                return tuple(reversed(letters))
+            key = self._admit(w, rem)
+            if key is not None:
+                frames.append((w, key, iter(sorted(system.right_descents(w)))))
+            elif letters:
+                rem[slot[letters.pop()]] += 1
+            # each right descent i of an admitted node lies in its support,
+            # so the prune left rem[slot[i]] >= 1; backtracking restores rem
+            # before a frame tries its next descent
+            while frames:
+                u, key, todo = frames[-1]
+                i = next(todo, None)
+                if i is not None:
+                    rem[slot[i]] -= 1
+                    letters.append(i)
+                    w = system.step(u, i)
+                    break
+                self._fail.add(key)
+                frames.pop()
+                if letters:
+                    rem[slot[letters.pop()]] += 1
+            else:
+                return None
+
+    def _admit(self, w: Element, rem: list):
+        """The failure key of (w, rem), or None if the prune or the memo rules
+        it out. Records w in `_seen` first, either way."""
         seen = self._seen.get(w.rep)
         if seen is None:
             seen = self._seen[w.rep] = (len(self._seen), self.system.support(w))
@@ -111,21 +144,7 @@ class WitnessSearcher:
         if w.length > allowance:
             return None
         key = (eid, tuple(rem))
-        if key in self._fail:
-            return None
-        # each right descent i lies in supp, so the prune left rem[slot[i]] >= 1
-        for i in sorted(self.system.right_descents(w)):
-            g = self.slot[i]
-            v = self.system.multiply(w, self.system.generator(i))
-            v._length = w.length - 1  # i is a right descent of w
-            rem[g] -= 1
-            got = self._dfs(v, rem)
-            rem[g] += 1
-            if got is not None:
-                got.append(i)
-                return got
-        self._fail.add(key)
-        return None
+        return None if key in self._fail else key
 
 
 def find_witness(system: CoxeterSystem, w: Element, I) -> WitnessCertificate | None:

@@ -35,7 +35,7 @@ def evaluate(system: CoxeterSystem, letters) -> Element:
     """Product of the generators named by `letters`."""
     w = system.identity
     for i in letters:
-        w = system.multiply(w, system.generator(i))
+        w = system.step(w, i)
     return w
 
 
@@ -56,7 +56,7 @@ def reduced_words(system: CoxeterSystem, w: Element):
             yield prefix
             continue
         for i in sorted(system.left_descents(u), reverse=True):
-            stack.append((prefix + (i,), system.multiply(system.generator(i), u)))
+            stack.append((prefix + (i,), system.step(u, i, left=True)))
 
 
 def reduced_word_count(system: CoxeterSystem, w: Element) -> int:
@@ -71,7 +71,7 @@ def reduced_word_count(system: CoxeterSystem, w: Element) -> int:
         below: dict[Element, int] = {}
         for u, ways in level.items():
             for i in system.left_descents(u):
-                v = system.multiply(system.generator(i), u)
+                v = system.step(u, i, left=True)
                 below[v] = below.get(v, 0) + ways
         level = below
     return sum(level.values())
@@ -86,9 +86,9 @@ def bruhat_leq(system: CoxeterSystem, u: Element, v: Element) -> bool:
     while u.length > 0:
         if u.length > v.length:
             return False
-        s = system.generator(min(system.left_descents(v)))
-        v = system.multiply(s, v)
-        su = system.multiply(s, u)
+        s = min(system.left_descents(v))
+        v = system.step(v, s, left=True)
+        su = system.step(u, s, left=True)
         if su.length < u.length:
             u = su
     return True

@@ -1,0 +1,70 @@
+"""Group axioms and the generator step on random words (needs Hypothesis).
+
+B5, E6 and E7 store signed root permutations and I2(m) the dihedral normal
+form, so every property runs on both element representations. Examples are
+drawn as words, and each assertion reads only plain values: an Element's
+repr spells a reduced word with `step`, so reporting a failure must not
+need a working step.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from coxsph import coxeter_system, evaluate
+
+_SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+NAMES = st.one_of(
+    st.sampled_from(("B5", "E6", "E7")),
+    st.integers(4, 40).map(lambda m: f"I2({m})"),
+)
+
+
+@st.composite
+def word_triples(draw):
+    """A Cartan type and three random words in its generators."""
+    name = draw(NAMES)
+    words = st.lists(st.integers(1, coxeter_system(name).rank), max_size=30)
+    return name, draw(words), draw(words), draw(words)
+
+
+@_SETTINGS
+@given(word_triples())
+def test_group_axioms(triple):
+    name, *words = triple
+    system = coxeter_system(name)
+    u, v, w = (evaluate(system, word) for word in words)
+    mul, inv = system.multiply, system.inverse
+    assoc = mul(mul(u, v), w).rep, mul(u, mul(v, w)).rep
+    assert assoc[0] == assoc[1]
+    e = system.identity.rep
+    right, left = mul(w, inv(w)).rep, mul(inv(w), w).rep
+    assert right == e and left == e
+    lengths = system.length(inv(w)), system.length(w)
+    assert lengths[0] == lengths[1]
+
+
+@_SETTINGS
+@given(word_triples())
+def test_step_is_the_generator_product_with_its_length(triple):
+    name, word = triple[:2]
+    system = coxeter_system(name)
+    w = evaluate(system, word)
+    lw, fresh = w.length, system.length(w)
+    assert lw == fresh
+    for i in range(1, system.rank + 1):
+        s = system.generator(i)
+        for left, product, descents in (
+            (False, system.multiply(w, s), system.right_descents(w)),
+            (True, system.multiply(s, w), system.left_descents(w)),
+        ):
+            v = system.step(w, i, left=left)
+            got, want = v.rep, product.rep
+            assert got == want, (i, left)
+            recorded, fresh = v._length, system.length(product)
+            assert recorded == fresh, (i, left)
+            assert (recorded == lw - 1) == (i in descents), (i, left)
+            assert abs(recorded - lw) == 1, (i, left)

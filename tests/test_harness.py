@@ -348,6 +348,11 @@ def test_cli_check_empty_element_is_one_error_line(capsys, cartan):
         assert err.count("\n") == 1
 
 
+def test_cli_check_generator_zero_is_one_error_line(capsys):
+    assert cli.main(["check", "B3", "s0"]) == 1
+    assert capsys.readouterr().err == "error: generator index 0 out of range 1..3\n"
+
+
 def test_cli_check_usage_errors(capsys):
     assert cli.main(["check", "A4", "24531", "--I", "2"]) == 1
     with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,7 @@ from coxsph import (
     verify_witness,
     w0_sphericality_closed_form,
 )
+from coxsph import spherical as spherical_module
 from coxsph.spherical import WitnessSearcher
 from coxsph.typea import element_to_perm, format_permutation, perm_to_element
 
@@ -322,20 +323,55 @@ def test_diagram_shift_preserves_sphericality():
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "I2(7)"])
-def test_search_records_true_lengths_on_its_descent_steps(name):
+def test_search_records_true_lengths_on_its_descent_steps(name, monkeypatch):
     system = coxeter_system(name)
+    elements = system.elements()
     visited = []
+    step = system.step
 
-    class Recording(WitnessSearcher):
-        def _dfs(self, w, rem):
-            visited.append((w, w._length))
-            return super()._dfs(w, rem)
+    def recording(w, i, left=False):
+        v = step(w, i, left)
+        visited.append((v, v._length))
+        return v
 
-    for w in system.elements():
-        Recording(system, system.left_descents(w)).search(w)
-    assert len(visited) > len(system.elements())
+    monkeypatch.setattr(system, "step", recording)
+    for w in elements:
+        WitnessSearcher(system, system.left_descents(w)).search(w)
+    assert len(visited) > len(elements)
     for w, carried in visited:
         assert carried == system.length(w), w
+
+
+@pytest.mark.parametrize(
+    "name, searchers, seen, fail",
+    [
+        ("A5", 32, 1239, 367),
+        ("D5", 32, 2603, 460),
+        ("F4", 16, 1275, 69),
+        ("I2(60)", 4, 178, 0),
+        ("A6", 64, 8804, 4957),
+        pytest.param("E6", 64, 56549, 6025, marks=pytest.mark.slow),
+        pytest.param("A7", 128, 69653, 57984, marks=pytest.mark.slow),
+    ],
+)
+def test_census_search_work_is_pinned(name, searchers, seen, fail, monkeypatch):
+    """Golden work budget of the census search: elements visited (`_seen`)
+    and failed states memoized (`_fail`), summed over the searchers that one
+    `census` builds. Any later change to these numbers must be explained."""
+    built = []
+
+    class Kept(WitnessSearcher):
+        def __init__(self, system, I):
+            super().__init__(system, I)
+            built.append(self)
+
+    monkeypatch.setattr(spherical_module, "WitnessSearcher", Kept)
+    system = coxeter_system(name)
+    for _ in spherical_module.census(system, system.elements()):
+        pass
+    assert len(built) == searchers
+    assert sum(len(s._seen) for s in built) == seen
+    assert sum(len(s._fail) for s in built) == fail
 
 
 def test_empty_I_means_distinct_letter_word():

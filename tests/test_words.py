@@ -37,6 +37,16 @@ def test_evaluate_examples():
         evaluate(a3, (9,))
 
 
+@pytest.mark.parametrize("name, rank", [("A3", 3), ("B3", 3), ("I2(5)", 2)])
+@pytest.mark.parametrize("letter", [0, -1])
+def test_evaluate_rejects_letters_below_one(name, rank, letter):
+    system = coxeter_system(name)
+    with pytest.raises(CoxeterError, match=f"generator index {letter} out of range 1..{rank}"):
+        evaluate(system, (letter,))
+    with pytest.raises(CoxeterError, match=f"generator index {letter} out of range"):
+        system.step(system.identity, letter, left=True)
+
+
 def test_is_reduced():
     a2 = coxeter_system("A2")
     assert not is_reduced(a2, (1, 1))
