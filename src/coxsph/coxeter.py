@@ -177,15 +177,24 @@ class Element:
         return self.system.inverse(self)
 
     def word(self) -> tuple[int, ...]:
-        """A reduced word for this element (lex-first by left descents)."""
+        """A reduced word for this element (lex-first by left descents).
+
+        Takes at most l(w) letters, so a faulty `step` or `left_descents`
+        raises CoxeterError instead of looping forever.
+        """
         sys_, letters, w = self.system, [], self
-        while True:
+        for _ in range(self.length):
             J = sys_.left_descents(w)
             if not J:
                 break
             i = min(J)
             letters.append(i)
             w = sys_.step(w, i, left=True)
+        if w != sys_.identity:
+            raise CoxeterError(
+                f"left descent steps do not reach the identity in l(w) = "
+                f"{self.length} letters"
+            )
         return tuple(letters)
 
     def __repr__(self):

@@ -202,18 +202,15 @@ def run_check(
     w = parse_element(system, element_text)
     I = frozenset(subset)
     cert = spherical.find_witness(system, w, I)
+    stair = None
     if system.cartan_type.family == "A":
-        line = typea.element_to_perm(system, w)
-        stair = polyring.staircase_test(line, I)
-        label = typea.format_permutation(line)
-    else:
-        stair, label = None, _element_label(system, w)
+        stair = polyring.staircase_test(typea.element_to_perm(system, w), I)
     if paranoid and cert is not None:
         if not spherical.verify_witness(system, w, I, cert.word):
             raise CoxeterError("witness failed independent recount")
     return CheckReport(
         type_string,
-        label,
+        _element_label(system, w),
         tuple(sorted(system.left_descents(w))),
         tuple(sorted(I)),
         cert is not None,

@@ -7,16 +7,19 @@ when some reduced word R of w satisfies both letter bounds:
   (S.2) for each connected component C of the subdiagram induced by I, the
         letters from C occur at most l(w0 of W_C) + #vertices(C) times.
 
-(S.1) is (S.2) for a one-node group of budget 1, so the search keeps one
-allowance per letter group: a singleton (j,) for each node j outside I, then
-the components of I. It walks reduced words right-to-left over right
-descents, spending one unit of each peeled letter's group, and memoizes
-failed (element, remaining allowances) states. Verification of a produced
-witness is an independent recount over the word.
+(S.1) is (S.2) for a one-node group of budget 1, so `_allowances` writes both
+bounds as one table of letter groups and budgets: a singleton (j,) for each
+node j outside I, then the components of I. The search, the recount of a
+witness and the certificate all read that table. The search walks reduced
+words right-to-left over right descents, spending one unit of each peeled
+letter's group, and memoizes failed (element, remaining allowances) states.
+`verify_witness` recounts a word against the table without the search's
+prune or memo.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .coxeter import CoxeterError, CoxeterSystem, Element
@@ -25,7 +28,9 @@ from . import words as _words
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """A checked I-witness: the word plus the letter counts that passed."""
+    """The word `find_witness` found and its letter counts, per node and per
+    component of I. Nothing rechecks them here: `verify_witness` (or
+    `check --paranoid`) recounts a word independently of the search."""
 
     word: tuple[int, ...]
     per_node_counts: dict
@@ -35,57 +40,48 @@ class WitnessCertificate:
         return _words.format_word(self.word)
 
 
-def _letter_counts(letters) -> dict:
-    counts: dict[int, int] = {}
-    for i in letters:
-        counts[i] = counts.get(i, 0) + 1
-    return counts
+def _allowances(system: CoxeterSystem, I: frozenset):
+    """The letter groups of (S.1)/(S.2) for I and their budgets: a budget-1
+    singleton per node outside I, then the components of I."""
+    decomp = system.decompose_subset(I)
+    outside = [(j,) for j in range(1, system.rank + 1) if j not in I]
+    return (*outside, *decomp.components), (1,) * len(outside) + decomp.budgets
+
+
+def _descent_subset(system: CoxeterSystem, w: Element, I) -> frozenset:
+    """I as a frozenset; raises unless it lies in the left descents of w."""
+    I = frozenset(I)
+    if not I <= system.left_descents(w):
+        raise CoxeterError("I is not a subset of the left descent set of w")
+    return I
 
 
 def verify_witness(system: CoxeterSystem, w: Element, I, letters) -> bool:
     """Recount a candidate word against (S.1)/(S.2); independent of any search."""
-    I = frozenset(I)
-    if not I <= system.left_descents(w):
-        raise CoxeterError("I is not a subset of the left descent set of w")
+    I = _descent_subset(system, w, I)
     if len(letters) != w.length or _words.evaluate(system, letters) != w:
         return False
-    decomp = system.decompose_subset(I)
-    counts = _letter_counts(letters)
-    for j in range(1, system.rank + 1):
-        if j not in I and counts.get(j, 0) > 1:
-            return False
-    for comp, budget in zip(decomp.components, decomp.budgets):
-        if sum(counts.get(j, 0) for j in comp) > budget:
-            return False
-    return True
-
-
-def certificate_from_word(system, I, letters) -> WitnessCertificate:
-    decomp = system.decompose_subset(I)
-    counts = _letter_counts(letters)
-    per_comp = {
-        comp: sum(counts.get(j, 0) for j in comp) for comp in decomp.components
-    }
-    return WitnessCertificate(tuple(letters), counts, per_comp)
+    counts = Counter(letters)
+    return all(
+        sum(counts[j] for j in group) <= budget
+        for group, budget in zip(*_allowances(system, I))
+    )
 
 
 class WitnessSearcher:
     """Budgeted DFS over reduced words, reusable across queries with one I.
 
-    Group g of `groups` (singletons outside I, then components) has budget
-    `budgets[g]`; `slot[i]` is the group of node i. The failure memo key is
-    (element id, remaining allowance per group), valid for any element of the
-    system with this I, so censuses share one searcher per descent set.
+    Group g of `groups` (the `_allowances` table) has budget `budgets[g]`;
+    `slot[i]` is the group of node i. The failure memo key is (element id,
+    remaining allowance per group), valid for any element of the system with
+    this I, so censuses share one searcher per descent set.
     `_seen` maps each visited rep to its element id and support.
     """
 
     def __init__(self, system: CoxeterSystem, I):
         self.system = system
         self.I = frozenset(I)
-        decomp = system.decompose_subset(self.I)
-        outside = [(j,) for j in range(1, system.rank + 1) if j not in self.I]
-        self.groups = (*outside, *decomp.components)
-        self.budgets = (1,) * len(outside) + decomp.budgets
+        self.groups, self.budgets = _allowances(system, self.I)
         self.slot = {i: g for g, group in enumerate(self.groups) for i in group}
         self._fail: set = set()
         self._seen: dict[tuple, tuple[int, frozenset]] = {}
@@ -149,13 +145,15 @@ class WitnessSearcher:
 
 def find_witness(system: CoxeterSystem, w: Element, I) -> WitnessCertificate | None:
     """Search for an I-witness; raises unless I is within the left descents."""
-    I = frozenset(I)
-    if not I <= system.left_descents(w):
-        raise CoxeterError("I is not a subset of the left descent set of w")
-    word = WitnessSearcher(system, I).search(w)
+    searcher = WitnessSearcher(system, _descent_subset(system, w, I))
+    word = searcher.search(w)
     if word is None:
         return None
-    return certificate_from_word(system, I, word)
+    counts = Counter(word)
+    per_comp = {
+        g: sum(counts[j] for j in g) for g in searcher.groups if g[0] in searcher.I
+    }
+    return WitnessCertificate(word, dict(counts), per_comp)
 
 
 def is_I_spherical(system: CoxeterSystem, w: Element, I) -> bool:

@@ -154,6 +154,27 @@ def test_element_word_roundtrip():
             assert evaluate(system, word) == w
 
 
+@pytest.mark.parametrize("name", ["B3", "I2(7)"])
+def test_word_stops_after_length_letters_under_a_faulty_step(name, monkeypatch):
+    """A step that never moves must make `word()` and `repr` raise, not loop."""
+    system = coxeter_system(name)
+    w = system.longest_element()
+    calls = []
+
+    def stuck(v, i, left=False):
+        calls.append(i)
+        if len(calls) > 10 * w.length:
+            raise RuntimeError("word() kept stepping past l(w) letters")
+        return v
+
+    monkeypatch.setattr(system, "step", stuck)
+    with pytest.raises(CoxeterError):
+        w.word()
+    assert len(calls) == w.length
+    with pytest.raises(CoxeterError):
+        repr(w)
+
+
 def test_inverse():
     system = coxeter_system("B3")
     for w in system.elements():

@@ -66,6 +66,31 @@ def test_verify_witness_a7_example():
     assert not verify_witness(a7, w, {1, 2, 4}, failing)
 
 
+@pytest.mark.parametrize(
+    "name, word, I, found",
+    [
+        ("E8", E8_WORD_WITNESS, None, True),
+        ("A4", "s1 s2 s3 s2 s4 s3", (1, 3), False),  # 24531
+    ],
+    ids=["E8-witness", "A4-none"],
+)
+def test_find_witness_decomposes_I_once(name, word, I, found, monkeypatch):
+    """The certificate's component counts come from the search's own table."""
+    system = coxeter_system(name)
+    w = evaluate(system, parse_word(word))
+    calls = []
+    decompose = system.decompose_subset
+
+    def counting(subset):
+        calls.append(subset)
+        return decompose(subset)
+
+    monkeypatch.setattr(system, "decompose_subset", counting)
+    I = system.left_descents(w) if I is None else I
+    assert (find_witness(system, w, I) is not None) == found
+    assert len(calls) == 1
+
+
 def test_verify_witness_rejects_bad_queries():
     a4 = coxeter_system("A4")
     w = perm_to_element(a4, (2, 4, 5, 3, 1))
