@@ -10,7 +10,10 @@ canonical representation (two elements are equal iff their tuples are).
 (s_i w with `left=True`) with its length l(w) - 1 or l(w) + 1 recorded, so
 the callers that walk reduced words (enumeration, the witness search, words
 and Bruhat order) never recount a length or multiply by a generator.
-`multiply` is the general product.
+`multiply` is the general product. `word(w)`, the lex-first reduced word
+that labels an element, steps no element: it walks the inversion set of
+w^-1, at most l(w) roots, through the same per-generator tables as the left
+step.
 
 `DihedralSystem` handles I2(m), which has no integral root basis for general
 m and whose root permutations would make every product O(m): it stores
@@ -177,25 +180,8 @@ class Element:
         return self.system.inverse(self)
 
     def word(self) -> tuple[int, ...]:
-        """A reduced word for this element (lex-first by left descents).
-
-        Takes at most l(w) letters, so a faulty `step` or `left_descents`
-        raises CoxeterError instead of looping forever.
-        """
-        sys_, letters, w = self.system, [], self
-        for _ in range(self.length):
-            J = sys_.left_descents(w)
-            if not J:
-                break
-            i = min(J)
-            letters.append(i)
-            w = sys_.step(w, i, left=True)
-        if w != sys_.identity:
-            raise CoxeterError(
-                f"left descent steps do not reach the identity in l(w) = "
-                f"{self.length} letters"
-            )
-        return tuple(letters)
+        """The lex-first reduced word (always the smallest left descent)."""
+        return self.system.word(self)
 
     def __repr__(self):
         word = self.word()
@@ -243,15 +229,15 @@ class CoxeterSystem:
         # order of s_i's root permutation, then negates entry i; with a single
         # root (A1) that order is the identity, and `tuple` stands in for an
         # itemgetter of one index, which would return a scalar. s_i w maps
-        # each entry q of w through s_i: a list with s_i's images at 1..N and
-        # their negatives at -N..-1, read from its end.
+        # each entry q of w through s_i, and `word` maps root indices the
+        # same way: a tuple with s_i's images at 1..N and their negatives at
+        # -N..-1, read from its end.
         self._right_orders = tuple(
             itemgetter(*(abs(q) - 1 for q in s.rep)) if len(s.rep) > 1 else tuple
             for s in self._generators
         )
         self._left_images = tuple(
-            [0, *s.rep, *(-q for q in reversed(s.rep))].__getitem__
-            for s in self._generators
+            (0, *s.rep, *(-q for q in reversed(s.rep))) for s in self._generators
         )
 
     # -- construction -----------------------------------------------------
@@ -382,7 +368,8 @@ class CoxeterSystem:
         rep = w.rep
         if left:
             down = -i in rep
-            out = tuple(map(self._left_images[i - 1], rep))
+            images = self._left_images[i - 1]
+            out = itemgetter(*rep)(images) if len(rep) > 1 else (images[rep[0]],)
         else:
             down = rep[i - 1] < 0
             out = list(self._right_orders[i - 1](rep))
@@ -414,6 +401,36 @@ class CoxeterSystem:
         # some positive root goes to -alpha_i, whose entry in rep is -i; the
         # set intersection scans rep in C, faster than building the inverse
         return frozenset([-q for q in self._negative_simple.intersection(w.rep)])
+
+    def word(self, w: Element) -> tuple[int, ...]:
+        """The lex-first reduced word of w, read off the inversion set of w^-1.
+
+        N(w^-1) = {beta > 0 : w^-1 beta < 0} holds the roots that w sends to
+        negatives of positive roots, so it is {-q for q in rep if q < 0}, and
+        its simple roots are the left descents of w. Its smallest root, when
+        simple, is the smallest left descent i; then N((s_i w)^-1) =
+        s_i(N(w^-1) minus alpha_i), read through the `step` table of s_i.
+        Simple roots are the indices 1..rank, below every other root, so
+        each letter costs one pass over at most l(w) roots, not two over all
+        of them. Raises CoxeterError if a non-empty set has no simple root
+        or the walk does not spend exactly l(w) letters.
+        """
+        self._check_member(w)
+        roots = {-q for q in w.rep if q < 0}
+        letters = []
+        while roots:
+            i = min(roots)
+            if not 0 < i <= self.rank:
+                raise CoxeterError(f"no left descent left after {len(letters)} letters")
+            letters.append(i)
+            roots.discard(i)
+            images = self._left_images[i - 1]
+            roots = {images[p] for p in roots}
+        if len(letters) != w.length:
+            raise CoxeterError(
+                f"the walk spent {len(letters)} letters on an element of length {w.length}"
+            )
+        return tuple(letters)
 
     def longest_element(self) -> Element:
         # cached: the climb takes l(w0) products, which is m for I2(m)
@@ -570,6 +587,18 @@ class DihedralSystem(CoxeterSystem):
 
     def right_descents(self, w: Element) -> frozenset[int]:
         return self.left_descents(self.inverse(w))
+
+    def word(self, w: Element) -> tuple[int, ...]:
+        """Closed form of `CoxeterSystem.word`: l(w) letters that alternate,
+        starting from min J(w) (both generators tie only at w0)."""
+        n = self.length(w)
+        if not n:
+            return ()
+        J = self.left_descents(w)
+        if not J:
+            raise CoxeterError(f"no left descent on an element of length {n}")
+        a = min(J)
+        return (a, 3 - a) * (n // 2) + (a,) * (n % 2)
 
     def support(self, w: Element) -> frozenset[int]:
         """Nodes whose generator appears in every reduced word of w."""

@@ -14,16 +14,17 @@ from .coxeter import CoxeterError, CoxeterSystem, Element
 def parse_word(text: str) -> tuple[int, ...]:
     """Parse 's2 s3 s4' (or bare '2 3 4') into a letter tuple.
 
+    Each token is decimal digits after at most one leading 's' or 'S'.
     '<id>', which `format_word` writes for the empty word, parses to ().
     """
     if text.strip() == "<id>":
         return ()
     letters = []
     for tok in text.split():
-        tok = tok.lower().lstrip("s")
-        if not tok.isdecimal():
-            raise CoxeterError(f"bad word letter {tok!r}")
-        letters.append(int(tok))
+        digits = tok[1:] if tok[0] in "sS" else tok
+        if not digits.isdecimal():
+            raise CoxeterError(f"bad word letter {digits!r} in {tok!r}")
+        letters.append(int(digits))
     return tuple(letters)
 
 

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from coxsph import CartanType, CoxeterError, coxeter_system, evaluate, parse_word
+from coxsph import (
+    CartanType,
+    CoxeterError,
+    coxeter_system,
+    evaluate,
+    parse_word,
+    reduced_words,
+)
 
 
 @pytest.mark.parametrize(
@@ -154,25 +161,70 @@ def test_element_word_roundtrip():
             assert evaluate(system, word) == w
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "D4", "D5", "F4", "G2"]
+    + [f"I2({m})" for m in range(4, 10)]
+    + [pytest.param("E6", marks=pytest.mark.slow)],
+)
+def test_word_is_the_first_word_of_the_step_walk(name):
+    """`word()` walks inversion sets (closed form in I2(m)); `reduced_words`
+    steps the element itself. Both must give the lex-first reduced word."""
+    system = coxeter_system(name)
+    for w in system.elements():
+        assert w.word() == next(reduced_words(system, w)), w.rep
+
+
 @pytest.mark.parametrize("name", ["B3", "I2(7)"])
 def test_word_stops_after_length_letters_under_a_faulty_step(name, monkeypatch):
-    """A step that never moves must make `word()` and `repr` raise, not loop."""
+    """Faulty left-step data must make `word()` and `repr` raise, not loop.
+
+    B3 gets image tables in which no s_i moves any root, so the walk never
+    shrinks past the simple roots; I2(7) gets a `left_descents` that finds
+    nothing.
+    """
     system = coxeter_system(name)
     w = system.longest_element()
     calls = []
 
-    def stuck(v, i, left=False):
-        calls.append(i)
-        if len(calls) > 10 * w.length:
-            raise RuntimeError("word() kept stepping past l(w) letters")
-        return v
+    def count(value):
+        calls.append(value)
+        if len(calls) > 10 * w.length**2:
+            raise RuntimeError("word() kept walking past l(w) letters")
+        return value
 
-    monkeypatch.setattr(system, "step", stuck)
+    if name == "B3":
+
+        class Stuck(tuple):
+            def __getitem__(self, p):
+                return count(p)
+
+        monkeypatch.setattr(system, "_left_images", (Stuck(),) * system.rank)
+    else:
+        monkeypatch.setattr(system, "left_descents", lambda v: count(frozenset()))
     with pytest.raises(CoxeterError):
         w.word()
-    assert len(calls) == w.length
+    assert 0 < len(calls) <= w.length**2
     with pytest.raises(CoxeterError):
         repr(w)
+
+
+def test_left_step_with_one_root_keeps_a_tuple():
+    """A1 has one positive root, where an itemgetter would return a scalar."""
+    system = coxeter_system("A1")
+    s = system.generator(1)
+    assert system.step(s, 1, left=True).rep == system.identity.rep == (1,)
+    assert system.step(system.identity, 1, left=True).rep == s.rep == (-1,)
+
+
+def test_word_rejects_a_walk_of_the_wrong_length(monkeypatch):
+    """Image tables that send every root to alpha_1 empty the walk in two
+    letters, short of l(w0) = 9 in B3."""
+    system = coxeter_system("B3")
+    n = len(system.positive_roots)
+    monkeypatch.setattr(system, "_left_images", ((0,) + (1,) * 2 * n,) * system.rank)
+    with pytest.raises(CoxeterError, match="spent 2 letters on an element of length 9"):
+        system.longest_element().word()
 
 
 def test_inverse():

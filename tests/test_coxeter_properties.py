@@ -3,8 +3,8 @@
 B5, E6 and E7 store signed root permutations and I2(m) the dihedral normal
 form, so every property runs on both element representations. Examples are
 drawn as words, and each assertion reads only plain values: an Element's
-repr spells a reduced word with `step`, so reporting a failure must not
-need a working step.
+repr spells a reduced word through `word()`, so reporting a failure must
+not need a working `word()`.
 """
 
 import pytest
@@ -68,3 +68,21 @@ def test_step_is_the_generator_product_with_its_length(triple):
             assert recorded == fresh, (i, left)
             assert (recorded == lw - 1) == (i in descents), (i, left)
             assert abs(recorded - lw) == 1, (i, left)
+
+
+@_SETTINGS
+@given(
+    st.sampled_from(("B5", "E7", "E8")).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.lists(st.integers(1, coxeter_system(name).rank), max_size=60),
+        )
+    )
+)
+def test_word_spells_the_element_in_length_letters(pair):
+    name, word = pair
+    system = coxeter_system(name)
+    w = evaluate(system, word)
+    reduced = w.word()
+    assert len(reduced) == w.length
+    assert evaluate(system, reduced).rep == w.rep

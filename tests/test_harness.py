@@ -371,6 +371,8 @@ def test_cli_check_usage_errors(capsys):
         (["key-expand", "((1,2)"], "composition '((1,2)'"),
         (["key-expand", "(1,2))"], "composition '(1,2))'"),
         (["key-expand", "(1,2"], "composition '(1,2'"),
+        (["check", "B3", "s1 s"], "bad word letter '' in 's'"),
+        (["check", "B3", "ss1 S2"], "bad word letter 's1' in 'ss1'"),
     ],
 )
 def test_cli_parse_error_names_the_input(capsys, argv, named):

@@ -22,8 +22,24 @@ def test_parse_and_format():
     assert parse_word("s2 s3 s4") == (2, 3, 4)
     assert parse_word("2 3 4") == (2, 3, 4)
     assert parse_word(format_word(())) == ()
+    assert parse_word("S2 s3 4") == (2, 3, 4)
     with pytest.raises(CoxeterError):
         parse_word("s2 xx")
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("s1 s", "bad word letter '' in 's'"),
+        ("ss1 S2", "bad word letter 's1' in 'ss1'"),
+        ("s1 SS2", "bad word letter 'S2' in 'SS2'"),
+        ("s1 s-2", "bad word letter '-2' in 's-2'"),
+    ],
+)
+def test_parse_word_takes_one_leading_s_and_names_the_token(text, named):
+    with pytest.raises(CoxeterError) as exc:
+        parse_word(text)
+    assert str(exc.value) == named
 
 
 def test_evaluate_examples():
