@@ -248,12 +248,15 @@ class CoxeterSystem:
         return DihedralSystem(t) if t.family == "I" else CoxeterSystem(t)
 
     def _set_elements(self, identity_rep: tuple, generator_reps) -> None:
+        """The identity and generators, and empty caches for the longest
+        element and the subset decompositions; both constructors call it."""
         self._identity = Element(self, identity_rep)
         self._identity._length = 0
         self._generators = tuple(Element(self, rep) for rep in generator_reps)
         for s in self._generators:
             s._length = 1
         self._longest = None
+        self._decompositions: dict[frozenset, ComponentDecomposition] = {}
 
     def _reflect(self, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
         A = self.cartan_matrix
@@ -484,7 +487,15 @@ class CoxeterSystem:
         return self.coxeter_matrix[i - 1][j - 1] >= 3
 
     def decompose_subset(self, subset) -> ComponentDecomposition:
+        """The components of the subdiagram on `subset` and their budgets,
+        worked out once per subset and system (at most 2^rank of them)."""
         I = frozenset(subset)
+        decomp = self._decompositions.get(I)
+        if decomp is None:
+            decomp = self._decompositions[I] = self._decompose(I)
+        return decomp
+
+    def _decompose(self, I: frozenset) -> ComponentDecomposition:
         for j in I:
             if not 1 <= j <= self.rank:
                 raise CoxeterError(f"node {j} out of range 1..{self.rank}")

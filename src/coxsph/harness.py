@@ -331,14 +331,16 @@ def run_consistency(n: int) -> ConsistencyReport:
     node to I keeps a multiplicity-free key multiplicity-free, by
     Littlewood-Richardson positivity); otherwise `CrossCheckFailure`.
 
-    Each I gets one searcher and one split set D = [n-1] - I. The sweep owns
-    one dict of D-Schur products, shared by every verdict and dropped when
-    it returns, so each product is built once per sweep; each key scans its
-    symmetry in x_j, x_(j+1) once per j (`Poly.is_symmetric_in`).
+    Each I gets one searcher and one split set D = [n-1] - I; the searchers
+    share one `spherical.NodeTable`. The sweep owns one dict of D-Schur
+    products, shared by every verdict and dropped when it returns, so each
+    product is built once per sweep; each key scans its symmetry in x_j,
+    x_(j+1) once per j (`Poly.is_symmetric_in`).
     """
     _check_size("consistency check", n, 2)
     start = time.perf_counter()
     system = coxeter_system(f"A{n - 1}")
+    nodes = spherical.NodeTable(system)
     per_I: dict = {}
     products: dict = {}
     pairs = 0
@@ -356,7 +358,7 @@ def run_consistency(n: int) -> ConsistencyReport:
                 if got is None:
                     D = tuple(j for j in range(1, n) if j not in Iset)
                     got = per_I[Iset] = (
-                        spherical.WitnessSearcher(system, Iset),
+                        spherical.WitnessSearcher(system, Iset, nodes),
                         polyring.SplitSet(n, D),
                     )
                 searcher, split = got

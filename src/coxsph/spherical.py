@@ -15,6 +15,12 @@ words right-to-left over right descents, spending one unit of each peeled
 letter's group, and memoizes failed (element, remaining allowances) states.
 `verify_witness` recounts a word against the table without the search's
 prune or memo.
+
+What the walk learns about an element does not depend on I: its support,
+its right descents and its down-steps w s_i. A `NodeTable` keeps them, one
+record per element, for every searcher it is given; a census hands one
+table to the searchers of all its descent sets, so each element's support is
+computed once and each edge of the right weak order is stepped once.
 """
 
 from __future__ import annotations
@@ -68,23 +74,83 @@ def verify_witness(system: CoxeterSystem, w: Element, I, letters) -> bool:
     )
 
 
+class _Node:
+    """One element as the witness search sees it: its id in the table, the
+    element and its length, its support, its right descents in ascending
+    order (None until a search first admits it) and its down-steps i -> the
+    node of w s_i (None until the first step, then filled one edge at a
+    time; most elements of a census are never stepped from)."""
+
+    __slots__ = ("id", "element", "length", "support", "descents", "down")
+
+    def __init__(self, eid: int, element: Element, support: frozenset):
+        self.id = eid
+        self.element = element
+        self.length = element.length
+        self.support = support
+        self.descents = None
+        self.down = None
+
+
+class NodeTable:
+    """The part of the right weak order that searches of one system have
+    walked: one `_Node` per visited element, keyed by its rep.
+
+    Nothing in a node depends on I, so any number of searchers may share a
+    table; each down-step is one `system.step`, made the first time some
+    searcher peels that letter off that element.
+    """
+
+    def __init__(self, system: CoxeterSystem):
+        self.system = system
+        self._nodes: dict[tuple, _Node] = {}
+
+    def node(self, w: Element) -> _Node:
+        """The record of w, made on first sight."""
+        node = self._nodes.get(w.rep)
+        if node is None:
+            node = self._nodes[w.rep] = _Node(
+                len(self._nodes), w, self.system.support(w)
+            )
+        return node
+
+    def descents(self, node: _Node) -> tuple[int, ...]:
+        """The right descents of `node`, ascending, computed once."""
+        if node.descents is None:
+            node.descents = tuple(sorted(self.system.right_descents(node.element)))
+        return node.descents
+
+    def down(self, node: _Node, i: int) -> _Node:
+        """The node of w s_i for a right descent i of w, stepped once."""
+        if node.down is None:
+            node.down = {}
+        child = node.down.get(i)
+        if child is None:
+            child = node.down[i] = self.node(self.system.step(node.element, i))
+        return child
+
+
 class WitnessSearcher:
     """Budgeted DFS over reduced words, reusable across queries with one I.
 
     Group g of `groups` (the `_allowances` table) has budget `budgets[g]`;
-    `slot[i]` is the group of node i. The failure memo key is (element id,
-    remaining allowance per group), valid for any element of the system with
-    this I, so censuses share one searcher per descent set.
-    `_seen` maps each visited rep to its element id and support.
+    `slot[i]` is the group of node i. The failure memo `_fail` is keyed by
+    (element id, remaining allowance per group), valid for any element of the
+    system with this I, so censuses share one searcher per descent set.
+    `_seen` holds the ids of the elements this searcher visited. Supports,
+    descents and down-steps come from `nodes`, a `NodeTable` that other
+    searchers of the same system may share (a fresh one by default).
     """
 
-    def __init__(self, system: CoxeterSystem, I):
-        self.system = system
+    def __init__(self, system: CoxeterSystem, I, nodes: NodeTable | None = None):
+        self.nodes = NodeTable(system) if nodes is None else nodes
         self.I = frozenset(I)
         self.groups, self.budgets = _allowances(system, self.I)
         self.slot = {i: g for g, group in enumerate(self.groups) for i in group}
         self._fail: set = set()
-        self._seen: dict[tuple, tuple[int, frozenset]] = {}
+        self._seen: set[int] = set()
+        # support -> the groups whose letters it contains
+        self._touched: dict[frozenset, tuple[int, ...]] = {}
 
     def search(self, w: Element) -> tuple[int, ...] | None:
         """An I-witness for w, or None if every reduced word violates a bound.
@@ -96,14 +162,15 @@ class WitnessSearcher:
         units are spent from `rem` and given back on backtrack. A node whose
         descents are all exhausted goes into the failure memo.
         """
-        system, slot = self.system, self.slot
+        nodes, slot = self.nodes, self.slot
+        node = nodes.node(w)
         rem, frames, letters = list(self.budgets), [], []
         while True:
-            if w.length == 0:
+            if node.length == 0:
                 return tuple(reversed(letters))
-            key = self._admit(w, rem)
+            key = self._admit(node, rem)
             if key is not None:
-                frames.append((w, key, iter(sorted(system.right_descents(w)))))
+                frames.append((node, key, iter(nodes.descents(node))))
             elif letters:
                 rem[slot[letters.pop()]] += 1
             # each right descent i of an admitted node lies in its support,
@@ -115,7 +182,7 @@ class WitnessSearcher:
                 if i is not None:
                     rem[slot[i]] -= 1
                     letters.append(i)
-                    w = system.step(u, i)
+                    node = nodes.down(u, i)
                     break
                 self._fail.add(key)
                 frames.pop()
@@ -124,22 +191,24 @@ class WitnessSearcher:
             else:
                 return None
 
-    def _admit(self, w: Element, rem: list):
-        """The failure key of (w, rem), or None if the prune or the memo rules
-        it out. Records w in `_seen` first, either way."""
-        seen = self._seen.get(w.rep)
-        if seen is None:
-            seen = self._seen[w.rep] = (len(self._seen), self.system.support(w))
-        eid, supp = seen
+    def _admit(self, node: _Node, rem: list):
+        """The failure key of (node, rem), or None if the prune or the memo
+        rules it out. Records the node in `_seen` first, either way."""
+        self._seen.add(node.id)
+        touched = self._touched.get(node.support)
+        if touched is None:
+            touched = self._touched[node.support] = tuple(
+                g for g, group in enumerate(self.groups)
+                if not node.support.isdisjoint(group)
+            )
         allowance = 0
-        for g, group in enumerate(self.groups):
-            if not supp.isdisjoint(group):
-                if rem[g] == 0:
-                    return None
-                allowance += rem[g]
-        if w.length > allowance:
+        for g in touched:
+            if rem[g] == 0:
+                return None
+            allowance += rem[g]
+        if node.length > allowance:
             return None
-        key = (eid, tuple(rem))
+        key = (node.id, tuple(rem))
         return None if key in self._fail else key
 
 
@@ -168,14 +237,17 @@ def census(system: CoxeterSystem, elements):
     """Yield (w, J(w), J(w)-witness word or None) for each element in order.
 
     One searcher per descent set is built on first use and shared by every
-    later element with that set, so its failure memo carries across them.
+    later element with that set, so its failure memo carries across them;
+    all of them share one `NodeTable`, so each element's support, descents
+    and down-steps are computed once per census.
     """
+    nodes = NodeTable(system)
     searchers: dict[frozenset, WitnessSearcher] = {}
     for w in elements:
         J = system.left_descents(w)
         searcher = searchers.get(J)
         if searcher is None:
-            searcher = searchers[J] = WitnessSearcher(system, J)
+            searcher = searchers[J] = WitnessSearcher(system, J, nodes)
         yield w, J, searcher.search(w)
 
 

@@ -277,6 +277,17 @@ def test_nested_parabolic_budgets():
     assert e8.decompose_subset({2, 4, 5, 3}).budgets == (16,)
 
 
+@pytest.mark.parametrize("name", ["D5", "I2(9)"])
+def test_decompose_subset_is_worked_out_once_per_subset(name):
+    system = coxeter_system(name)
+    first = system.decompose_subset([2, 1])
+    assert system.decompose_subset({1, 2}) is first
+    assert system.decompose_subset(frozenset({1, 2})) is first
+    for _ in range(2):  # an invalid subset is rejected every time, never kept
+        with pytest.raises(CoxeterError):
+            system.decompose_subset({1, 10})
+
+
 def test_mismatched_system_multiplication():
     a2 = coxeter_system("A2")
     b3 = coxeter_system("B3")

@@ -386,8 +386,8 @@ def test_census_search_work_is_pinned(name, searchers, seen, fail, monkeypatch):
     built = []
 
     class Kept(WitnessSearcher):
-        def __init__(self, system, I):
-            super().__init__(system, I)
+        def __init__(self, *args):
+            super().__init__(*args)
             built.append(self)
 
     monkeypatch.setattr(spherical_module, "WitnessSearcher", Kept)
@@ -397,6 +397,48 @@ def test_census_search_work_is_pinned(name, searchers, seen, fail, monkeypatch):
     assert len(built) == searchers
     assert sum(len(s._seen) for s in built) == seen
     assert sum(len(s._fail) for s in built) == fail
+
+
+@pytest.mark.parametrize(
+    "name, steps",
+    [
+        ("A5", 860),
+        ("D5", 1124),
+        ("F4", 231),
+        ("I2(60)", 63),
+        ("A6", 5932),
+        pytest.param("E6", 7952, marks=pytest.mark.slow),
+        pytest.param("A7", 42395, marks=pytest.mark.slow),
+    ],
+)
+def test_census_down_steps_are_pinned(name, steps, monkeypatch):
+    """Golden count of the generator steps one `census` search makes: one
+    per edge of the right weak order that some searcher walks, since every
+    searcher of the census reads its down-steps from one `NodeTable`. Any
+    later change to these numbers must be explained."""
+    system = coxeter_system(name)
+    elements = system.elements()
+    calls = []
+    step = type(system).step
+
+    def counting(self, w, i, left=False):
+        calls.append(i)
+        return step(self, w, i, left)
+
+    monkeypatch.setattr(type(system), "step", counting)
+    for _ in spherical_module.census(system, elements):
+        pass
+    assert len(calls) == steps
+
+
+@pytest.mark.parametrize("name", ["A5", "B4", "D5", "F4", "G2", "I2(7)"])
+def test_census_words_match_cold_searches(name):
+    """Sharing searchers and their node table across a census changes no
+    answer: each element gets the word a fresh `find_witness` finds."""
+    system = coxeter_system(name)
+    for w, J, word in spherical_module.census(system, system.elements()):
+        cold = find_witness(system, w, J)
+        assert word == (None if cold is None else cold.word), w
 
 
 def test_empty_I_means_distinct_letter_word():
