@@ -147,6 +147,10 @@ def run_census(type_string: str, progress=None) -> CensusReport:
 # -- single-element check ----------------------------------------------------
 
 
+class CrossCheckFailure(CoxeterError):
+    """Routes that must agree do not (the CLI exits with 2)."""
+
+
 @dataclass
 class CheckReport:
     cartan_type: str
@@ -200,16 +204,22 @@ def parse_element(system: CoxeterSystem, text: str):
 def run_check(
     type_string: str, element_text: str, subset, paranoid: bool = False
 ) -> CheckReport:
+    """Witness search for (w, I), plus the staircase verdict in type A.
+    `paranoid` recounts the witness (`verify_witness`) and peels the staircase
+    key; `CrossCheckFailure` if either disagrees."""
     system = coxeter_system(type_string)
     w = parse_element(system, element_text)
     I = frozenset(subset)
     cert = spherical.find_witness(system, w, I)
     stair = None
     if system.cartan_type.family == "A":
-        stair = polyring.staircase_test(typea.element_to_perm(system, w), I)
+        key, split = polyring.staircase_key(typea.element_to_perm(system, w), I)
+        stair = polyring.is_D_multiplicity_free(key, split)
+        if paranoid and polyring.split_expand(key, split).is_multiplicity_free() != stair:
+            raise CrossCheckFailure("staircase verdict disagrees with peeling")
     if paranoid and cert is not None:
         if not spherical.verify_witness(system, w, I, cert.word):
-            raise CoxeterError("witness failed independent recount")
+            raise CrossCheckFailure("witness failed independent recount")
     return CheckReport(
         type_string,
         _element_label(system, w),
@@ -222,10 +232,6 @@ def run_check(
 
 
 # -- key expansion -------------------------------------------------------------
-
-
-class CrossCheckFailure(CoxeterError):
-    """Expansion oracles that must agree do not (the CLI exits with 2)."""
 
 
 def run_key_expand(
@@ -332,17 +338,16 @@ def run_consistency(n: int) -> ConsistencyReport:
     Littlewood-Richardson positivity); otherwise `CrossCheckFailure`.
 
     Each I gets one searcher and one split set D = [n-1] - I; the searchers
-    share one `spherical.NodeTable`. The sweep owns one dict of D-Schur
-    products, shared by every verdict and dropped when it returns, so each
-    product is built once per sweep; each key scans its symmetry in x_j,
-    x_(j+1) once per j (`Poly.is_symmetric_in`).
+    share one `spherical.NodeTable`. Each verdict reads D-Schur coefficients
+    off the key by `polyring.is_D_multiplicity_free`, which builds no
+    D-Schur product; each key scans its symmetry in x_j, x_(j+1) once per j
+    (`Poly.is_symmetric_in`).
     """
     _check_size("consistency check", n, 2)
     start = time.perf_counter()
     system = coxeter_system(f"A{n - 1}")
     nodes = spherical.NodeTable(system)
     per_I: dict = {}
-    products: dict = {}
     pairs = 0
     disagreements = []
     rows = ((w, sorted(system.left_descents(w))) for w in system.elements())
@@ -363,9 +368,7 @@ def run_consistency(n: int) -> ConsistencyReport:
                     )
                 searcher, split = got
                 comb = searcher.search(w) is not None
-                stair = verdicts[Iset] = polyring.is_D_multiplicity_free(
-                    key, split, products
-                )
+                stair = verdicts[Iset] = polyring.is_D_multiplicity_free(key, split)
                 if comb != stair:
                     line = typea.element_to_perm(system, w)
                     disagreements.append((line, Iset, comb, stair))
@@ -565,8 +568,9 @@ def paranoid_self_check(n_max: int = 5, seed: int = 0) -> dict:
     """Redundant-route validation across the stack.
 
     Runs closed forms against the search, both key rules against each other,
-    peeling against the bialternant oracle, and the tableau rule against
-    peeling, on small ranges. Returns per-check booleans.
+    peeling against the bialternant oracle and the tableau rule, and the
+    multiplicity-free verdict against the peeled expansion, on small ranges.
+    Returns per-check booleans.
     """
     _check_size("self-check", n_max, 2)
     rng = random.Random(seed)
@@ -598,7 +602,7 @@ def paranoid_self_check(n_max: int = 5, seed: int = 0) -> dict:
             ok = False
     results["demazure_vs_kohnert"] = ok
 
-    ok = True
+    ok = verdict_ok = True
     for _ in range(20):
         nn = rng.randint(2, n_max)
         alpha = _random_composition(rng, nn, 3)
@@ -613,7 +617,10 @@ def paranoid_self_check(n_max: int = 5, seed: int = 0) -> dict:
             ok = False
         if splitrule.ry_expand(alpha, split).coefficients != peel.coefficients:
             ok = False
+        if polyring.is_D_multiplicity_free(kappa, split) != peel.is_multiplicity_free():
+            verdict_ok = False
     results["peel_vs_solver_vs_tableau_rule"] = ok
+    results["multiplicity_verdict_vs_peel"] = verdict_ok
 
     results["all"] = all(results.values())
     return results

@@ -12,17 +12,12 @@ Both expansions run one lazy peel loop, `_peel`: it yields the basis element
 that a picked monomial of the remainder names, with its coefficient, and
 only then subtracts it. `split_expand` picks the lexicographically largest
 monomial, whose per-block exponents are weakly decreasing and name a D-Schur
-product; `is_D_multiplicity_free` reads the same stream and stops at the
-first coefficient other than 1. A caller that asks many such questions, as
-the consistency sweep does, may pass its own products dict to
-`is_D_multiplicity_free`: each D-Schur product is then built once per dict,
-and the dict lives as long as the caller keeps it. Nothing else keeps
-products; `_schur_cached` is the one module-level cache. `expand_in_keys`
-picks the lexicographically smallest monomial, which names a key
-polynomial. `split_expand_via_solver` checks `split_expand` without building
-any Schur polynomial: it multiplies by the Vandermonde product of every
-block and reads each coefficient off one monomial (Jacobi's bialternant
-formula).
+product. `expand_in_keys` picks the lexicographically smallest monomial,
+which names a key polynomial.
+
+`is_D_multiplicity_free` and `split_expand_via_solver` build no Schur
+polynomial: both read coefficients off Jacobi's bialternant formula through
+`_alternant_shifts`, which with `_schur_cached` makes the module's two caches.
 
 A Poly is never changed after it is built, so `Poly.is_symmetric_in`
 remembers its answer per j on the Poly itself.
@@ -31,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iproduct
+from itertools import permutations, product as _iproduct
+from math import prod
+from operator import add, sub
 
 from .typea import act_on_composition, left_descents
 
@@ -301,11 +298,15 @@ class SplitSet:
         object.__setattr__(self, "D", D)
         if any(not 1 <= d <= self.n - 1 for d in D):
             raise ValueError(f"split positions {D} must lie in 1..{self.n - 1}")
-        # inclusive 1-based (start, end) per block; not a field, so ==, hash
+        # inclusive 1-based (start, end) per block; not fields, so ==, hash
         # and repr see only n and D
         cuts = (0,) + D + (self.n,)
         object.__setattr__(self, "blocks", tuple(
             (cuts[i] + 1, cuts[i + 1]) for i in range(len(cuts) - 1)
+        ))
+        # 0-based positions (j - 1, j) of x_j, x_(j+1) in one block
+        object.__setattr__(self, "pairs", tuple(
+            (j - 1, j) for a, b in self.blocks for j in range(a, b)
         ))
 
     def block_sizes(self) -> tuple[int, ...]:
@@ -379,24 +380,7 @@ def d_schur(split: SplitSet, lams) -> Poly:
 def is_split_symmetric(f: Poly, split: SplitSet) -> bool:
     if f.nvars != split.n:
         raise ValueError("variable count does not match the split")
-    for a, b in split.blocks:
-        for j in range(a, b):
-            if not f.is_symmetric_in(j):
-                return False
-    return True
-
-
-def _read_block_partitions(split: SplitSet, exps) -> tuple:
-    lams = []
-    for a, b in split.blocks:
-        lam = tuple(exps[a - 1 : b])
-        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-            raise ValueError(
-                "leading monomial is not weakly decreasing per block; "
-                "input is not split-symmetric"
-            )
-        lams.append(lam)
-    return tuple(lams)
+    return all(f.is_symmetric_in(j) for _, j in split.pairs)
 
 
 def _peel(f: Poly, pick, name, element):
@@ -416,53 +400,64 @@ def _peel(f: Poly, pick, name, element):
         _add_into(rem, element(label).terms.items(), -c)
 
 
-def _split_terms(f: Poly, split: SplitSet, products: dict | None = None):
-    """(per-block partitions, coefficient) pairs of f on the D-Schur basis.
-
-    The split-symmetry check runs at call time; the pairs come lazily. Given
-    `products`, a dict from (split, lams) to `d_schur(split, lams)`, each
-    product is looked up there and built only when missing.
-    """
-    if not is_split_symmetric(f, split):
-        raise ValueError("polynomial is not split-symmetric for this D")
-    if all(s == 1 for s in split.block_sizes()):
-        return ((tuple((p,) for p in e), c) for e, c in f.terms.items())
-
-    def element(lams):
-        if products is None:
-            return d_schur(split, lams)
-        got = products.get((split, lams))
-        if got is None:
-            got = products[split, lams] = d_schur(split, lams)
-        return got
-
-    return _peel(f, max, lambda lead: _read_block_partitions(split, lead), element)
-
-
 def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:
     """Expand a split-symmetric polynomial on the D-Schur basis.
 
     Greedy peeling: the lex-largest monomial of any element of Pi_D is
     weakly decreasing inside each block and is the lead monomial (with
     coefficient 1) of exactly one D-Schur product; subtract and repeat.
+    With one variable per block the coefficients are those of f.
     """
-    return SplitExpansion(split, dict(_split_terms(f, split)))
+    if not is_split_symmetric(f, split):
+        raise ValueError("polynomial is not split-symmetric for this D")
+    if all(s == 1 for s in split.block_sizes()):
+        terms = ((tuple((p,) for p in e), c) for e, c in f.terms.items())
+    else:
+        name = lambda lead: tuple(lead[a - 1 : b] for a, b in split.blocks)
+        terms = _peel(f, max, name, lambda lams: d_schur(split, lams))
+    return SplitExpansion(split, dict(terms))
 
 
-def is_D_multiplicity_free(
-    f: Poly, split: SplitSet, products: dict | None = None
-) -> bool:
+@lru_cache(maxsize=None)
+def _alternant_shifts(split: SplitSet) -> tuple:
+    """(sgn(sigma), delta - sigma delta) for sigma in W_D, the product of the
+    block symmetric groups; delta is (k-1, ..., 0) in a block of k variables.
+    Within a block sigma is a permutation p of range(k), and
+    delta - sigma delta is p - (0, ..., k-1)."""
+    per_block = [
+        [((-1) ** sum(x > y for i, x in enumerate(p) for y in p[i + 1 :]),
+          tuple(x - i for i, x in enumerate(p)))
+         for p in permutations(range(k))]
+        for k in split.block_sizes()
+    ]
+    return tuple(
+        (prod(s for s, _ in pick), sum((t for _, t in pick), ()))
+        for pick in _iproduct(*per_block)
+    )
+
+
+def is_D_multiplicity_free(f: Poly, split: SplitSet) -> bool:
     """True iff every D-Schur coefficient of f lies in {0, 1}.
 
-    Reads the peeling stream of `split_expand` and stops at the first
-    coefficient other than 1, before building its D-Schur product.
-
-    `products`, when given, is a dict owned by the caller from (split, lams)
-    to `d_schur(split, lams)`: products found there are reused and products
-    built are added, so a caller that keeps one dict over many calls builds
-    each product once. Without it every call builds its products afresh.
+    Reads the coefficient sum_sigma sgn(sigma) * f[lam + delta - sigma delta]
+    at each block-dominant monomial lam of f, and stops at the first above 1;
+    ValueError if f is not split-symmetric or a coefficient is negative.
+    Exact only if f has a nonnegative D-Schur expansion, as every
+    split-symmetric key has (Reiner-Shimozono): no lead monomial cancels. For
+    signed f, e.g. s_(2) - s_(1,1), use `split_expand(...).is_multiplicity_free()`.
     """
-    return all(c == 1 for _, c in _split_terms(f, split, products))
+    if not is_split_symmetric(f, split):
+        raise ValueError("polynomial is not split-symmetric for this D")
+    shifts, pairs, get = _alternant_shifts(split), split.pairs, f.terms.get
+    for lam in f.terms:
+        if any(lam[i] < lam[j] for i, j in pairs):
+            continue
+        c = sum(sgn * get(tuple(map(add, lam, t)), 0) for sgn, t in shifts)
+        if c > 1:
+            return False
+        if c < 0:
+            raise ValueError(f"D-Schur coefficient {c} < 0 at {lam}; use split_expand")
+    return True
 
 
 def expand_in_keys(f: Poly) -> dict:
@@ -478,34 +473,30 @@ def expand_in_keys(f: Poly) -> dict:
 def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
     """Independent expansion oracle: Jacobi's bialternant formula.
 
-    For a block of m variables, s_lam * a_delta = a_{lam+delta}, where
-    a_delta is the product of (x_i - x_j) over i < j in the block and
-    delta = (m-1, ..., 0) (Macdonald, I.(3.1)). Each alternant a_{lam+delta}
-    has exactly one monomial that strictly decreases inside the block,
-    x^{lam+delta}, with coefficient 1. So after multiplying f by a_delta of
-    every block, each monomial that strictly decreases inside every block
-    carries the coefficient of the D-Schur product with lam = block
-    exponents - delta. Uses neither `d_schur` nor `schur`, nor the lead
-    monomials that `split_expand` peels by. Test and cross-check use.
+    In a block, s_lam * a_delta = a_{lam+delta} with a_delta = sum_sigma
+    sgn(sigma) x^{sigma delta} (Macdonald, I.(3.1)), so the coefficient at
+    block-dominant lam is that of x^{lam+delta} in f * a_delta: each monomial
+    e of f adds sgn(sigma) * f[e] at lam = e - (delta - sigma delta). Exact
+    for any split-symmetric f, signed or not; uses neither `d_schur`, `schur`
+    nor the lead monomials `split_expand` peels by. Test and cross-check use.
     """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
-    n, blocks = split.n, split.blocks
-    for a, b in blocks:
-        for i in range(a, b):
-            for j in range(i + 1, b + 1):
-                f = f * (Poly.variable(i, n) - Poly.variable(j, n))
-    coeffs: dict = {}
+    shifts, pairs = _alternant_shifts(split), split.pairs
+    totals: dict = {}
     for e, c in f.terms.items():
-        lams = []
-        for a, b in blocks:
-            block = e[a - 1 : b]
-            if any(block[k] <= block[k + 1] for k in range(len(block) - 1)):
-                break
-            lams.append(tuple(p - (b - a - k) for k, p in enumerate(block)))
-        else:
-            coeffs[tuple(lams)] = c
-    return SplitExpansion(split, coeffs)
+        for sgn, t in shifts:
+            lam = tuple(map(sub, e, t))
+            for i, j in pairs:
+                if lam[i] < lam[j]:
+                    break
+            else:
+                if min(lam, default=0) >= 0:  # else its total is 0 anyway
+                    totals[lam] = totals.get(lam, 0) + sgn * c
+    return SplitExpansion(split, {
+        tuple(lam[a - 1 : b] for a, b in split.blocks): c
+        for lam, c in totals.items() if c
+    })
 
 
 def staircase_composition(line) -> tuple[int, ...]:
@@ -514,15 +505,17 @@ def staircase_composition(line) -> tuple[int, ...]:
     return act_on_composition(line, tuple(range(n, 0, -1)))
 
 
-def staircase_test(line, I) -> bool:
-    """Multiplicity-freeness of the staircase key for D = [n-1] - I.
-
-    `line` is a one-line permutation; I must sit inside its left descents.
-    """
+def staircase_key(line, I) -> tuple[Poly, SplitSet]:
+    """The staircase key of the one-line permutation `line` and the split
+    D = [n-1] - I it is tested on; I must sit inside the left descents."""
     n = len(line)
     I = frozenset(I)
     if not I <= set(left_descents(line)):
         raise ValueError("I is not a subset of the left descent set of w")
     D = tuple(j for j in range(1, n) if j not in I)
-    split = SplitSet(n, D)
-    return is_D_multiplicity_free(key_polynomial(staircase_composition(line)), split)
+    return key_polynomial(staircase_composition(line)), SplitSet(n, D)
+
+
+def staircase_test(line, I) -> bool:
+    """Multiplicity-freeness of the staircase key for D = [n-1] - I."""
+    return is_D_multiplicity_free(*staircase_key(line, I))

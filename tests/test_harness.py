@@ -82,6 +82,39 @@ def test_check_reports():
     assert report.spherical and report.staircase is None
 
 
+def test_cli_check_paranoid_exits_2_when_the_recount_rejects_the_witness(
+    monkeypatch, capsys
+):
+    from coxsph import spherical
+
+    argv = ["check", "A7", "35246781", "--I", "1,2,4", "--paranoid"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(spherical, "verify_witness", lambda *args: False)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "verification failure: witness failed independent recount\n"
+    )
+
+
+def test_cli_check_paranoid_exits_2_when_peeling_disagrees(monkeypatch, capsys):
+    from coxsph import polyring
+
+    argv = ["check", "A4", "24531", "--I", "1,3", "--paranoid"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    flipped = polyring.is_D_multiplicity_free
+    monkeypatch.setattr(
+        polyring, "is_D_multiplicity_free", lambda f, split: not flipped(f, split)
+    )
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "verification failure: staircase verdict disagrees with peeling\n"
+    )
+    # without --paranoid nothing checks the verdict
+    assert cli.main(argv[:-1]) == 0
+
+
 def test_key_expand_runner():
     expansion = harness.run_key_expand((1, 5, 2, 4, 3), (2, 4), cross_check=True)
     assert expansion.coefficients == KEY_15243_D24_EXPANSION
@@ -156,7 +189,7 @@ def test_consistency_sweep_takes_staircase_keys_in_element_order(monkeypatch):
     true_verdict = polyring.is_D_multiplicity_free
     true_search = spherical.WitnessSearcher.search
 
-    def recorded(f, split, products=None):
+    def recorded(f, split):
         seen.append((f, split.D, true_verdict(f, split)))
         return seen[-1][2]
 
@@ -195,7 +228,7 @@ def test_consistency_sweep_takes_staircase_keys_in_element_order(monkeypatch):
 def test_consistency_sweep_raises_on_non_monotone_staircase_verdicts(monkeypatch):
     from coxsph import polyring
 
-    def non_monotone(f, split, products=None):
+    def non_monotone(f, split):
         return len(split.D) == split.n - 1  # multiplicity-free for I = {} only
 
     monkeypatch.setattr(polyring, "is_D_multiplicity_free", non_monotone)
@@ -210,11 +243,12 @@ def test_consistency_sweep_raises_on_non_monotone_staircase_verdicts(monkeypatch
 
 @pytest.mark.parametrize(
     "n, products, scans",
-    [(5, 505, 240), pytest.param(6, 3531, 1800, marks=pytest.mark.slow)],
+    [(5, 0, 240), pytest.param(6, 0, 1800, marks=pytest.mark.slow)],
 )
 def test_consistency_sweep_work_budget(monkeypatch, n, products, scans):
-    # golden work counts: each D-Schur product is built once per sweep and
-    # each key scans its symmetry once per j; explain any change in CHANGES.md
+    # golden work counts: the verdicts read coefficients off the keys and
+    # build no D-Schur product, and each key scans its symmetry once per j;
+    # explain any change in CHANGES.md
     from coxsph import polyring
 
     built, scanned = [], []
@@ -291,6 +325,16 @@ def test_experiment_rejects_sizes_below_one():
 def test_paranoid_self_check():
     results = harness.paranoid_self_check(n_max=4, seed=0)
     assert results["all"]
+    assert results["multiplicity_verdict_vs_peel"]
+
+
+def test_self_check_flags_a_wrong_multiplicity_verdict(monkeypatch):
+    from coxsph import polyring
+
+    monkeypatch.setattr(polyring, "is_D_multiplicity_free", lambda f, split: None)
+    results = harness.paranoid_self_check(n_max=4, seed=0)
+    assert not results["multiplicity_verdict_vs_peel"] and not results["all"]
+    assert results["peel_vs_solver_vs_tableau_rule"]
 
 
 # -- CLI ------------------------------------------------------------------------

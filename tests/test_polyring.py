@@ -260,36 +260,53 @@ def test_split_expand_rejects_asymmetric_input():
         is_D_multiplicity_free(Poly.variable(1, 3), SplitSet(3, (2,)))
 
 
-def _count_d_schur(monkeypatch):
-    calls = []
-    real = polyring.d_schur
+def _forbid_schur_products(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the bialternant read must not build Schur products")
 
-    def counted(split, lams):
-        calls.append(lams)
-        return real(split, lams)
-
-    monkeypatch.setattr(polyring, "d_schur", counted)
-    return calls
+    monkeypatch.setattr(polyring, "d_schur", forbidden)
+    monkeypatch.setattr(polyring, "schur", forbidden)
 
 
 def test_multiplicity_verdict_stops_at_the_first_coefficient_above_one(monkeypatch):
     kappa, split = key_polynomial((1, 5, 2, 4, 3)), SplitSet(5, (2, 4))
-    calls = _count_d_schur(monkeypatch)
-    peeled = list(split_expand(kappa, split).coefficients.items())
-    assert len(calls) == len(peeled) == 17
-    first_big = next(i for i, (_, c) in enumerate(peeled) if c >= 2)
-    assert first_big < len(peeled) - 1
-    calls.clear()
+    _forbid_schur_products(monkeypatch)
     assert not is_D_multiplicity_free(kappa, split)
-    # one D-Schur product per coefficient 1 peeled before it, none after
-    assert calls == [lams for lams, _ in peeled[:first_big]]
-    calls.clear()
-    # one variable per block: coefficients are read off f, no product is built
-    assert not is_D_multiplicity_free(
-        Poly.monomial((1, 0), 2), SplitSet(2, (1,))
-    )
+    # one variable per block: the coefficients are those of f
+    assert not is_D_multiplicity_free(Poly.monomial((1, 0), 2), SplitSet(2, (1,)))
     assert is_D_multiplicity_free(key_polynomial((0, 1)), SplitSet(2, (1,)))
-    assert calls == []
+    # 2 s_(2) - s_(1,1) = 2 x1^2 + x1 x2 + 2 x2^2 reads 2 at (2, 0) and -1 at
+    # (1, 1): the read stops at the first of them it meets, in f's term order
+    split = SplitSet(2, ())
+    terms = {(2, 0): 2, (1, 1): 1, (0, 2): 2}
+    assert not is_D_multiplicity_free(Poly(2, terms), split)
+    with pytest.raises(ValueError, match="coefficient -1"):
+        is_D_multiplicity_free(Poly(2, dict(reversed(terms.items()))), split)
+
+
+def test_multiplicity_verdict_rejects_a_negative_coefficient():
+    # s_(1,1) - s_(2) = -x1^2 - x2^2: the coefficient at (2, 0) is -1
+    f = schur((1, 1), 2) - schur((2,), 2)
+    with pytest.raises(ValueError, match="use split_expand"):
+        is_D_multiplicity_free(f, SplitSet(2, ()))
+    assert split_expand(f, SplitSet(2, ())).coefficients == {
+        ((1, 1),): 1, ((2, 0),): -1
+    }
+
+
+def test_staircase_verdicts_match_the_peeled_expansion():
+    checked = 0
+    for n in range(2, 6):
+        for line in itertools.permutations(range(1, n + 1)):
+            J = ta.left_descents(line)
+            for r in range(len(J) + 1):
+                for I in itertools.combinations(J, r):
+                    key, split = polyring.staircase_key(line, I)
+                    assert is_D_multiplicity_free(key, split) == (
+                        split_expand(key, split).is_multiplicity_free()
+                    ), (line, I)
+                    checked += 1
+    assert checked == 632
 
 
 def test_poly_cancellation_leaves_no_zero_terms():
@@ -351,14 +368,15 @@ def test_solver_rejects_input_outside_the_span():
 
 
 def test_solver_uses_neither_d_schur_nor_schur(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("the bialternant oracle must not build Schur products")
-
-    f = key_polynomial((1, 5, 2, 4, 3))
-    monkeypatch.setattr(polyring, "d_schur", forbidden)
-    monkeypatch.setattr(polyring, "schur", forbidden)
-    expansion = split_expand_via_solver(f, SplitSet(5, (2, 4)))
+    f, split = key_polynomial((1, 5, 2, 4, 3)), SplitSet(5, (2, 4))
+    mf = key_polynomial((0, 0, 1, 1))
+    _forbid_schur_products(monkeypatch)
+    expansion = split_expand_via_solver(f, split)
     assert expansion.coefficients == KEY_15243_D24_EXPANSION
+    # the verdict reads the same alternant table
+    assert not is_D_multiplicity_free(f, split)
+    assert is_D_multiplicity_free(mf, SplitSet(4, (2,)))
+    assert split_expand_via_solver(mf, SplitSet(4, (2,))).is_multiplicity_free()
 
 
 def test_solver_on_a_six_variable_block():

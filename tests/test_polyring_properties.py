@@ -80,22 +80,6 @@ def test_key_is_symmetric_exactly_at_weak_ascents(parts):
         assert kappa.is_symmetric_in(j) == (parts[j - 1] <= parts[j]), j
 
 
-def test_a_shared_products_dict_never_changes_a_verdict():
-    products: dict = {}
-
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(keys_with_valid_splits())
-    def check(case):
-        alpha, split = case
-        kappa = key_polynomial(alpha)
-        assert is_D_multiplicity_free(kappa, split, products) == (
-            is_D_multiplicity_free(kappa, split)
-        )
-
-    check()
-    assert products  # the dict was shared and filled across examples
-
-
 @st.composite
 def key_and_poly(draw):
     """A key with n <= 5 parts <= 2, a sparse Poly in n variables, a scalar."""
