@@ -13,13 +13,16 @@ The search reads a reduced word of w[alpha] left to right, one left descent
 of the remaining permutation at a time. Its state is the remaining
 permutation, the insertion columns of the letters read so far, the current
 block with the count and the last of its closed rows, and the open row. One
-loop picks the next letter: it extends the open row, closes it (no longer
-than the row above it, and each entry larger than the one above it),
-finishes a read whose insertion equals the target, or opens a row in the
-current block or a later one. A branch dies as soon as column insertion
-writes a cell outside the target's shape or below the target's entry (cells
-only decrease as insertion proceeds), or the remaining permutation still
-needs a letter that no later block may read.
+loop picks the next letter: it extends the open row, closes it, finishes a
+read whose insertion equals the target, or opens a row in the current block
+or a later one. A letter is read only if the row it lands in fits under the
+block's last closed row (no longer, and each entry larger than the one above
+it). Checking before the read loses nothing: extending a row puts a smaller
+letter in front, so the row grows and no position holds a larger entry than
+before, and a row that does not fit never will. A branch also dies as soon
+as column insertion writes a cell outside the target's shape or below the
+target's entry (cells only decrease as insertion proceeds), or the
+remaining permutation still needs a letter that no later block may read.
 
 Each state returns every way to finish from it, as a dict from suffix (the
 marked rows of each block from the current one on) to multiplicity, and is
@@ -182,11 +185,15 @@ class _RuleSearch:
     - run: the open row, in reading (decreasing) order.
 
     `_read` takes one letter; `_visit` is the one place that picks the next
-    letter. It returns a dict from suffix to multiplicity, where a suffix
-    holds, for each block from b on, the tuple of `mark(row)` over the rows
-    closed from its state on. The letters read so far multiply to the
-    permutation of `cols`, so `cols` fixes `vinv`, and `memo` keys each
-    state by the rest of it. The memo lives as long as the search.
+    letter. It picks j only when the row j lands in fits under `last`
+    (`_fits`): (j,) + row for an extension, and (j,), that is j > last[0], for
+    a new row of block b. So every state's open row fits and closes with no
+    check; extending cannot make a row fit, so nothing counted is skipped.
+    `_visit` returns a dict from suffix to multiplicity, where a suffix holds,
+    for each block from b on, the tuple of `mark(row)` over the rows closed
+    from its state on. The letters read so far multiply to the permutation of
+    `cols`, so `cols` fixes `vinv`, and `memo` keys each state by the rest of
+    it. The memo lives as long as the search.
     """
 
     def __init__(self, alpha, split: SplitSet, mark):
@@ -206,9 +213,8 @@ class _RuleSearch:
         cols = _eg_insert_columns(cols, j, self.target_cols)
         if cols is None:
             return {}
-        vinv = list(vinv)
-        vinv[j - 1], vinv[j] = vinv[j], vinv[j - 1]
-        return self._visit(tuple(vinv), cols, b, nrows, last, run + (j,))
+        vinv = vinv[:j - 1] + (vinv[j], vinv[j - 1]) + vinv[j + 1:]
+        return self._visit(vinv, cols, b, nrows, last, run + (j,))
 
     def _visit(self, vinv, cols, b, nrows, last, run):
         state = (cols, b, nrows, last, run)
@@ -216,20 +222,20 @@ class _RuleSearch:
         if out is not None:
             return out
         out = self.memo[state] = {}
-        left = descents(vinv)  # left descents of the remaining permutation
-        head = ()  # the marked row this state closes
+        # left descents of the remaining permutation
+        left = [j for j in range(1, len(vinv)) if vinv[j - 1] > vinv[j]]
+        head = ()  # the marked row this state closes, if it has one
         if run:
-            for j in left:
-                if self.cuts[b] < j < run[-1]:
-                    _join(out, (), self._read(vinv, cols, b, nrows, last, run, j))
             row = run[::-1]
-            if last and (len(row) > len(last)
-                         or any(a <= p for a, p in zip(row, last))):
-                return out
+            for j in left:
+                if self.cuts[b] < j < row[0] and _fits((j,) + row, last):
+                    child = self._read(vinv, cols, b, nrows, last, run, j)
+                    for suffix, m in child.items():
+                        out[suffix] = out.get(suffix, 0) + m
             nrows, last, head = nrows + 1, row, (self.mark(row),)
         if not left:
             if cols == self.target_cols:
-                _join(out, head, {((),) * (len(self.sizes) - b): 1})
+                out[(head,) + ((),) * (len(self.sizes) - b - 1)] = 1
             return out
         # When vinv does not fix 1..d_c it still needs a letter <= d_c, which
         # neither block c nor any later block may read.
@@ -240,23 +246,32 @@ class _RuleSearch:
             lo = self.cuts[c]
             if lo > fixed:
                 break
-            if c > b:
-                nrows, last = 0, ()
-            elif nrows >= self.sizes[b]:
+            if c == b:
+                if nrows >= self.sizes[b]:
+                    continue
+                floor = max(lo, last[0]) if last else lo
+                for j in left:
+                    if j > floor:
+                        child = self._read(vinv, cols, b, nrows, last, (), j)
+                        for suffix, m in child.items():
+                            key = (head + suffix[0],) + suffix[1:]
+                            out[key] = out.get(key, 0) + m
                 continue
+            prefix = (head,) + ((),) * (c - b - 1)  # then blocks b+1..c-1 empty
             for j in left:
                 if j > lo:
-                    child = self._read(vinv, cols, c, nrows, last, (), j)
-                    _join(out, head, child, ((),) * (c - b))
+                    child = self._read(vinv, cols, c, 0, (), (), j)
+                    for suffix, m in child.items():
+                        key = prefix + suffix
+                        out[key] = out.get(key, 0) + m
         return out
 
 
-def _join(out: dict, head: tuple, suffixes: dict, skipped: tuple = ()) -> None:
-    """Add suffixes into out, after the skipped blocks, with head in front."""
-    for suffix, m in suffixes.items():
-        suffix = skipped + suffix
-        key = (head + suffix[0],) + suffix[1:]
-        out[key] = out.get(key, 0) + m
+def _fits(row: tuple, last: tuple) -> bool:
+    """Whether row may sit under last (() for none) in an increasing tableau."""
+    return not last or (
+        len(row) <= len(last) and all(a > p for a, p in zip(row, last))
+    )
 
 
 def _shape_key(shapes, sizes) -> tuple:

@@ -16,6 +16,7 @@ from coxsph.polyring import (
     split_expand,
     split_expand_via_solver,
 )
+from coxsph.splitrule import IncreasingTableau, _fits
 
 
 def _block_partition(size):
@@ -104,3 +105,30 @@ def test_symmetry_answers_are_not_carried_to_derived_polys(case):
         fresh = Poly(h.nvars, dict(h.terms))
         for j in js:
             assert h.is_symmetric_in(j) == fresh.is_symmetric_in(j), (h, j)
+
+
+@st.composite
+def rows_and_extension(draw):
+    """Strictly increasing last and row, and a letter j < row[0]."""
+    increasing = st.sets(st.integers(1, 9), min_size=1, max_size=5).map(
+        lambda cells: tuple(sorted(cells))
+    )
+    last, row = draw(increasing), draw(increasing)
+    return last, row, draw(st.integers(0, row[0] - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(rows_and_extension())
+def test_a_row_that_does_not_fit_never_fits_once_extended(case):
+    # The tableau rule skips a letter whose row does not fit under the last
+    # closed row; that is sound only because extending cannot make it fit.
+    last, row, j = case
+    if not _fits(row, last):
+        assert not _fits((j,) + row, last)
+    for r in (row, (j,) + row):
+        try:
+            IncreasingTableau((last, r))
+        except ValueError:
+            assert not _fits(r, last), (last, r)
+        else:
+            assert _fits(r, last), (last, r)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -166,7 +167,25 @@ def test_rule_search_states_are_pinned():
             search.run()
             cases += 1
             states += len(search.memo)
-    assert (cases, states) == (1225, 40713)
+    assert (cases, states) == (1225, 28651)
+
+
+def test_tableau_sequences_walk_order_is_pinned():
+    """Every listed sequence, in the order the walk lists it, as one sha256
+    over every alpha with n <= 4, parts <= 3, and every D holding its
+    descents. A prune may drop only branches that count nothing, and may not
+    reorder the walk."""
+    digest = hashlib.sha256()
+    for length in range(1, 5):
+        for alpha, split in _splits(length, 4):
+            digest.update(repr((alpha, split.D)).encode())
+            for key, seqs in ry_tableau_sequences(alpha, split).items():
+                digest.update(repr(key).encode())
+                for seq in seqs:
+                    digest.update(repr([t.rows for t in seq]).encode())
+    assert digest.hexdigest() == (
+        "be7b0f7ab2a1565b29ecd3daae9ce9bdb48cdfdf2996c8018bcb5a749cbb4e20"
+    )
 
 
 def test_every_counted_sequence_obeys_the_rule():
