@@ -30,6 +30,7 @@ leaves 1, 2, 4; B/F double bonds sit at the high-numbered end (B) and middle
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -322,20 +323,11 @@ class CoxeterSystem:
         t = self.cartan_type
         r = t.rank
         if t.family == "A":
-            out = 1
-            for k in range(2, r + 2):
-                out *= k
-            return out
+            return math.factorial(r + 1)
         if t.family == "B":
-            out = 2**r
-            for k in range(2, r + 1):
-                out *= k
-            return out
+            return 2**r * math.factorial(r)
         if t.family == "D":
-            out = 2 ** (r - 1)
-            for k in range(2, r + 1):
-                out *= k
-            return out
+            return 2 ** (r - 1) * math.factorial(r)
         if t.family == "E":
             return {6: 51840, 7: 2903040, 8: 696729600}[r]
         if t.family == "F":

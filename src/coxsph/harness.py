@@ -2,13 +2,17 @@
 
 Each runner returns a small report object that formats itself as a table and
 serializes to the documented JSON shape. Censuses run `spherical.census`,
-which shares witness-search state across elements with the same descent set.
+which shares witness-search state across elements with the same descent set;
+the census experiments read its verdicts directly, not a report's labels.
+Self-check reuses the comparisons of `key-expand --cross-check` and
+`check --paranoid` rather than writing its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -214,9 +218,8 @@ def run_check(
     stair = None
     if system.cartan_type.family == "A":
         key, split = polyring.staircase_key(typea.element_to_perm(system, w), I)
-        stair = polyring.is_D_multiplicity_free(key, split)
-        if paranoid and polyring.split_expand(key, split).is_multiplicity_free() != stair:
-            raise CrossCheckFailure("staircase verdict disagrees with peeling")
+        verdict = _peeled_verdict if paranoid else polyring.is_D_multiplicity_free
+        stair = verdict(key, split)
     if paranoid and cert is not None:
         if not spherical.verify_witness(system, w, I, cert.word):
             raise CrossCheckFailure("witness failed independent recount")
@@ -229,6 +232,15 @@ def run_check(
         None if cert is None else words.format_word(cert.word),
         stair,
     )
+
+
+def _peeled_verdict(key, split) -> bool:
+    """`is_D_multiplicity_free(key, split)`, rechecked by peeling the key;
+    `CrossCheckFailure` unless `split_expand` gives the same verdict."""
+    free = polyring.is_D_multiplicity_free(key, split)
+    if polyring.split_expand(key, split).is_multiplicity_free() != free:
+        raise CrossCheckFailure("staircase verdict disagrees with peeling")
+    return free
 
 
 # -- key expansion -------------------------------------------------------------
@@ -422,29 +434,28 @@ def run_experiment(name: str, n: int | None = None, seed: int = 0) -> dict:
     return _experiment_distinct_lambda(n, seed)
 
 
-def _s5_bad_patterns() -> list[tuple[int, ...]]:
-    report = run_census("A4")
-    return [typea.parse_permutation(e) for e in report.nonspherical]
+def _nonspherical_lines(m: int) -> list[tuple[int, ...]]:
+    """One-line forms of the non-spherical elements of S_m, in census order."""
+    system = coxeter_system(f"A{m - 1}")
+    return [
+        typea.element_to_perm(system, w)
+        for w in spherical.nonspherical_census(system)
+    ]
 
 
 def _experiment_pattern_avoidance(n: int) -> dict:
     """Does every non-spherical element contain a bad rank-5 pattern?"""
-    patterns = _s5_bad_patterns()
-    unexplained = []
-    count = 0
-    for m in range(5, n + 1):
-        report = run_census(f"A{m - 1}")
-        for text in report.nonspherical:
-            count += 1
-            line = typea.parse_permutation(text)
-            if not any(
-                typea.contains_perm_pattern(line, p) for p in patterns
-            ):
-                unexplained.append(text)
+    patterns = _nonspherical_lines(5)
+    checked = [line for m in range(5, n + 1) for line in _nonspherical_lines(m)]
+    unexplained = [
+        typea.format_permutation(line)
+        for line in checked
+        if not any(typea.contains_perm_pattern(line, p) for p in patterns)
+    ]
     return {
         "experiment": "pattern-avoidance",
         "range": f"5..{n}",
-        "nonspherical_checked": count,
+        "nonspherical_checked": len(checked),
         "unexplained": unexplained,
         "consistent": not unexplained,
     }
@@ -453,13 +464,11 @@ def _experiment_pattern_avoidance(n: int) -> dict:
 def _experiment_vanishing_density(n: int) -> dict:
     counts = {}
     for m in range(2, n + 1):
-        report = run_census(f"A{m - 1}")
+        total, bad = math.factorial(m), len(_nonspherical_lines(m))
         counts[m] = {
-            "total": report.total,
-            "nonspherical": len(report.nonspherical),
-            "nonspherical_fraction": round(
-                len(report.nonspherical) / report.total, 6
-            ),
+            "total": total,
+            "nonspherical": bad,
+            "nonspherical_fraction": round(bad / total, 6),
         }
     return {"experiment": "vanishing-density", "counts": counts}
 
@@ -519,16 +528,12 @@ def _experiment_distinct_lambda(n: int, seed: int, tries: int = 40) -> dict:
     also has split multiplicity."""
     _check_size("experiment distinct-lambda", n, 2)
     rng = random.Random(seed)
-    system = coxeter_system(f"A{n - 1}")
-    examined = 0
+    lines = _nonspherical_lines(n)
     found = 0
     misses = []
-    for w, Iset, word in spherical.census(system, system.elements()):
-        if word is not None:
-            continue
-        examined += 1
-        line = typea.element_to_perm(system, w)
-        D = tuple(j for j in range(1, n) if j not in Iset)
+    for line in lines:
+        J = typea.left_descents(line)
+        D = tuple(j for j in range(1, n) if j not in J)
         split = polyring.SplitSet(n, D)
         hit = None
         for t in range(tries):
@@ -554,7 +559,7 @@ def _experiment_distinct_lambda(n: int, seed: int, tries: int = 40) -> dict:
     return {
         "experiment": "distinct-lambda",
         "n": n,
-        "nonspherical_examined": examined,
+        "nonspherical_examined": len(lines),
         "distinct_lambda_found": found,
         "unresolved": misses,
         "consistent": not misses,
@@ -567,10 +572,11 @@ def _experiment_distinct_lambda(n: int, seed: int, tries: int = 40) -> dict:
 def paranoid_self_check(n_max: int = 5, seed: int = 0) -> dict:
     """Redundant-route validation across the stack.
 
-    Runs closed forms against the search, both key rules against each other,
-    peeling against the bialternant oracle and the tableau rule, and the
-    multiplicity-free verdict against the peeled expansion, on small ranges.
-    Returns per-check booleans.
+    Runs closed forms against the search and both key rules against each
+    other on small ranges. Random (alpha, D) draws then go through the
+    comparisons the commands make: `run_key_expand(cross_check=True)` (peeling
+    vs the bialternant oracle vs the tableau rule) and the verdict recheck of
+    `run_check(paranoid=True)`. Returns per-check booleans.
     """
     _check_size("self-check", n_max, 2)
     rng = random.Random(seed)
@@ -610,14 +616,13 @@ def paranoid_self_check(n_max: int = 5, seed: int = 0) -> dict:
         extra = [j for j in range(1, nn) if j not in desc]
         rng.shuffle(extra)
         D = tuple(sorted(desc | set(extra[: rng.randint(0, len(extra))])))
-        split = polyring.SplitSet(nn, D)
-        kappa = polyring.key_polynomial(alpha)
-        peel = polyring.split_expand(kappa, split)
-        if polyring.split_expand_via_solver(kappa, split) != peel:
+        try:
+            run_key_expand(alpha, D, n=nn, cross_check=True)
+        except CrossCheckFailure:
             ok = False
-        if splitrule.ry_expand(alpha, split).coefficients != peel.coefficients:
-            ok = False
-        if polyring.is_D_multiplicity_free(kappa, split) != peel.is_multiplicity_free():
+        try:
+            _peeled_verdict(polyring.key_polynomial(alpha), polyring.SplitSet(nn, D))
+        except CrossCheckFailure:
             verdict_ok = False
     results["peel_vs_solver_vs_tableau_rule"] = ok
     results["multiplicity_verdict_vs_peel"] = verdict_ok

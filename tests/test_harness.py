@@ -337,6 +337,41 @@ def test_self_check_flags_a_wrong_multiplicity_verdict(monkeypatch):
     assert results["peel_vs_solver_vs_tableau_rule"]
 
 
+def test_self_check_flags_a_wrong_tableau_rule(monkeypatch, capsys):
+    from coxsph import polyring, splitrule
+
+    def wrong(alpha, split):
+        right = polyring.split_expand(polyring.key_polynomial(alpha), split)
+        lams = max(right.coefficients)
+        return polyring.SplitExpansion(
+            split, {**right.coefficients, lams: right.coefficients[lams] + 1}
+        )
+
+    monkeypatch.setattr(splitrule, "ry_expand", wrong)
+    results = harness.paranoid_self_check(n_max=4, seed=0)
+    assert not results["peel_vs_solver_vs_tableau_rule"] and not results["all"]
+    assert results["multiplicity_verdict_vs_peel"]
+    assert cli.main(["self-check"]) == 2
+    assert "peel_vs_solver_vs_tableau_rule: FAILED" in capsys.readouterr().out
+
+
+def test_census_experiments_build_no_report_and_parse_no_label(monkeypatch):
+    from coxsph import typea
+
+    def forbidden(*args, **kw):
+        raise AssertionError("census experiments read verdicts, not labels")
+
+    monkeypatch.setattr(harness, "run_census", forbidden)
+    monkeypatch.setattr(typea, "parse_permutation", forbidden)
+    result = harness.run_experiment("pattern-avoidance", n=6)
+    assert result["nonspherical_checked"] == 341 and result["consistent"]
+    result = harness.run_experiment("vanishing-density", n=6)
+    got = [result["counts"][m]["nonspherical"] for m in (2, 3, 4, 5, 6)]
+    assert got == [0, 0, 0, 21, 320]
+    result = harness.run_experiment("distinct-lambda", n=5)
+    assert result["nonspherical_examined"] == 21 and result["consistent"]
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
