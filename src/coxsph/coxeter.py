@@ -10,6 +10,10 @@ canonical representation (two elements are equal iff their tuples are).
 (s_i w with `left=True`) with its length l(w) - 1 or l(w) + 1 recorded, so
 the callers that walk reduced words (enumeration, the witness search, words
 and Bruhat order) never recount a length or multiply by a generator.
+`weak_order()` enumerates the group by one breadth-first walk of the right
+weak order that keeps every edge it steps: each element comes with its
+right descents and the indices of its down-steps w s_i. `elements()` is the
+list of its elements, and a census's node table is read off the same walk.
 `multiply` is the general product. `word(w)`, the lex-first reduced word
 that labels an element, steps no element: it walks the inversion set of
 w^-1, at most l(w) roots, through the same per-generator tables as the left
@@ -447,33 +451,52 @@ class CoxeterSystem:
 
     # -- enumeration and subsets ---------------------------------------------
 
-    def elements(self) -> list[Element]:
-        """All group elements in BFS-by-length order (ties by representation).
+    def weak_order(self) -> list[tuple[Element, tuple[int, ...], tuple[int, ...]]]:
+        """The right weak order, breadth first: (w, descents, lower) per element.
+
+        Elements come by length, ties by representation. `descents` are the
+        right descents of w, ascending, and `lower[k]` is the index in this
+        list of w s_i for i = descents[k]: the down-edges of w.
 
         Level k + 1 is built from the steps w s_i with w in level k and i
         not a right descent of w: each has length l(w) + 1, so no element of
         an earlier level can recur and the level's own dict is the only
-        dedupe. Raises CoxeterError when |W| exceeds the cap
-        (COXSPH_ENUM_CAP environment variable, default 10**7).
+        dedupe. Every such step is a down-edge of its result, and the letters
+        run in the outer loop, so each element collects its edges in
+        ascending order and its right descents are their letters: one step
+        per edge, and no descent query. Raises CoxeterError when |W| exceeds
+        the cap (COXSPH_ENUM_CAP environment variable, default 10**7).
         """
         cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
         if self.order() > cap:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
-        level = [self.identity]
-        out = []
+        out, level, step = [], [(self.identity, (), ())], self.step
         while level:
+            start = len(out)
             out.extend(level)
+            # rep -> [w s_i, then i and the index of w per down-edge]
             nxt = {}
-            for w in level:
-                down = self.right_descents(w)
-                for i in range(1, self.rank + 1):
+            for i in range(1, self.rank + 1):
+                for p, (w, down, _) in enumerate(level, start):
                     if i not in down:
-                        wi = self.step(w, i)
-                        nxt[wi.rep] = wi
-            level = [nxt[k] for k in sorted(nxt)]
+                        v = step(w, i)
+                        edges = nxt.get(v.rep)
+                        if edges is None:
+                            nxt[v.rep] = [v, i, p]
+                        else:
+                            edges += (i, p)
+            level = [
+                (e[0], tuple(e[1::2]), tuple(e[2::2]))
+                for e in map(nxt.get, sorted(nxt))
+            ]
         return out
+
+    def elements(self) -> list[Element]:
+        """All group elements in `weak_order` order: by length, ties by
+        representation."""
+        return [w for w, _, _ in self.weak_order()]
 
     def adjacent(self, i: int, j: int) -> bool:
         return self.coxeter_matrix[i - 1][j - 1] >= 3

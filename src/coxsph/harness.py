@@ -90,14 +90,15 @@ def _element_label(system: CoxeterSystem, w) -> str:
 def _from_parents(system: CoxeterSystem, rows, root, step):
     """Pair each row (w, J(w), ...) with a value built from w's parent.
 
+    w is the record of a `spherical.NodeTable` built from the weak order.
     The identity gets `root`; any other w gets step(j, value of s_j w) with
-    j = min J(w). The rows must come in `elements()` order, which is
+    j = min J(w). The rows must come in enumeration order, which is
     breadth-first by length, so the parent s_j w of every w lies in the
     previous length level: values of two levels are all that is kept.
     """
     before, now, level = {}, {}, 0
     for row in rows:
-        w, J = row[0], row[1]
+        w, J = row[0].element, row[1]
         if w.length > level:
             level, before, now = w.length, now, {}
         if J:
@@ -110,29 +111,56 @@ def _from_parents(system: CoxeterSystem, rows, root, step):
         yield value, row
 
 
+def _one_line_labels(system: CoxeterSystem, rows):
+    """Pair each row (record of w, ...) of a type-A census with the
+    one-line label of w: that of its weak-order parent w s_i, i the least
+    right descent of w, with entries i and i + 1 swapped."""
+    root = _element_label(system, system.identity)
+    labels = []
+    for row in rows:
+        node = row[0]
+        if node.down:
+            line = labels[node.down[0].id]
+            i = node.descents[0]
+            if "," in line:  # S_n with n > 9
+                parts = line.split(",")
+                parts[i - 1], parts[i] = parts[i], parts[i - 1]
+                label = ",".join(parts)
+            else:
+                label = line[:i - 1] + line[i] + line[i - 1] + line[i + 1:]
+        else:
+            label = root
+        labels.append(label)
+        yield label, row
+
+
+def _prefix_letter(j: int, word: str) -> str:
+    """The label s_j + `word` of s_j w, given the label of w."""
+    return f"s{j}" if word == "<id>" else f"s{j} {word}"
+
+
 def run_census(type_string: str, progress=None) -> CensusReport:
     """Maximal-sphericality census of a whole group, in enumeration order.
 
-    Labels are those of `_element_label`, without spelling a reduced word
-    per element: in type A the one-line form is read off the root
-    permutation, and elsewhere the word of w is (j,) + word of s_j w with
-    j = min J(w), the recursion `Element.word()` follows.
+    The rows come from `spherical.census_records` over one
+    `NodeTable.weak_order` table. Labels are those of `_element_label`,
+    each read off a parent's label, with no word spelt and no permutation
+    read per element: in type A the one-line form of w is that of its
+    weak-order parent w s_i with two entries swapped (`_one_line_labels`);
+    elsewhere the word of w is s_j + the word of s_j w with
+    j = min J(w) (`_from_parents`), the recursion `Element.word()` follows.
     """
     start = time.perf_counter()
     system = coxeter_system(type_string)
-    elements = system.elements()
-    rows = spherical.census(system, elements)
+    nodes = spherical.NodeTable.weak_order(system)
+    rows = spherical.census_records(nodes)
     if system.cartan_type.family == "A":
-        labelled = ((_element_label(system, row[0]), row) for row in rows)
+        labelled = _one_line_labels(system, rows)
     else:
-        labelled = (
-            (words.format_word(reduced), row)
-            for reduced, row in _from_parents(
-                system, rows, (), lambda j, parent: (j,) + parent
-            )
-        )
+        labelled = _from_parents(system, rows, "<id>", _prefix_letter)
     entries = []
-    for i, (label, (w, J, word)) in enumerate(labelled):
+    total = len(nodes.records)
+    for i, (label, (_, J, word)) in enumerate(labelled):
         entries.append(
             CensusEntry(
                 label,
@@ -142,10 +170,8 @@ def run_census(type_string: str, progress=None) -> CensusReport:
             )
         )
         if progress and (i + 1) % 500 == 0:
-            progress(i + 1, len(elements))
-    return CensusReport(
-        type_string, len(elements), entries, time.perf_counter() - start
-    )
+            progress(i + 1, total)
+    return CensusReport(type_string, total, entries, time.perf_counter() - start)
 
 
 # -- single-element check ----------------------------------------------------
@@ -350,7 +376,9 @@ def run_consistency(n: int) -> ConsistencyReport:
     Littlewood-Richardson positivity); otherwise `CrossCheckFailure`.
 
     Each I gets one searcher and one split set D = [n-1] - I; the searchers
-    share one `spherical.NodeTable`. Each verdict reads D-Schur coefficients
+    share one `spherical.NodeTable` read off the weak order, whose records
+    the sweep walks, so it makes one step per weak-order edge and its
+    searches make none. Each verdict reads D-Schur coefficients
     off the key by `polyring.is_D_multiplicity_free`, which builds no
     D-Schur product; each key scans its symmetry in x_j, x_(j+1) once per j
     (`Poly.is_symmetric_in`).
@@ -358,14 +386,17 @@ def run_consistency(n: int) -> ConsistencyReport:
     _check_size("consistency check", n, 2)
     start = time.perf_counter()
     system = coxeter_system(f"A{n - 1}")
-    nodes = spherical.NodeTable(system)
+    nodes = spherical.NodeTable.weak_order(system)
     per_I: dict = {}
     pairs = 0
     disagreements = []
-    rows = ((w, sorted(system.left_descents(w))) for w in system.elements())
-    for key, (w, J) in _from_parents(
+    rows = (
+        (node, sorted(system.left_descents(node.element))) for node in nodes.records
+    )
+    for key, (node, J) in _from_parents(
         system, rows, polyring.Poly.monomial(range(n, 0, -1)), polyring.demazure_pi
     ):
+        w = node.element
         verdicts = {}
         for r in range(len(J) + 1):
             for I in itertools.combinations(J, r):
@@ -379,7 +410,7 @@ def run_consistency(n: int) -> ConsistencyReport:
                         polyring.SplitSet(n, D),
                     )
                 searcher, split = got
-                comb = searcher.search(w) is not None
+                comb = searcher.search(node) is not None
                 stair = verdicts[Iset] = polyring.is_D_multiplicity_free(key, split)
                 if comb != stair:
                     line = typea.element_to_perm(system, w)
@@ -446,7 +477,9 @@ def _nonspherical_lines(m: int) -> list[tuple[int, ...]]:
 def _experiment_pattern_avoidance(n: int) -> dict:
     """Does every non-spherical element contain a bad rank-5 pattern?"""
     patterns = _nonspherical_lines(5)
-    checked = [line for m in range(5, n + 1) for line in _nonspherical_lines(m)]
+    checked = (patterns if n >= 5 else []) + [
+        line for m in range(6, n + 1) for line in _nonspherical_lines(m)
+    ]
     unexplained = [
         typea.format_permutation(line)
         for line in checked

@@ -66,6 +66,56 @@ def test_census_json_matches_golden_digest(t):
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_JSON_SHA256[t]
 
 
+@pytest.mark.parametrize("t", ["A5", "D5"])
+def test_census_labels_spell_nothing_per_element(t, monkeypatch):
+    """Census labels are read off parents' labels: at most the identity's
+    one-line form is computed, and no reduced word is spelt."""
+    from coxsph import coxeter, typea
+
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(typea, "element_to_perm")
+    counted(typea, "format_permutation")
+    counted(coxeter.Element, "word")
+    counted(coxeter.CoxeterSystem, "word")
+    report = harness.run_census(t)
+    assert report.total == coxeter_system(t).order()
+    if t == "A5":
+        assert sorted(calls) == ["element_to_perm", "format_permutation"]
+    else:
+        assert calls == []
+
+
+def test_one_line_labels_swap_entries_past_nine():
+    """Labels of S_n with n > 9 are comma-separated; a chain of weak-order
+    parents still swaps whole entries."""
+    from types import SimpleNamespace
+
+    from coxsph import typea
+
+    system = coxeter_system("A9")
+    letters = (9, 8, 9, 1, 5, 9)
+    nodes = [SimpleNamespace(id=0, down=(), descents=())]
+    for k, i in enumerate(letters, start=1):
+        nodes.append(SimpleNamespace(id=k, down=(nodes[-1],), descents=(i,)))
+    rows = [(node,) for node in nodes]
+    labels = [label for label, _ in harness._one_line_labels(system, rows)]
+    assert labels == [
+        typea.format_permutation(typea.apply_word(10, letters[:k]))
+        for k in range(len(nodes))
+    ]
+    assert labels[3] == "1,2,3,4,5,6,7,10,9,8"
+
+
 def test_check_reports():
     report = harness.run_check("A4", "24531", (1, 3))
     assert not report.spherical and report.staircase is False
@@ -282,8 +332,19 @@ def test_staircase_side_matches_reference_list():
     assert bad == sorted(S5_NONSPHERICAL)
 
 
-def test_experiment_pattern_avoidance():
+def test_experiment_pattern_avoidance(monkeypatch):
+    from coxsph import spherical
+
+    ran = []
+    real = spherical.nonspherical_census
+
+    def counted(system):
+        ran.append(str(system.cartan_type))
+        return real(system)
+
+    monkeypatch.setattr(spherical, "nonspherical_census", counted)
     result = harness.run_experiment("pattern-avoidance", n=6)
+    assert ran == ["A4", "A5"]  # the S5 census once, for patterns and m = 5
     assert result["consistent"]
     assert result["unexplained"] == []
     assert result["nonspherical_checked"] == 21 + 320

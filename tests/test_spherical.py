@@ -392,7 +392,7 @@ def test_census_search_work_is_pinned(name, searchers, seen, fail, monkeypatch):
 
     monkeypatch.setattr(spherical_module, "WitnessSearcher", Kept)
     system = coxeter_system(name)
-    for _ in spherical_module.census(system, system.elements()):
+    for _ in spherical_module.census(system):
         pass
     assert len(built) == searchers
     assert sum(len(s._seen) for s in built) == seen
@@ -402,33 +402,65 @@ def test_census_search_work_is_pinned(name, searchers, seen, fail, monkeypatch):
 @pytest.mark.parametrize(
     "name, steps",
     [
-        ("A5", 860),
-        ("D5", 1124),
-        ("F4", 231),
-        ("I2(60)", 63),
-        ("A6", 5932),
-        pytest.param("E6", 7952, marks=pytest.mark.slow),
-        pytest.param("A7", 42395, marks=pytest.mark.slow),
+        ("A5", 1800),
+        ("D5", 4800),
+        ("F4", 2304),
+        ("I2(60)", 120),
+        ("A6", 15120),
+        pytest.param("E6", 155520, marks=pytest.mark.slow),
+        pytest.param("A7", 141120, marks=pytest.mark.slow),
     ],
 )
 def test_census_down_steps_are_pinned(name, steps, monkeypatch):
-    """Golden count of the generator steps one `census` search makes: one
-    per edge of the right weak order that some searcher walks, since every
-    searcher of the census reads its down-steps from one `NodeTable`. Any
-    later change to these numbers must be explained."""
+    """Golden count of the generator steps one `census` makes: one per edge
+    of the right weak order, |W| * rank / 2, all of them in the walk that
+    enumerates the group, and none in the search, which reads every
+    down-step off the table that walk fills. Any later change to these
+    numbers must be explained."""
     system = coxeter_system(name)
-    elements = system.elements()
     calls = []
     step = type(system).step
+    searching = []
 
     def counting(self, w, i, left=False):
-        calls.append(i)
+        calls.append(bool(searching))
         return step(self, w, i, left)
 
+    search = WitnessSearcher.search
+
+    def marked(self, w):
+        searching.append(w)
+        try:
+            return search(self, w)
+        finally:
+            searching.pop()
+
     monkeypatch.setattr(type(system), "step", counting)
-    for _ in spherical_module.census(system, elements):
+    monkeypatch.setattr(WitnessSearcher, "search", marked)
+    for _ in spherical_module.census(system):
         pass
-    assert len(calls) == steps
+    assert len(calls) == steps == system.order() * system.rank // 2
+    assert not any(calls)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B4", "D5", "F4", "G2", "I2(7)"]
+)
+def test_weak_order_table_matches_lazy_route(name):
+    """Each record of the table read off the weak order holds what a lazy
+    table computes: the support, the right descents and the down-steps."""
+    system = coxeter_system(name)
+    table = spherical_module.NodeTable.weak_order(system)
+    assert [node.element for node in table.records] == system.elements()
+    for eid, node in enumerate(table.records):
+        w = node.element
+        assert node.id == eid and node.length == w.length
+        assert node.support == system.support(w)
+        assert node.descents == tuple(sorted(system.right_descents(w)))
+        assert [(i, child.element) for i, child in table.edges(node)] == [
+            (i, system.step(w, i)) for i in node.descents
+        ]
+    assert all(table.node(node.element) is node for node in table.records)
 
 
 @pytest.mark.parametrize("name", ["A5", "B4", "D5", "F4", "G2", "I2(7)"])
@@ -436,7 +468,7 @@ def test_census_words_match_cold_searches(name):
     """Sharing searchers and their node table across a census changes no
     answer: each element gets the word a fresh `find_witness` finds."""
     system = coxeter_system(name)
-    for w, J, word in spherical_module.census(system, system.elements()):
+    for w, J, word in spherical_module.census(system):
         cold = find_witness(system, w, J)
         assert word == (None if cold is None else cold.word), w
 
