@@ -476,8 +476,9 @@ def _nonspherical_lines(m: int) -> list[tuple[int, ...]]:
 
 def _experiment_pattern_avoidance(n: int) -> dict:
     """Does every non-spherical element contain a bad rank-5 pattern?"""
+    _check_size("experiment pattern-avoidance", n, 5)
     patterns = _nonspherical_lines(5)
-    checked = (patterns if n >= 5 else []) + [
+    checked = patterns + [
         line for m in range(6, n + 1) for line in _nonspherical_lines(m)
     ]
     unexplained = [

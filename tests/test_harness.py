@@ -10,7 +10,12 @@ import pytest
 from coxsph import cli, coxeter_system, harness, nonspherical_census
 from coxsph.coxeter import CoxeterError
 
-from golden_data import CENSUS_JSON_SHA256, KEY_15243_D24_EXPANSION, S5_NONSPHERICAL
+from golden_data import (
+    CENSUS_JSON_SHA256,
+    E8_WORD_NOT_WITNESS,
+    KEY_15243_D24_EXPANSION,
+    S5_NONSPHERICAL,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -449,6 +454,56 @@ def test_cli_census_and_expectations(capsys, tmp_path):
     assert cli.main(["census", "B3", "--expect-nonspherical", "3"]) == 2
 
 
+def _run_id(value):
+    """`census F4-exit` pins the exit code alone, `check E7-label` the label too."""
+    if isinstance(value, list):
+        return " ".join([arg for arg in value if not arg.startswith("--")][:2])
+    return "label" if value else "exit"
+
+
+@pytest.mark.parametrize(
+    "argv, element",
+    [
+        (["census", "F4", "--expect-nonspherical", "1033"], None),
+        pytest.param(["census", "A7", "--slow", "--expect-nonspherical", "34043"],
+                     None, marks=pytest.mark.slow),
+        (["census", "D5", "--expect-nonspherical", "1413"], None),
+        (["census", "I2(60)", "--expect-nonspherical", "112"], None),
+        (["census", "I2(2000)", "--slow", "--expect-nonspherical", "3992"], None),
+        (["check", "E8", E8_WORD_NOT_WITNESS, "--I", "2,3,4,5,7,8",
+          "--paranoid"], None),
+        (["check", "I2(60)", "s1 s2 s1", "--I", "1", "--paranoid"], None),
+        (["check", "E7", "s7 s6 s5 s4 s3 s2 s4 s5 s6 s7 s1 s3 s4", "--I", "7"],
+         "s7 s6 s5 s4 s2 s3 s1 s4 s3 s5 s4 s6 s7"),
+        (["check", "B5", "s5 s4 s5 s3 s4 s5 s2 s1 s2 s3", "--I", "5"],
+         "s1 s5 s4 s3 s2 s1 s5 s4 s3 s5"),
+        (["check", "I2(7)", "s2 s1 s2 s1 s2 s1 s2", "--I", "1,2"],
+         "s1 s2 s1 s2 s1 s2 s1"),
+        (["key-expand", "(1,5,2,4,3)", "--D", "2,4", "--oracle", "ry",
+          "--cross-check"], None),
+        (["key-expand", "(0,0,0,2,1)", "--D", "1,2,4,5", "--n", "6",
+          "--oracle", "ry", "--cross-check"], None),
+        (["key-expand", "(0,0,2,0,3,1)", "--D", "3,5", "--oracle", "ry",
+          "--cross-check"], None),
+        (["key-expand", "(3,0,2,3,3)", "--D", "1,2", "--oracle", "ry",
+          "--cross-check"], None),
+        (["verify-consistency", "--n", "5"], None),
+    ],
+    ids=_run_id,
+)
+def test_cli_pinned_runs(tmp_path, argv, element):
+    """Each run exits 0: 2 would mean a census count other than the one
+    expected, a witness the recount rejects, a type-A verdict that peeling
+    contradicts, or oracles that disagree. A `check` row also pins the
+    element's label in its `--json` output."""
+    if element is None:
+        assert cli.main(argv) == 0
+        return
+    out = tmp_path / "check.json"
+    assert cli.main([*argv, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["element"] == element
+
+
 def test_cli_json_to_unwritable_path_is_one_error_line(capsys, tmp_path):
     out = tmp_path / "missing" / "out.json"
     assert cli.main(["census", "A3", "--json", str(out)]) == 1
@@ -622,18 +677,26 @@ def test_cli_self_check(capsys):
     assert "ok" in capsys.readouterr().out
 
 
-def _rejects_size_in_one_line(capsys, argv, n):
+def _rejects_size_in_one_line(capsys, argv, n, least=2):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert captured.err.endswith(f"size n must be at least 2, not {n}\n")
+    assert captured.err.endswith(f"size n must be at least {least}, not {n}\n")
     assert captured.err.count("\n") == 1
 
 
 def test_cli_experiment_distinct_lambda_rejects_n_below_two(capsys):
     _rejects_size_in_one_line(capsys, ["experiment", "distinct-lambda", "--n", "1"], 1)
     assert cli.main(["experiment", "distinct-lambda", "--n", "2"]) == 0
+
+
+def test_cli_experiment_pattern_avoidance_rejects_n_below_five(capsys):
+    # the patterns are the non-spherical elements of S5, so n < 5 checks nothing
+    _rejects_size_in_one_line(
+        capsys, ["experiment", "pattern-avoidance", "--n", "4"], 4, least=5
+    )
+    assert cli.main(["experiment", "pattern-avoidance", "--n", "5"]) == 0
 
 
 def test_cli_verify_consistency_rejects_n_below_two(capsys):
