@@ -11,9 +11,10 @@ canonical representation (two elements are equal iff their tuples are).
 the callers that walk reduced words (enumeration, the witness search, words
 and Bruhat order) never recount a length or multiply by a generator.
 `weak_order()` enumerates the group by one breadth-first walk of the right
-weak order that keeps every edge it steps: each element comes with its
-right descents and the indices of its down-steps w s_i. `elements()` is the
-list of its elements, and a census's node table is read off the same walk.
+weak order that keeps every edge it steps. It builds one `WeakOrderNode`
+per element: its support, its right descents and the records of its
+down-steps w s_i. `elements()` is the list of their elements, and a
+census's node table is the list itself.
 `multiply` is the general product. `word(w)`, the lex-first reduced word
 that labels an element, steps no element: it walks the inversion set of
 w^-1, at most l(w) roots, through the same per-generator tables as the left
@@ -191,6 +192,31 @@ class Element:
     def __repr__(self):
         word = self.word()
         return "<id>" if not word else " ".join(f"s{i}" for i in word)
+
+
+class WeakOrderNode:
+    """One element as a record of the right weak order: its id, the element
+    and its length, its support, its right descents in ascending order and
+    its down-steps, the records of w s_i.
+
+    `CoxeterSystem.weak_order` fills every field at once: the id is the
+    enumeration index and the down-steps are a tuple of records aligned
+    with `descents`. A lazily filled table (`spherical.NodeTable`) leaves
+    `descents` None until a search first admits the record and keeps the
+    down-steps in a dict i -> record, filled one edge at a time (most
+    elements a search meets are never stepped from)."""
+
+    __slots__ = ("id", "element", "length", "support", "descents", "down")
+
+    def __init__(
+        self, eid: int, element: Element, support: frozenset, descents=None, down=None
+    ):
+        self.id = eid
+        self.element = element
+        self.length = element.length
+        self.support = support
+        self.descents = descents
+        self.down = down
 
 
 @dataclass(frozen=True)
@@ -451,12 +477,13 @@ class CoxeterSystem:
 
     # -- enumeration and subsets ---------------------------------------------
 
-    def weak_order(self) -> list[tuple[Element, tuple[int, ...], tuple[int, ...]]]:
-        """The right weak order, breadth first: (w, descents, lower) per element.
+    def weak_order(self) -> list[WeakOrderNode]:
+        """The right weak order, breadth first: one record per element.
 
-        Elements come by length, ties by representation. `descents` are the
-        right descents of w, ascending, and `lower[k]` is the index in this
-        list of w s_i for i = descents[k]: the down-edges of w.
+        Records come by length, ties by representation; a record's id is
+        its index in this list. Its `descents` are the right descents of w,
+        ascending, and `down[k]` is the record of w s_i for i = descents[k]:
+        the down-edges of w.
 
         Level k + 1 is built from the steps w s_i with w in level k and i
         not a right descent of w: each has length l(w) + 1, so no element of
@@ -464,39 +491,48 @@ class CoxeterSystem:
         dedupe. Every such step is a down-edge of its result, and the letters
         run in the outer loop, so each element collects its edges in
         ascending order and its right descents are their letters: one step
-        per edge, and no descent query. Raises CoxeterError when |W| exceeds
-        the cap (COXSPH_ENUM_CAP environment variable, default 10**7).
+        per edge, and no descent query. The support comes off the first
+        parent's: supp(w) = supp(w s_i) + {i} for a right descent i. Equal
+        supports are one frozenset: one per record took 87 MB max RSS on
+        the A7 census, against 69 MB shared. Raises CoxeterError when |W|
+        exceeds the cap (COXSPH_ENUM_CAP environment variable, default
+        10**7).
         """
         cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
         if self.order() > cap:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
-        out, level, step = [], [(self.identity, (), ())], self.step
+        out, step = [], self.step
+        level = [WeakOrderNode(0, self.identity, frozenset(), (), ())]
+        grown: dict[tuple, frozenset] = {}  # (supp(w s_i), i) -> supp(w)
         while level:
-            start = len(out)
             out.extend(level)
-            # rep -> [w s_i, then i and the index of w per down-edge]
+            # rep -> [w s_i, then i and the record of w per down-edge]
             nxt = {}
             for i in range(1, self.rank + 1):
-                for p, (w, down, _) in enumerate(level, start):
-                    if i not in down:
-                        v = step(w, i)
+                for node in level:
+                    if i not in node.descents:
+                        v = step(node.element, i)
                         edges = nxt.get(v.rep)
                         if edges is None:
-                            nxt[v.rep] = [v, i, p]
+                            nxt[v.rep] = [v, i, node]
                         else:
-                            edges += (i, p)
-            level = [
-                (e[0], tuple(e[1::2]), tuple(e[2::2]))
-                for e in map(nxt.get, sorted(nxt))
-            ]
+                            edges += (i, node)
+            level = []
+            for eid, e in enumerate(map(nxt.get, sorted(nxt)), len(out)):
+                descents, down = tuple(e[1::2]), tuple(e[2::2])
+                key = (down[0].support, descents[0])
+                support = grown.get(key)
+                if support is None:
+                    support = grown[key] = key[0] | {key[1]}
+                level.append(WeakOrderNode(eid, e[0], support, descents, down))
         return out
 
     def elements(self) -> list[Element]:
         """All group elements in `weak_order` order: by length, ties by
         representation."""
-        return [w for w, _, _ in self.weak_order()]
+        return [node.element for node in self.weak_order()]
 
     def adjacent(self, i: int, j: int) -> bool:
         return self.coxeter_matrix[i - 1][j - 1] >= 3

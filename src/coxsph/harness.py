@@ -88,11 +88,13 @@ def _element_label(system: CoxeterSystem, w) -> str:
 
 
 def _from_parents(system: CoxeterSystem, rows, root, step):
-    """Pair each row (w, J(w), ...) with a value built from w's parent.
+    """Pair each row (record of w, J(w), ...) with a value built from w's
+    left parent s_j w, j = min J(w).
 
-    w is the record of a `spherical.NodeTable` built from the weak order.
-    The identity gets `root`; any other w gets step(j, value of s_j w) with
-    j = min J(w). The rows must come in enumeration order, which is
+    The record is a `WeakOrderNode` of `CoxeterSystem.weak_order`. Its
+    down-edges are the right steps w s_i, so the left parent is stepped
+    here. The identity gets `root`; any other w gets step(j, value of
+    s_j w). The rows must come in enumeration order, which is
     breadth-first by length, so the parent s_j w of every w lies in the
     previous length level: values of two levels are all that is kept.
     """
@@ -142,24 +144,25 @@ def _prefix_letter(j: int, word: str) -> str:
 def run_census(type_string: str, progress=None) -> CensusReport:
     """Maximal-sphericality census of a whole group, in enumeration order.
 
-    The rows come from `spherical.census_records` over one
-    `NodeTable.weak_order` table. Labels are those of `_element_label`,
+    The rows come from `spherical.census`, one (record, J(w), word) per
+    element of the weak-order walk. Labels are those of `_element_label`,
     each read off a parent's label, with no word spelt and no permutation
     read per element: in type A the one-line form of w is that of its
-    weak-order parent w s_i with two entries swapped (`_one_line_labels`);
-    elsewhere the word of w is s_j + the word of s_j w with
-    j = min J(w) (`_from_parents`), the recursion `Element.word()` follows.
+    weak-order parent w s_i, the record's first down-edge, with two entries
+    swapped (`_one_line_labels`); elsewhere the word of w is s_j + the word
+    of s_j w with j = min J(w) (`_from_parents`), the recursion
+    `Element.word()` follows. `progress(done, total)`, if given, is called
+    after every 500 elements.
     """
     start = time.perf_counter()
     system = coxeter_system(type_string)
-    nodes = spherical.NodeTable.weak_order(system)
-    rows = spherical.census_records(nodes)
+    rows = spherical.census(system)
     if system.cartan_type.family == "A":
         labelled = _one_line_labels(system, rows)
     else:
         labelled = _from_parents(system, rows, "<id>", _prefix_letter)
     entries = []
-    total = len(nodes.records)
+    total = system.order()
     for i, (label, (_, J, word)) in enumerate(labelled):
         entries.append(
             CensusEntry(
@@ -496,6 +499,7 @@ def _experiment_pattern_avoidance(n: int) -> dict:
 
 
 def _experiment_vanishing_density(n: int) -> dict:
+    _check_size("experiment vanishing-density", n, 2)
     counts = {}
     for m in range(2, n + 1):
         total, bad = math.factorial(m), len(_nonspherical_lines(m))
@@ -521,6 +525,7 @@ def _experiment_upone(n: int, seed: int, trials: int = 200) -> dict:
     Stops after `UPONE_DRAWS_PER_TRIAL * trials` random draws, because for
     small n a draw with multiplicity may be rare or impossible.
     """
+    _check_size("experiment upone", n, 2)
     rng = random.Random(seed)
     tested = draws = 0
     counterexamples = []

@@ -18,12 +18,13 @@ prune or memo.
 
 What the walk learns about an element does not depend on I: its support,
 its right descents and its down-steps w s_i. A `NodeTable` keeps them, one
-record per element, for every searcher it is given. A census reads its
-table off the one walk that enumerates the group
-(`CoxeterSystem.weak_order`), which steps each edge of the right weak order
-once, and hands each record to the searcher of its descent set: the search
-makes no step and looks no element up. A single query (`find_witness`)
-fills a table lazily instead, stepping only the edges it tries.
+`WeakOrderNode` record per element, for every searcher it is given. A
+census's table is the list of records that the one walk enumerating the
+group builds (`CoxeterSystem.weak_order`), which steps each edge of the
+right weak order once; `census` hands each record to the searcher of its
+descent set, so the search makes no step and looks no element up. A single
+query (`find_witness`) fills a table lazily instead, stepping only the
+edges it tries.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .coxeter import CoxeterError, CoxeterSystem, Element
+from .coxeter import CoxeterError, CoxeterSystem, Element, WeakOrderNode
 from . import words as _words
 
 
@@ -77,93 +78,52 @@ def verify_witness(system: CoxeterSystem, w: Element, I, letters) -> bool:
     )
 
 
-class _Node:
-    """One element as the witness search sees it: its id in the table, the
-    element and its length, its support, its right descents in ascending
-    order and its down-steps, the records of w s_i.
-
-    A table built from the weak order fills every field at once and holds
-    the down-steps as a tuple aligned with `descents`. A lazy table leaves
-    `descents` None until a search first admits the node and keeps the
-    down-steps in a dict i -> record, filled one edge at a time (most
-    elements a search meets are never stepped from)."""
-
-    __slots__ = ("id", "element", "length", "support", "descents", "down")
-
-    def __init__(
-        self, eid: int, element: Element, support: frozenset, descents=None, down=None
-    ):
-        self.id = eid
-        self.element = element
-        self.length = element.length
-        self.support = support
-        self.descents = descents
-        self.down = down
-
-
 class NodeTable:
     """The part of the right weak order that searches of one system walk:
-    one `_Node` per element.
+    one `WeakOrderNode` per element.
 
-    Nothing in a node depends on I, so any number of searchers may share a
-    table. `NodeTable.weak_order(system)` holds the whole group, read off
-    one `CoxeterSystem.weak_order` walk, so a record's id is its
+    Nothing in a record depends on I, so any number of searchers may share
+    a table. `NodeTable.weak_order(system)` holds the whole group, the
+    records of one `CoxeterSystem.weak_order` walk, so a record's id is its
     enumeration index and its searches make no step. A table made with
     `NodeTable(system)` (`find_witness`, `run_check`, groups too large to
     enumerate) makes a record on first sight of an element and steps each
     down-edge the first time some searcher peels that letter off that
-    element.
+    element. Either kind indexes its records by rep only once `node` is
+    first asked.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self.records: list[_Node] = []  # by id
-        self._nodes: dict[tuple, _Node] | None = {}  # by rep
+        self.records: list[WeakOrderNode] = []  # by id
+        self._nodes: dict[tuple, WeakOrderNode] | None = None  # by rep
 
     @classmethod
     def weak_order(cls, system: CoxeterSystem) -> "NodeTable":
-        """The table of every element, in `system.weak_order()` order.
-
-        Each record takes its descents and down-steps from its edges, and
-        its support from a parent's: supp(w) = supp(w s_i) + {i} for a
-        right descent i. Equal supports are one frozenset: one per record
-        took 87 MB max RSS on the A7 census, against 69 MB shared.
-        """
+        """The table of every element: the records of `system.weak_order()`."""
         table = cls(system)
-        records = table.records
-        table._nodes = None  # indexed by rep only if `node` is ever asked
-        grown: dict[tuple, frozenset] = {}
-        for w, descents, lower in system.weak_order():
-            down = tuple(map(records.__getitem__, lower))
-            if down:
-                key = (down[0].support, descents[0])
-                support = grown.get(key)
-                if support is None:
-                    support = grown[key] = key[0] | {descents[0]}
-            else:
-                support = frozenset()
-            records.append(_Node(len(records), w, support, descents, down))
+        table.records = system.weak_order()
         return table
 
-    def node(self, w: Element) -> _Node:
+    def node(self, w: Element) -> WeakOrderNode:
         """The record of w, made on first sight."""
         if self._nodes is None:
             self._nodes = {node.element.rep: node for node in self.records}
         node = self._nodes.get(w.rep)
         if node is None:
-            node = self._nodes[w.rep] = _Node(
+            node = self._nodes[w.rep] = WeakOrderNode(
                 len(self.records), w, self.system.support(w)
             )
             self.records.append(node)
         return node
 
-    def edges(self, node: _Node):
+    def edges(self, node: WeakOrderNode):
         """(i, record of w s_i) for each right descent i of w, ascending."""
         if type(node.down) is tuple:
             return zip(node.descents, node.down)
         return self._stepped_edges(node)
 
-    def _stepped_edges(self, node: _Node):
+    def _stepped_edges(self, node: WeakOrderNode):
         if node.descents is None:
             node.descents = tuple(sorted(self.system.right_descents(node.element)))
             node.down = {}
@@ -209,7 +169,7 @@ class WitnessSearcher:
         failure memo.
         """
         nodes, slot = self.nodes, self.slot
-        node = w if type(w) is _Node else nodes.node(w)
+        node = w if type(w) is WeakOrderNode else nodes.node(w)
         rem, frames, letters = list(self.budgets), [], []
         while True:
             if node.length == 0:
@@ -237,7 +197,7 @@ class WitnessSearcher:
             else:
                 return None
 
-    def _admit(self, node: _Node, rem: list):
+    def _admit(self, node: WeakOrderNode, rem: list):
         """The failure key of (node, rem), or None if the prune or the memo
         rules it out. Records the node in `_seen` first, either way."""
         self._seen.add(node.id)
@@ -279,15 +239,17 @@ def is_maximally_spherical(system: CoxeterSystem, w: Element) -> bool:
     return is_I_spherical(system, w, system.left_descents(w))
 
 
-def census_records(nodes: NodeTable):
-    """Yield (record, J(w), J(w)-witness word or None) for each record of a
-    table built by `NodeTable.weak_order`, in enumeration order.
+def census(system: CoxeterSystem):
+    """Yield (record of w, J(w), J(w)-witness word or None) for each element,
+    in enumeration order: the records of `system.weak_order()`, so the
+    census makes one step per edge of the weak order and its searches make
+    none.
 
     One searcher per descent set is built on first use and shared by every
     later element with that set, so its failure memo carries across them;
     each is handed the record itself, so no element is looked up.
     """
-    system = nodes.system
+    nodes = NodeTable.weak_order(system)
     searchers: dict[frozenset, WitnessSearcher] = {}
     for node in nodes.records:
         J = system.left_descents(node.element)
@@ -297,18 +259,9 @@ def census_records(nodes: NodeTable):
         yield node, J, searcher.search(node)
 
 
-def census(system: CoxeterSystem):
-    """Yield (w, J(w), J(w)-witness word or None) for each element, in
-    enumeration order: `census_records` over the system's weak order, so
-    the census makes one step per edge of the weak order and its searches
-    make none."""
-    for node, J, word in census_records(NodeTable.weak_order(system)):
-        yield node.element, J, word
-
-
 def nonspherical_census(system: CoxeterSystem) -> list[Element]:
     """Every element that is not J(w)-spherical, in enumeration order."""
-    return [w for w, _, word in census(system) if word is None]
+    return [node.element for node, _, word in census(system) if word is None]
 
 
 def w0_sphericality_closed_form(system: CoxeterSystem, I) -> bool:

@@ -519,6 +519,13 @@ def test_cli_census_requires_slow_for_large_groups(capsys):
     assert "--slow" in capsys.readouterr().err
 
 
+def test_cli_census_slow_reports_progress_every_500_elements(capsys):
+    assert cli.main(["census", "F4", "--slow"]) == 0
+    assert capsys.readouterr().err == (
+        "  ...500/1152 elements\n  ...1000/1152 elements\n"
+    )
+
+
 def test_cli_check(capsys):
     code = cli.main(["check", "A4", "24531", "--I", "1,3"])
     assert code == 0
@@ -697,6 +704,14 @@ def test_cli_experiment_pattern_avoidance_rejects_n_below_five(capsys):
         capsys, ["experiment", "pattern-avoidance", "--n", "4"], 4, least=5
     )
     assert cli.main(["experiment", "pattern-avoidance", "--n", "5"]) == 0
+
+
+@pytest.mark.parametrize("name", ["vanishing-density", "upone"])
+def test_cli_experiment_rejects_n_below_two(capsys, name):
+    # at n = 1 vanishing-density would report no counts at all, and upone
+    # would test no pair, since S_1 has no split with multiplicity
+    _rejects_size_in_one_line(capsys, ["experiment", name, "--n", "1"], 1)
+    assert cli.main(["experiment", name, "--n", "2"]) == 0
 
 
 def test_cli_verify_consistency_rejects_n_below_two(capsys):

@@ -24,3 +24,35 @@ def test_no_assert_statements():
     ]
     assert list(SRC.glob("*.py")) and helpers
     assert found == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The coxsph modules that `path` imports relatively, at any depth."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import words, spherical
+                imported.update(alias.name for alias in node.names)
+            else:  # from .coxeter import Element
+                imported.add(node.module.split(".")[0])
+    return imported
+
+
+def test_coxeter_is_the_bottom_layer_and_imports_have_no_cycle():
+    # the weak-order record lives in coxeter.py, which every other module
+    # reads, so coxeter.py may import none of them
+    graph = {path.stem: _package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert set().union(*graph.values()) <= set(graph)
+    assert graph["coxeter"] == set()
+    assert "coxeter" in graph["spherical"]
+    done: set[str] = set()
+
+    def visit(module, path):
+        assert module not in path, " -> ".join([*path, module])
+        if module not in done:
+            for imported in sorted(graph[module]):
+                visit(imported, [*path, module])
+            done.add(module)
+
+    for module in graph:
+        visit(module, [])

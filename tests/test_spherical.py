@@ -460,6 +460,7 @@ def test_weak_order_table_matches_lazy_route(name):
         assert [(i, child.element) for i, child in table.edges(node)] == [
             (i, system.step(w, i)) for i in node.descents
         ]
+        assert all(table.records[child.id] is child for child in node.down)
     assert all(table.node(node.element) is node for node in table.records)
 
 
@@ -468,7 +469,8 @@ def test_census_words_match_cold_searches(name):
     """Sharing searchers and their node table across a census changes no
     answer: each element gets the word a fresh `find_witness` finds."""
     system = coxeter_system(name)
-    for w, J, word in spherical_module.census(system):
+    for node, J, word in spherical_module.census(system):
+        w = node.element
         cold = find_witness(system, w, J)
         assert word == (None if cold is None else cold.word), w
 
