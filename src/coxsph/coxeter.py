@@ -199,18 +199,18 @@ class WeakOrderNode:
     and its length, its support, its right descents in ascending order and
     its down-steps, the records of w s_i.
 
-    `CoxeterSystem.weak_order` fills every field at once: the id is the
-    enumeration index and the down-steps are a tuple of records aligned
-    with `descents`. A lazily filled table (`spherical.NodeTable`) leaves
-    `descents` None until a search first admits the record and keeps the
-    down-steps in a dict i -> record, filled one edge at a time (most
-    elements a search meets are never stepped from)."""
+    `down` is always a sequence aligned with `descents`: `down[k]` is the
+    record of w s_i for i = descents[k]. `CoxeterSystem.weak_order` fills
+    every field at once: the id is the enumeration index and `down` is a
+    tuple of records. A lazily filled table (`spherical.NodeTable`) leaves
+    `descents` and `down` None until a search first admits the record, then
+    opens it with one empty slot per descent and fills a slot the first
+    time the search takes that edge (most elements a search meets are never
+    stepped from)."""
 
     __slots__ = ("id", "element", "length", "support", "descents", "down")
 
-    def __init__(
-        self, eid: int, element: Element, support: frozenset, descents=None, down=None
-    ):
+    def __init__(self, eid: int, element: Element, support: frozenset, descents, down):
         self.id = eid
         self.element = element
         self.length = element.length
@@ -496,9 +496,15 @@ class CoxeterSystem:
         supports are one frozenset: one per record took 87 MB max RSS on
         the A7 census, against 69 MB shared. Raises CoxeterError when |W|
         exceeds the cap (COXSPH_ENUM_CAP environment variable, default
-        10**7).
+        10**7; a value `int()` does not read raises CoxeterError too).
         """
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+        raw = os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise CoxeterError(
+                f"{ENUM_CAP_ENV} must be an integer, not {raw!r}"
+            ) from None
         if self.order() > cap:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"

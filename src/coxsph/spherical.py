@@ -18,13 +18,16 @@ prune or memo.
 
 What the walk learns about an element does not depend on I: its support,
 its right descents and its down-steps w s_i. A `NodeTable` keeps them, one
-`WeakOrderNode` record per element, for every searcher it is given. A
-census's table is the list of records that the one walk enumerating the
-group builds (`CoxeterSystem.weak_order`), which steps each edge of the
-right weak order once; `census` hands each record to the searcher of its
-descent set, so the search makes no step and looks no element up. A single
-query (`find_witness`) fills a table lazily instead, stepping only the
-edges it tries.
+`WeakOrderNode` record per element, for every searcher it is given. Every
+record has one form: `down[k]` is the record of w s_i for i =
+`descents[k]`, and the search reads both by index. A census's table is the
+list of records that the one walk enumerating the group builds
+(`CoxeterSystem.weak_order`), which steps each edge of the right weak order
+once; `census` hands each record to the searcher of its descent set, so the
+search makes no step and looks no element up. A single query
+(`find_witness`) fills a table lazily instead: a record gets its descents
+and empty slots when a search first admits it, and a slot is stepped the
+first time a search tries that edge.
 """
 
 from __future__ import annotations
@@ -87,10 +90,12 @@ class NodeTable:
     records of one `CoxeterSystem.weak_order` walk, so a record's id is its
     enumeration index and its searches make no step. A table made with
     `NodeTable(system)` (`find_witness`, `run_check`, groups too large to
-    enumerate) makes a record on first sight of an element and steps each
-    down-edge the first time some searcher peels that letter off that
-    element. Either kind indexes its records by rep only once `node` is
-    first asked.
+    enumerate) makes a record on first sight of an element, with
+    `descents` and `down` None; `open` gives it its descents and a list of
+    empty down-edge slots when a search first admits it, and `step` fills
+    slot k the first time some searcher peels that letter off that element.
+    Both kinds then hold the same form: `down` aligned with `descents`.
+    Either kind indexes its records by rep only once `node` is first asked.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -112,26 +117,22 @@ class NodeTable:
         node = self._nodes.get(w.rep)
         if node is None:
             node = self._nodes[w.rep] = WeakOrderNode(
-                len(self.records), w, self.system.support(w)
+                len(self.records), w, self.system.support(w), None, None
             )
             self.records.append(node)
         return node
 
-    def edges(self, node: WeakOrderNode):
-        """(i, record of w s_i) for each right descent i of w, ascending."""
-        if type(node.down) is tuple:
-            return zip(node.descents, node.down)
-        return self._stepped_edges(node)
+    def open(self, node: WeakOrderNode) -> None:
+        """Fill the right descents of a lazily made record, ascending, and
+        give it one empty down-edge slot per descent."""
+        node.descents = tuple(sorted(self.system.right_descents(node.element)))
+        node.down = [None] * len(node.descents)
 
-    def _stepped_edges(self, node: WeakOrderNode):
-        if node.descents is None:
-            node.descents = tuple(sorted(self.system.right_descents(node.element)))
-            node.down = {}
-        for i in node.descents:
-            child = node.down.get(i)
-            if child is None:
-                child = node.down[i] = self.node(self.system.step(node.element, i))
-            yield i, child
+    def step(self, node: WeakOrderNode, k: int) -> WeakOrderNode:
+        """Fill slot k of an open record: the record of w s_i, i = descents[k]."""
+        w = self.system.step(node.element, node.descents[k])
+        child = node.down[k] = self.node(w)
+        return child
 
 
 class WitnessSearcher:
@@ -161,12 +162,14 @@ class WitnessSearcher:
         w is an Element or its record in `self.nodes`.
 
         A depth-first walk with an explicit stack, so l(w) sets no recursion
-        limit. `frames` holds, for each open node of the current path, its
-        failure key and its down-edges not yet tried, in ascending order of
-        their letters (`NodeTable.edges`); `letters` holds the descents
-        peeled so far, whose units are spent from `rem` and given back on
-        backtrack. A node whose edges are all exhausted goes into the
-        failure memo.
+        limit. `frames` holds, for each open node of the current path, a
+        list [failure key, record, index of the next down-edge to try]; the
+        edges go in ascending order of their letters, `descents[k]` and
+        `down[k]`, and an empty slot of a lazy table is stepped
+        (`NodeTable.step`) when the frame reaches it. `letters` holds the
+        descents peeled so far, whose units are spent from `rem` and given
+        back on backtrack. A node whose edges are all exhausted goes into
+        the failure memo.
         """
         nodes, slot = self.nodes, self.slot
         node = w if type(w) is WeakOrderNode else nodes.node(w)
@@ -176,17 +179,20 @@ class WitnessSearcher:
                 return tuple(reversed(letters))
             key = self._admit(node, rem)
             if key is not None:
-                frames.append((key, nodes.edges(node)))
+                if node.descents is None:
+                    nodes.open(node)
+                frames.append([key, node, 0])
             elif letters:
                 rem[slot[letters.pop()]] += 1
             # each right descent i of an admitted node lies in its support,
             # so the prune left rem[slot[i]] >= 1; backtracking restores rem
             # before a frame tries its next edge
             while frames:
-                key, todo = frames[-1]
-                edge = next(todo, None)
-                if edge is not None:
-                    i, node = edge
+                key, parent, k = frame = frames[-1]
+                if k < len(parent.descents):
+                    frame[2] = k + 1
+                    i = parent.descents[k]
+                    node = parent.down[k] or nodes.step(parent, k)
                     rem[slot[i]] -= 1
                     letters.append(i)
                     break

@@ -737,3 +737,16 @@ def test_enum_cap_env(monkeypatch):
         system.elements()
     monkeypatch.delenv("COXSPH_ENUM_CAP")
     assert len(system.elements()) == 120
+
+
+@pytest.mark.parametrize("raw", ["", "abc", "1e3"])
+def test_cli_enum_cap_that_is_not_an_integer_is_one_error_line(
+    raw, monkeypatch, capsys
+):
+    monkeypatch.setenv("COXSPH_ENUM_CAP", raw)
+    assert cli.main(["census", "A3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: COXSPH_ENUM_CAP must be an integer, not {raw!r}\n"
+    )

@@ -448,20 +448,65 @@ def test_census_down_steps_are_pinned(name, steps, monkeypatch):
 )
 def test_weak_order_table_matches_lazy_route(name):
     """Each record of the table read off the weak order holds what a lazy
-    table computes: the support, the right descents and the down-steps."""
+    table computes for the same element once it opens the record and steps
+    every slot: the support, the right descents and the down-steps."""
     system = coxeter_system(name)
     table = spherical_module.NodeTable.weak_order(system)
     assert [node.element for node in table.records] == system.elements()
     for eid, node in enumerate(table.records):
-        w = node.element
-        assert node.id == eid and node.length == w.length
-        assert node.support == system.support(w)
-        assert node.descents == tuple(sorted(system.right_descents(w)))
-        assert [(i, child.element) for i, child in table.edges(node)] == [
-            (i, system.step(w, i)) for i in node.descents
-        ]
+        assert node.id == eid and node.length == node.element.length
         assert all(table.records[child.id] is child for child in node.down)
+        lazy = spherical_module.NodeTable(system)
+        fresh = lazy.node(node.element)
+        assert fresh.descents is None and fresh.down is None
+        lazy.open(fresh)
+        assert fresh.down == [None] * len(fresh.descents)
+        stepped = [lazy.step(fresh, k) for k in range(len(fresh.descents))]
+        assert fresh.down == stepped
+        assert fresh.support == node.support
+        assert fresh.descents == node.descents
+        assert [c.element for c in fresh.down] == [c.element for c in node.down]
     assert all(table.node(node.element) is node for node in table.records)
+
+
+@pytest.mark.parametrize(
+    "name, right, left, reads",
+    [
+        ("A4", 527, 0, 473),
+        ("B4", 756, 0, 665),
+        ("D5", 4703, 0, 3860),
+        ("F4", 765, 0, 709),
+        ("I2(60)", 72, 0, 72),
+    ],
+)
+def test_lazy_route_work_is_pinned(name, right, left, reads, monkeypatch):
+    """Golden work of a cold `find_witness(w, J(w))` on every element: the
+    right and left steps its lazy tables make, and the right-descent reads.
+    A lazy record reads its descents only when a search first admits it,
+    and steps one down-edge only when a search first takes it. Any later
+    change to these numbers must be explained."""
+    system = coxeter_system(name)
+    step, right_descents = system.step, system.right_descents
+    steps, descent_reads = [], []
+
+    def counting_descents(w):
+        descent_reads.append(w)
+        return right_descents(w)
+
+    def counting_step(w, i, left=False):
+        steps.append(left)
+        return step(w, i, left)
+
+    # on the instance: undoing an instance patch leaves the bound method
+    # in its dict, which a class patch would not reach
+    monkeypatch.setattr(system, "right_descents", counting_descents)
+    elements = system.elements()
+    monkeypatch.setattr(system, "step", counting_step)
+    for w in elements:
+        find_witness(system, w, system.left_descents(w))
+    assert steps.count(False) == right
+    assert steps.count(True) == left
+    assert len(descent_reads) == reads
 
 
 @pytest.mark.parametrize("name", ["A5", "B4", "D5", "F4", "G2", "I2(7)"])
