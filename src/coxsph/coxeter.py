@@ -6,15 +6,18 @@ signed permutation it induces on the list of positive roots. This gives
 O(#roots) multiplication, inversion-free length and descent queries, and a
 canonical representation (two elements are equal iff their tuples are).
 
-`step(w, i)` is the one way to move by a simple reflection: it returns w s_i
-(s_i w with `left=True`) with its length l(w) - 1 or l(w) + 1 recorded, so
-the callers that walk reduced words (enumeration, the witness search, words
-and Bruhat order) never recount a length or multiply by a generator.
-`weak_order()` enumerates the group by one breadth-first walk of the right
-weak order that keeps every edge it steps. It builds one `WeakOrderNode`
-per element: its support, its right descents and the records of its
-down-steps w s_i. `elements()` is the list of their elements, and a
-census's node table is the list itself.
+`_right_rep(rep, i)` is the one right-step formula: the rep of w s_i from
+the rep of w. `step(w, i)` wraps it as an `Element`: it returns w s_i (s_i w
+with `left=True`) with its length l(w) - 1 or l(w) + 1 recorded, so the
+callers that walk reduced words one element at a time (the witness search
+of single queries, words and Bruhat order) never recount a length or
+multiply by a generator. `weak_order()` enumerates the group by one
+breadth-first walk of the right weak order that keeps every edge it steps.
+It steps reps with `_right_rep`, one call per edge, and makes an `Element`
+only once per element. It builds one `WeakOrderNode` per element: its
+support, its right descents and the records of its down-steps w s_i.
+`elements()` is the list of their elements, and a census's node table is
+the list itself.
 `multiply` is the general product. `word(w)`, the lex-first reduced word
 that labels an element, steps no element: it walks the inversion set of
 w^-1, at most l(w) roots, through the same per-generator tables as the left
@@ -397,12 +400,17 @@ class CoxeterSystem:
             out = itemgetter(*rep)(images) if len(rep) > 1 else (images[rep[0]],)
         else:
             down = rep[i - 1] < 0
-            out = list(self._right_orders[i - 1](rep))
-            out[i - 1] = -out[i - 1]
-            out = tuple(out)
+            out = self._right_rep(rep, i)
         v = Element(self, out)
         v._length = w.length - 1 if down else w.length + 1
         return v
+
+    def _right_rep(self, rep: tuple, i: int) -> tuple:
+        """The rep of w s_i, given the rep of w and a valid i: w's entries
+        in the order of s_i's root permutation, with entry i negated."""
+        out = list(self._right_orders[i - 1](rep))
+        out[i - 1] = -out[i - 1]
+        return tuple(out)
 
     def inverse(self, w: Element) -> Element:
         self._check_member(w)
@@ -486,15 +494,18 @@ class CoxeterSystem:
         the down-edges of w.
 
         Level k + 1 is built from the steps w s_i with w in level k and i
-        not a right descent of w: each has length l(w) + 1, so no element of
-        an earlier level can recur and the level's own dict is the only
-        dedupe. Every such step is a down-edge of its result, and the letters
-        run in the outer loop, so each element collects its edges in
-        ascending order and its right descents are their letters: one step
-        per edge, and no descent query. The support comes off the first
-        parent's: supp(w) = supp(w s_i) + {i} for a right descent i. Equal
-        supports are one frozenset: one per record took 87 MB max RSS on
-        the A7 census, against 69 MB shared. Raises CoxeterError when |W|
+        not a right descent of w: each has length k + 1, so no element of
+        an earlier level can recur and the level's own dict, keyed by the
+        rep `_right_rep` returns, is the only dedupe. Every such step is a
+        down-edge of its result, and the letters run in the outer loop, so
+        each element collects its edges in ascending order and its right
+        descents are their letters: one `_right_rep` per edge, and no
+        descent query. The `Element` of a new rep, with its length k + 1,
+        is made once, with its record, not once per edge: most edges reach
+        an element another edge reached first. The support comes off the
+        first parent's: supp(w) = supp(w s_i) + {i} for a right descent i.
+        Equal supports are one frozenset: one per record took 87 MB max RSS
+        on the A7 census, against 69 MB shared. Raises CoxeterError when |W|
         exceeds the cap (COXSPH_ENUM_CAP environment variable, default
         10**7; a value `int()` does not read raises CoxeterError too).
         """
@@ -509,30 +520,35 @@ class CoxeterSystem:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
-        out, step = [], self.step
+        out, right = [], self._right_rep
         level = [WeakOrderNode(0, self.identity, frozenset(), (), ())]
         grown: dict[tuple, frozenset] = {}  # (supp(w s_i), i) -> supp(w)
+        length = 0
         while level:
             out.extend(level)
-            # rep -> [w s_i, then i and the record of w per down-edge]
+            length += 1
+            # rep of w s_i -> [i, then the record of w, per down-edge]
             nxt = {}
             for i in range(1, self.rank + 1):
                 for node in level:
                     if i not in node.descents:
-                        v = step(node.element, i)
-                        edges = nxt.get(v.rep)
+                        rep = right(node.element.rep, i)
+                        edges = nxt.get(rep)
                         if edges is None:
-                            nxt[v.rep] = [v, i, node]
+                            nxt[rep] = [i, node]
                         else:
                             edges += (i, node)
             level = []
-            for eid, e in enumerate(map(nxt.get, sorted(nxt)), len(out)):
-                descents, down = tuple(e[1::2]), tuple(e[2::2])
+            for eid, rep in enumerate(sorted(nxt), len(out)):
+                e = nxt[rep]
+                descents, down = tuple(e[::2]), tuple(e[1::2])
                 key = (down[0].support, descents[0])
                 support = grown.get(key)
                 if support is None:
                     support = grown[key] = key[0] | {key[1]}
-                level.append(WeakOrderNode(eid, e[0], support, descents, down))
+                v = Element(self, rep)
+                v._length = length
+                level.append(WeakOrderNode(eid, v, support, descents, down))
         return out
 
     def elements(self) -> list[Element]:
@@ -552,10 +568,14 @@ class CoxeterSystem:
             decomp = self._decompositions[I] = self._decompose(I)
         return decomp
 
-    def _decompose(self, I: frozenset) -> ComponentDecomposition:
-        for j in I:
+    def _check_nodes(self, nodes) -> None:
+        """Raise CoxeterError naming the first node outside 1..rank."""
+        for j in nodes:
             if not 1 <= j <= self.rank:
                 raise CoxeterError(f"node {j} out of range 1..{self.rank}")
+
+    def _decompose(self, I: frozenset) -> ComponentDecomposition:
+        self._check_nodes(I)
         remaining = set(I)
         comps = []
         while remaining:
@@ -633,15 +653,21 @@ class DihedralSystem(CoxeterSystem):
         self._check_member(w)
         if not 0 < i <= 2:
             raise CoxeterError(f"generator index {i} out of range 1..2")
-        r, f = w.rep
         if left:
-            r = -r - i + 1
-        elif i == 2:
-            r = r + 1 if f else r - 1
-        rep = (r % self.m, 1 - f)
+            r, f = w.rep
+            rep = ((-r - i + 1) % self.m, 1 - f)
+        else:
+            rep = self._right_rep(w.rep, i)
         v = Element(self, rep)
         v._length = self._rep_length(*rep)
         return v
+
+    def _right_rep(self, rep: tuple, i: int) -> tuple:
+        """Closed form of `CoxeterSystem._right_rep`, as in `step`."""
+        r, f = rep
+        if i == 2:
+            r = r + 1 if f else r - 1
+        return (r % self.m, 1 - f)
 
     def left_descents(self, w: Element) -> frozenset[int]:
         # the reduced word starts with s1 when (s1 s2)^r s1^f is the shorter

@@ -163,11 +163,15 @@ def run_census(type_string: str, progress=None) -> CensusReport:
         labelled = _from_parents(system, rows, "<id>", _prefix_letter)
     entries = []
     total = system.order()
+    ascending: dict[frozenset, tuple[int, ...]] = {}  # J -> sorted J
     for i, (label, (_, J, word)) in enumerate(labelled):
+        J_sorted = ascending.get(J)
+        if J_sorted is None:
+            J_sorted = ascending[J] = tuple(sorted(J))
         entries.append(
             CensusEntry(
                 label,
-                tuple(sorted(J)),
+                J_sorted,
                 word is not None,
                 None if word is None else words.format_word(word),
             )
@@ -238,8 +242,9 @@ def run_check(
     type_string: str, element_text: str, subset, paranoid: bool = False
 ) -> CheckReport:
     """Witness search for (w, I), plus the staircase verdict in type A.
-    `paranoid` recounts the witness (`verify_witness`) and peels the staircase
-    key; `CrossCheckFailure` if either disagrees."""
+    `paranoid` recounts the witness (`verify_witness`), peels the staircase
+    key and, for I = {}, re-decides the verdict as l(w) = |supp(w)|
+    (`has_distinct_letter_word`); `CrossCheckFailure` if any disagrees."""
     system = coxeter_system(type_string)
     w = parse_element(system, element_text)
     I = frozenset(subset)
@@ -252,6 +257,9 @@ def run_check(
     if paranoid and cert is not None:
         if not spherical.verify_witness(system, w, I, cert.word):
             raise CrossCheckFailure("witness failed independent recount")
+    if paranoid and not I:
+        if (cert is not None) != spherical.has_distinct_letter_word(system, w):
+            raise CrossCheckFailure("search verdict disagrees with l(w) = |supp(w)|")
     return CheckReport(
         type_string,
         _element_label(system, w),

@@ -14,7 +14,7 @@ witness and the certificate all read that table. The search walks reduced
 words right-to-left over right descents, spending one unit of each peeled
 letter's group, and memoizes failed (element, remaining allowances) states.
 `verify_witness` recounts a word against the table without the search's
-prune or memo.
+prune or memo, and `has_distinct_letter_word` decides I = {} without it.
 
 What the walk learns about an element does not depend on I: its support,
 its right descents and its down-steps w s_i. A `NodeTable` keeps them, one
@@ -62,8 +62,10 @@ def _allowances(system: CoxeterSystem, I: frozenset):
 
 
 def _descent_subset(system: CoxeterSystem, w: Element, I) -> frozenset:
-    """I as a frozenset; raises unless it lies in the left descents of w."""
+    """I as a frozenset; raises unless its nodes are in range and it lies in
+    the left descents of w."""
     I = frozenset(I)
+    system._check_nodes(I)
     if not I <= system.left_descents(w):
         raise CoxeterError("I is not a subset of the left descent set of w")
     return I
@@ -162,8 +164,14 @@ class WitnessSearcher:
         w is an Element or its record in `self.nodes`.
 
         A depth-first walk with an explicit stack, so l(w) sets no recursion
-        limit. `frames` holds, for each open node of the current path, a
-        list [failure key, record, index of the next down-edge to try]; the
+        limit. Each node the walk reaches goes into `_seen`, then is
+        admitted unless the prune or the failure memo rules it out: the
+        prune rejects it when a group its support touches has no allowance
+        left, or when l(w) exceeds the allowance those groups have left
+        (`_touched` caches the groups per support); the memo rejects a
+        failure key (id, remaining allowances) that already failed.
+        `frames` holds, for each admitted node of the current path, a list
+        [failure key, record, index of the next down-edge to try]; the
         edges go in ascending order of their letters, `descents[k]` and
         `down[k]`, and an empty slot of a lazy table is stepped
         (`NodeTable.step`) when the frame reaches it. `letters` holds the
@@ -171,14 +179,29 @@ class WitnessSearcher:
         back on backtrack. A node whose edges are all exhausted goes into
         the failure memo.
         """
-        nodes, slot = self.nodes, self.slot
+        nodes, slot, groups = self.nodes, self.slot, self.groups
+        seen, fail, touched_by = self._seen, self._fail, self._touched
         node = w if type(w) is WeakOrderNode else nodes.node(w)
         rem, frames, letters = list(self.budgets), [], []
         while True:
             if node.length == 0:
                 return tuple(reversed(letters))
-            key = self._admit(node, rem)
-            if key is not None:
+            seen.add(node.id)
+            support = node.support
+            touched = touched_by.get(support)
+            if touched is None:
+                touched = touched_by[support] = tuple(
+                    g for g, group in enumerate(groups)
+                    if not support.isdisjoint(group)
+                )
+            allowance = 0
+            for g in touched:
+                if rem[g] == 0:
+                    allowance = -1  # below every length the walk reaches
+                    break
+                allowance += rem[g]
+            key = (node.id, tuple(rem)) if node.length <= allowance else None
+            if key is not None and key not in fail:
                 if node.descents is None:
                     nodes.open(node)
                 frames.append([key, node, 0])
@@ -196,32 +219,12 @@ class WitnessSearcher:
                     rem[slot[i]] -= 1
                     letters.append(i)
                     break
-                self._fail.add(key)
+                fail.add(key)
                 frames.pop()
                 if letters:
                     rem[slot[letters.pop()]] += 1
             else:
                 return None
-
-    def _admit(self, node: WeakOrderNode, rem: list):
-        """The failure key of (node, rem), or None if the prune or the memo
-        rules it out. Records the node in `_seen` first, either way."""
-        self._seen.add(node.id)
-        touched = self._touched.get(node.support)
-        if touched is None:
-            touched = self._touched[node.support] = tuple(
-                g for g, group in enumerate(self.groups)
-                if not node.support.isdisjoint(group)
-            )
-        allowance = 0
-        for g in touched:
-            if rem[g] == 0:
-                return None
-            allowance += rem[g]
-        if node.length > allowance:
-            return None
-        key = (node.id, tuple(rem))
-        return None if key in self._fail else key
 
 
 def find_witness(system: CoxeterSystem, w: Element, I) -> WitnessCertificate | None:
@@ -241,6 +244,13 @@ def is_I_spherical(system: CoxeterSystem, w: Element, I) -> bool:
     return find_witness(system, w, I) is not None
 
 
+def has_distinct_letter_word(system: CoxeterSystem, w: Element) -> bool:
+    """The I = {} verdict without the search: with I empty every letter has
+    budget 1, so a witness is a reduced word of distinct letters, and w has
+    one iff l(w) = |supp(w)| (Tenner's boolean elements)."""
+    return w.length == len(system.support(w))
+
+
 def is_maximally_spherical(system: CoxeterSystem, w: Element) -> bool:
     return is_I_spherical(system, w, system.left_descents(w))
 
@@ -248,8 +258,8 @@ def is_maximally_spherical(system: CoxeterSystem, w: Element) -> bool:
 def census(system: CoxeterSystem):
     """Yield (record of w, J(w), J(w)-witness word or None) for each element,
     in enumeration order: the records of `system.weak_order()`, so the
-    census makes one step per edge of the weak order and its searches make
-    none.
+    census makes one right step (`_right_rep`) per edge of the weak order,
+    all in the walk, and its searches make none.
 
     One searcher per descent set is built on first use and shared by every
     later element with that set, so its failure memo carries across them;

@@ -170,6 +170,31 @@ def test_cli_check_paranoid_exits_2_when_peeling_disagrees(monkeypatch, capsys):
     assert cli.main(argv[:-1]) == 0
 
 
+def test_cli_check_paranoid_exits_2_when_the_empty_I_verdict_is_wrong(
+    monkeypatch, capsys
+):
+    from coxsph import spherical
+
+    argv = ["check", "A3", "2143", "--paranoid"]  # s1 s3: distinct letters
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(spherical.WitnessSearcher, "search", lambda self, w: None)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "verification failure: search verdict disagrees with l(w) = |supp(w)|\n"
+    )
+    # without --paranoid nothing re-decides the verdict
+    assert cli.main(argv[:-1]) == 0
+
+
+def test_cli_check_rejects_out_of_range_nodes_of_I(capsys):
+    for I in ("0", "5"):
+        assert cli.main(["check", "A3", "4321", "--I", I]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: node {I} out of range 1..3\n"
+
+
 def test_key_expand_runner():
     expansion = harness.run_key_expand((1, 5, 2, 4, 3), (2, 4), cross_check=True)
     assert expansion.coefficients == KEY_15243_D24_EXPANSION

@@ -19,6 +19,7 @@ from coxsph import (
     w0_sphericality_closed_form,
 )
 from coxsph import spherical as spherical_module
+from coxsph.coxeter import Element
 from coxsph.spherical import WitnessSearcher
 from coxsph.typea import element_to_perm, format_permutation, perm_to_element
 
@@ -85,7 +86,7 @@ def test_find_witness_decomposes_I_once(name, word, I, found, monkeypatch):
         calls.append(subset)
         return decompose(subset)
 
-    monkeypatch.setattr(system, "decompose_subset", counting)
+    monkeypatch.setitem(vars(system), "decompose_subset", counting)
     I = system.left_descents(w) if I is None else I
     assert (find_witness(system, w, I) is not None) == found
     assert len(calls) == 1
@@ -359,7 +360,7 @@ def test_search_records_true_lengths_on_its_descent_steps(name, monkeypatch):
         visited.append((v, v._length))
         return v
 
-    monkeypatch.setattr(system, "step", recording)
+    monkeypatch.setitem(vars(system), "step", recording)
     for w in elements:
         WitnessSearcher(system, system.left_descents(w)).search(w)
     assert len(visited) > len(elements)
@@ -412,18 +413,22 @@ def test_census_search_work_is_pinned(name, searchers, seen, fail, monkeypatch):
     ],
 )
 def test_census_down_steps_are_pinned(name, steps, monkeypatch):
-    """Golden count of the generator steps one `census` makes: one per edge
-    of the right weak order, |W| * rank / 2, all of them in the walk that
-    enumerates the group, and none in the search, which reads every
-    down-step off the table that walk fills. Any later change to these
-    numbers must be explained."""
+    """Golden count of the right steps one `census` makes: one `_right_rep`
+    per edge of the right weak order, |W| * rank / 2, all of them in the
+    walk that enumerates the group, and none in the search, which reads
+    every down-step off the table that walk fills. The census calls `step`
+    not at all. Any later change to these numbers must be explained."""
     system = coxeter_system(name)
-    calls = []
-    step = type(system).step
+    calls, stepped = [], []
+    right_rep, step = type(system)._right_rep, type(system).step
     searching = []
 
-    def counting(self, w, i, left=False):
+    def counting(self, rep, i):
         calls.append(bool(searching))
+        return right_rep(self, rep, i)
+
+    def counting_step(self, w, i, left=False):
+        stepped.append(i)
         return step(self, w, i, left)
 
     search = WitnessSearcher.search
@@ -435,12 +440,36 @@ def test_census_down_steps_are_pinned(name, steps, monkeypatch):
         finally:
             searching.pop()
 
-    monkeypatch.setattr(type(system), "step", counting)
+    monkeypatch.setattr(type(system), "_right_rep", counting)
+    monkeypatch.setattr(type(system), "step", counting_step)
     monkeypatch.setattr(WitnessSearcher, "search", marked)
     for _ in spherical_module.census(system):
         pass
     assert len(calls) == steps == system.order() * system.rank // 2
     assert not any(calls)
+    assert stepped == []
+
+
+@pytest.mark.parametrize(
+    "name, built",
+    [("A5", 719), ("D5", 1919), ("F4", 1151), ("I2(60)", 119), ("A6", 5039)],
+)
+def test_weak_order_makes_one_element_per_element(name, built, monkeypatch):
+    """Golden count of the `Element`s one `weak_order()` walk constructs:
+    one per element but the identity, |W| - 1, none per edge. Any later
+    change to these numbers must be explained."""
+    system = coxeter_system(name)
+    made = 0
+    init = Element.__init__
+
+    def counting(self, *args):
+        nonlocal made
+        made += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Element, "__init__", counting)
+    records = system.weak_order()
+    assert made == built == system.order() - 1 == len(records) - 1
 
 
 @pytest.mark.parametrize(
@@ -497,16 +526,29 @@ def test_lazy_route_work_is_pinned(name, right, left, reads, monkeypatch):
         steps.append(left)
         return step(w, i, left)
 
-    # on the instance: undoing an instance patch leaves the bound method
-    # in its dict, which a class patch would not reach
-    monkeypatch.setattr(system, "right_descents", counting_descents)
+    monkeypatch.setitem(vars(system), "right_descents", counting_descents)
     elements = system.elements()
-    monkeypatch.setattr(system, "step", counting_step)
+    monkeypatch.setitem(vars(system), "step", counting_step)
     for w in elements:
         find_witness(system, w, system.left_descents(w))
     assert steps.count(False) == right
     assert steps.count(True) == left
     assert len(descent_reads) == reads
+
+
+@pytest.mark.parametrize(
+    "name", ["A4", "A5", "B4", "D4", "D5", "F4", "G2", "I2(9)"]
+)
+def test_empty_I_verdicts_match_the_distinct_letter_test(name):
+    """With I = {} the search finds a witness exactly when l(w) = |supp(w)|,
+    the prune-free route `check --paranoid` compares it with."""
+    system = coxeter_system(name)
+    verdicts = []
+    for w in system.elements():
+        found = is_I_spherical(system, w, ())
+        assert found == spherical_module.has_distinct_letter_word(system, w), w
+        verdicts.append(found)
+    assert any(verdicts) and not all(verdicts)
 
 
 @pytest.mark.parametrize("name", ["A5", "B4", "D5", "F4", "G2", "I2(7)"])
@@ -528,6 +570,7 @@ def test_empty_I_means_distinct_letter_word():
                 len(set(word)) == len(word) for word in reduced_words(system, w)
             )
             assert is_I_spherical(system, w, ()) == brute
+            assert spherical_module.has_distinct_letter_word(system, w) == brute
 
 
 def test_bad_query_raises():
