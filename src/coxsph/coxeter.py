@@ -16,8 +16,8 @@ breadth-first walk of the right weak order that keeps every edge it steps.
 It steps reps with `_right_rep`, one call per edge, and makes an `Element`
 only once per element. It builds one `WeakOrderNode` per element: its
 support, its right descents and the records of its down-steps w s_i.
-`elements()` is the list of their elements, and a census's node table is
-the list itself.
+`elements()` is the list of their elements, and a census hands the records
+themselves to its searchers.
 `multiply` is the general product. `word(w)`, the lex-first reduced word
 that labels an element, steps no element: it walks the inversion set of
 w^-1, at most l(w) roots, through the same per-generator tables as the left
@@ -205,15 +205,18 @@ class WeakOrderNode:
     `down` is always a sequence aligned with `descents`: `down[k]` is the
     record of w s_i for i = descents[k]. `CoxeterSystem.weak_order` fills
     every field at once: the id is the enumeration index and `down` is a
-    tuple of records. A lazily filled table (`spherical.NodeTable`) leaves
-    `descents` and `down` None until a search first admits the record, then
-    opens it with one empty slot per descent and fills a slot the first
-    time the search takes that edge (most elements a search meets are never
-    stepped from)."""
+    tuple of records. A record that a `spherical.WitnessSearcher` makes for
+    an element it is handed bare has id None and leaves `descents` and
+    `down` None until the search first admits it, then opens it with one
+    empty slot per descent and fills a slot the first time the search
+    takes that edge (most elements a search meets are never stepped
+    from)."""
 
     __slots__ = ("id", "element", "length", "support", "descents", "down")
 
-    def __init__(self, eid: int, element: Element, support: frozenset, descents, down):
+    def __init__(
+        self, eid: int | None, element: Element, support: frozenset, descents, down
+    ):
         self.id = eid
         self.element = element
         self.length = element.length

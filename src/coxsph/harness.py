@@ -386,23 +386,27 @@ def run_consistency(n: int) -> ConsistencyReport:
     node to I keeps a multiplicity-free key multiplicity-free, by
     Littlewood-Richardson positivity); otherwise `CrossCheckFailure`.
 
-    Each I gets one searcher and one split set D = [n-1] - I; the searchers
-    share one `spherical.NodeTable` read off the weak order, whose records
-    the sweep walks, so it makes one step per weak-order edge and its
-    searches make none. Each verdict reads D-Schur coefficients
-    off the key by `polyring.is_D_multiplicity_free`, which builds no
-    D-Schur product; each key scans its symmetry in x_j, x_(j+1) once per j
-    (`Poly.is_symmetric_in`).
+    Each search verdict for I = {} is re-decided without the search, as
+    l(w) = |supp(w)| (`spherical.has_distinct_letter_word`); a mismatch
+    raises `CrossCheckFailure`.
+
+    Each I gets one searcher and one split set D = [n-1] - I. The sweep
+    iterates the records of `system.weak_order()` and hands each record to
+    its searchers, so it makes one step per weak-order edge, all in the
+    walk, and its searches make none. Each verdict reads D-Schur
+    coefficients off the key by `polyring.is_D_multiplicity_free`, which
+    builds no D-Schur product; each key scans its symmetry in x_j, x_(j+1)
+    once per j (`Poly.is_symmetric_in`).
     """
     _check_size("consistency check", n, 2)
     start = time.perf_counter()
     system = coxeter_system(f"A{n - 1}")
-    nodes = spherical.NodeTable.weak_order(system)
     per_I: dict = {}
     pairs = 0
     disagreements = []
     rows = (
-        (node, sorted(system.left_descents(node.element))) for node in nodes.records
+        (node, sorted(system.left_descents(node.element)))
+        for node in system.weak_order()
     )
     for key, (node, J) in _from_parents(
         system, rows, polyring.Poly.monomial(range(n, 0, -1)), polyring.demazure_pi
@@ -417,11 +421,16 @@ def run_consistency(n: int) -> ConsistencyReport:
                 if got is None:
                     D = tuple(j for j in range(1, n) if j not in Iset)
                     got = per_I[Iset] = (
-                        spherical.WitnessSearcher(system, Iset, nodes),
+                        spherical.WitnessSearcher(system, Iset),
                         polyring.SplitSet(n, D),
                     )
                 searcher, split = got
                 comb = searcher.search(node) is not None
+                if not I and comb != spherical.has_distinct_letter_word(system, w):
+                    raise CrossCheckFailure(
+                        "search verdict disagrees with l(w) = |supp(w)|: "
+                        f"w={typea.format_permutation(typea.element_to_perm(system, w))}"
+                    )
                 stair = verdicts[Iset] = polyring.is_D_multiplicity_free(key, split)
                 if comb != stair:
                     line = typea.element_to_perm(system, w)

@@ -17,17 +17,16 @@ letter's group, and memoizes failed (element, remaining allowances) states.
 prune or memo, and `has_distinct_letter_word` decides I = {} without it.
 
 What the walk learns about an element does not depend on I: its support,
-its right descents and its down-steps w s_i. A `NodeTable` keeps them, one
-`WeakOrderNode` record per element, for every searcher it is given. Every
-record has one form: `down[k]` is the record of w s_i for i =
-`descents[k]`, and the search reads both by index. A census's table is the
-list of records that the one walk enumerating the group builds
-(`CoxeterSystem.weak_order`), which steps each edge of the right weak order
-once; `census` hands each record to the searcher of its descent set, so the
-search makes no step and looks no element up. A single query
-(`find_witness`) fills a table lazily instead: a record gets its descents
-and empty slots when a search first admits it, and a slot is stepped the
-first time a search tries that edge.
+its right descents and its down-steps w s_i, one `WeakOrderNode` record
+per element. Every record has one form: `down[k]` is the record of w s_i
+for i = `descents[k]`, and the search reads both by index. A census or a
+consistency sweep iterates the records of the one walk that enumerates the
+group (`CoxeterSystem.weak_order`), which steps each edge of the right weak
+order once, and hands each record to the searcher of its descent set, so
+the search makes no step and looks no element up. A searcher handed a bare
+`Element` (`find_witness`, `run_check`) makes its own records instead,
+lazily: a record gets its descents and empty slots when the search first
+admits it, and a slot is stepped the first time the search tries that edge.
 """
 
 from __future__ import annotations
@@ -83,110 +82,82 @@ def verify_witness(system: CoxeterSystem, w: Element, I, letters) -> bool:
     )
 
 
-class NodeTable:
-    """The part of the right weak order that searches of one system walk:
-    one `WeakOrderNode` per element.
-
-    Nothing in a record depends on I, so any number of searchers may share
-    a table. `NodeTable.weak_order(system)` holds the whole group, the
-    records of one `CoxeterSystem.weak_order` walk, so a record's id is its
-    enumeration index and its searches make no step. A table made with
-    `NodeTable(system)` (`find_witness`, `run_check`, groups too large to
-    enumerate) makes a record on first sight of an element, with
-    `descents` and `down` None; `open` gives it its descents and a list of
-    empty down-edge slots when a search first admits it, and `step` fills
-    slot k the first time some searcher peels that letter off that element.
-    Both kinds then hold the same form: `down` aligned with `descents`.
-    Either kind indexes its records by rep only once `node` is first asked.
-    """
-
-    def __init__(self, system: CoxeterSystem):
-        self.system = system
-        self.records: list[WeakOrderNode] = []  # by id
-        self._nodes: dict[tuple, WeakOrderNode] | None = None  # by rep
-
-    @classmethod
-    def weak_order(cls, system: CoxeterSystem) -> "NodeTable":
-        """The table of every element: the records of `system.weak_order()`."""
-        table = cls(system)
-        table.records = system.weak_order()
-        return table
-
-    def node(self, w: Element) -> WeakOrderNode:
-        """The record of w, made on first sight."""
-        if self._nodes is None:
-            self._nodes = {node.element.rep: node for node in self.records}
-        node = self._nodes.get(w.rep)
-        if node is None:
-            node = self._nodes[w.rep] = WeakOrderNode(
-                len(self.records), w, self.system.support(w), None, None
-            )
-            self.records.append(node)
-        return node
-
-    def open(self, node: WeakOrderNode) -> None:
-        """Fill the right descents of a lazily made record, ascending, and
-        give it one empty down-edge slot per descent."""
-        node.descents = tuple(sorted(self.system.right_descents(node.element)))
-        node.down = [None] * len(node.descents)
-
-    def step(self, node: WeakOrderNode, k: int) -> WeakOrderNode:
-        """Fill slot k of an open record: the record of w s_i, i = descents[k]."""
-        w = self.system.step(node.element, node.descents[k])
-        child = node.down[k] = self.node(w)
-        return child
-
-
 class WitnessSearcher:
     """Budgeted DFS over reduced words, reusable across queries with one I.
 
     Group g of `groups` (the `_allowances` table) has budget `budgets[g]`;
     `slot[i]` is the group of node i. The failure memo `_fail` is keyed by
-    (element id, remaining allowance per group), valid for any element of the
+    (record, remaining allowance per group), valid for any element of the
     system with this I, so censuses share one searcher per descent set.
-    `_seen` holds the ids of the elements this searcher visited. Supports,
-    descents and down-steps come from `nodes`, a `NodeTable` that other
-    searchers of the same system may share (a fresh one by default).
+    `_seen` holds the records this searcher visited. Supports, descents and
+    down-steps come from the records it is handed (a census's walk records)
+    or, for an element handed in bare, from the records it makes itself:
+    `_records` holds those by rep, each with id None. Both memos key on the
+    record object, so a walk record and a record made here for the same
+    element are two keys, never one key for two elements.
     """
 
-    def __init__(self, system: CoxeterSystem, I, nodes: NodeTable | None = None):
-        self.nodes = NodeTable(system) if nodes is None else nodes
+    def __init__(self, system: CoxeterSystem, I):
+        self.system = system
         self.I = frozenset(I)
         self.groups, self.budgets = _allowances(system, self.I)
         self.slot = {i: g for g, group in enumerate(self.groups) for i in group}
         self._fail: set = set()
-        self._seen: set[int] = set()
+        self._seen: set[WeakOrderNode] = set()
         # support -> the groups whose letters it contains
         self._touched: dict[frozenset, tuple[int, ...]] = {}
+        self._records: dict[tuple, WeakOrderNode] = {}
+
+    def _record(self, w: Element) -> WeakOrderNode:
+        """This searcher's record of w, made on first sight with `descents`
+        and `down` None."""
+        node = self._records.get(w.rep)
+        if node is None:
+            node = self._records[w.rep] = WeakOrderNode(
+                None, w, self.system.support(w), None, None
+            )
+        return node
+
+    def _open(self, node: WeakOrderNode) -> None:
+        """Fill the right descents of a record made here, ascending, and
+        give it one empty down-edge slot per descent."""
+        node.descents = tuple(sorted(self.system.right_descents(node.element)))
+        node.down = [None] * len(node.descents)
+
+    def _step(self, node: WeakOrderNode, k: int) -> WeakOrderNode:
+        """Fill slot k of an open record: the record of w s_i, i = descents[k]."""
+        w = self.system.step(node.element, node.descents[k])
+        node.down[k] = child = self._record(w)
+        return child
 
     def search(self, w) -> tuple[int, ...] | None:
         """An I-witness for w, or None if every reduced word violates a bound.
-        w is an Element or its record in `self.nodes`.
+        w is an Element or its `WeakOrderNode` record.
 
         A depth-first walk with an explicit stack, so l(w) sets no recursion
-        limit. Each node the walk reaches goes into `_seen`, then is
+        limit. Each record the walk reaches goes into `_seen`, then is
         admitted unless the prune or the failure memo rules it out: the
         prune rejects it when a group its support touches has no allowance
         left, or when l(w) exceeds the allowance those groups have left
         (`_touched` caches the groups per support); the memo rejects a
-        failure key (id, remaining allowances) that already failed.
+        failure key (record, remaining allowances) that already failed. A
+        record made here is opened (`_open`) when first admitted.
         `frames` holds, for each admitted node of the current path, a list
         [failure key, record, index of the next down-edge to try]; the
         edges go in ascending order of their letters, `descents[k]` and
-        `down[k]`, and an empty slot of a lazy table is stepped
-        (`NodeTable.step`) when the frame reaches it. `letters` holds the
-        descents peeled so far, whose units are spent from `rem` and given
-        back on backtrack. A node whose edges are all exhausted goes into
-        the failure memo.
+        `down[k]`, and an empty slot is stepped (`_step`) when the frame
+        reaches it. `letters` holds the descents peeled so far, whose units
+        are spent from `rem` and given back on backtrack. A node whose edges
+        are all exhausted goes into the failure memo.
         """
-        nodes, slot, groups = self.nodes, self.slot, self.groups
+        slot, groups = self.slot, self.groups
         seen, fail, touched_by = self._seen, self._fail, self._touched
-        node = w if type(w) is WeakOrderNode else nodes.node(w)
+        node = w if type(w) is WeakOrderNode else self._record(w)
         rem, frames, letters = list(self.budgets), [], []
         while True:
             if node.length == 0:
                 return tuple(reversed(letters))
-            seen.add(node.id)
+            seen.add(node)
             support = node.support
             touched = touched_by.get(support)
             if touched is None:
@@ -200,10 +171,10 @@ class WitnessSearcher:
                     allowance = -1  # below every length the walk reaches
                     break
                 allowance += rem[g]
-            key = (node.id, tuple(rem)) if node.length <= allowance else None
+            key = (node, tuple(rem)) if node.length <= allowance else None
             if key is not None and key not in fail:
                 if node.descents is None:
-                    nodes.open(node)
+                    self._open(node)
                 frames.append([key, node, 0])
             elif letters:
                 rem[slot[letters.pop()]] += 1
@@ -215,7 +186,7 @@ class WitnessSearcher:
                 if k < len(parent.descents):
                     frame[2] = k + 1
                     i = parent.descents[k]
-                    node = parent.down[k] or nodes.step(parent, k)
+                    node = parent.down[k] or self._step(parent, k)
                     rem[slot[i]] -= 1
                     letters.append(i)
                     break
@@ -263,15 +234,16 @@ def census(system: CoxeterSystem):
 
     One searcher per descent set is built on first use and shared by every
     later element with that set, so its failure memo carries across them;
-    each is handed the record itself, so no element is looked up.
+    each is handed the walk's record itself, so no searcher looks an element
+    up or makes a record of its own, and every `_seen` entry is a walk
+    record.
     """
-    nodes = NodeTable.weak_order(system)
     searchers: dict[frozenset, WitnessSearcher] = {}
-    for node in nodes.records:
+    for node in system.weak_order():
         J = system.left_descents(node.element)
         searcher = searchers.get(J)
         if searcher is None:
-            searcher = searchers[J] = WitnessSearcher(system, J, nodes)
+            searcher = searchers[J] = WitnessSearcher(system, J)
         yield node, J, searcher.search(node)
 
 

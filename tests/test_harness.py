@@ -278,8 +278,16 @@ def test_consistency_sweep_takes_staircase_keys_in_element_order(monkeypatch):
         # verdicts stay monotone in I, which the sweep also checks
         return None if true_search(searcher, w) is not None else ()
 
+    true_distinct = spherical.has_distinct_letter_word
+
+    def flipped_distinct(system, w):
+        # flip the I = {} re-decision with the search, so the sweep's
+        # l(w) = |supp(w)| check passes and the pairs reach the report
+        return not true_distinct(system, w)
+
     monkeypatch.setattr(polyring, "is_D_multiplicity_free", recorded)
     monkeypatch.setattr(spherical.WitnessSearcher, "search", flipped)
+    monkeypatch.setattr(spherical, "has_distinct_letter_word", flipped_distinct)
     for n in range(2, 6):
         seen.clear()
         system = coxeter_system(f"A{n - 1}")
@@ -319,6 +327,46 @@ def test_consistency_sweep_raises_on_non_monotone_staircase_verdicts(monkeypatch
         "is multiplicity-free for I=[] but not for I=[1]"
     )
     assert cli.main(["verify-consistency", "--n", "4"]) == 2
+
+
+def test_consistency_sweep_re_decides_empty_I_without_the_search(monkeypatch):
+    from coxsph import spherical
+
+    true_distinct = spherical.has_distinct_letter_word
+    checked = []
+
+    def counted(system, w):
+        checked.append(w)
+        return true_distinct(system, w)
+
+    monkeypatch.setattr(spherical, "has_distinct_letter_word", counted)
+    assert harness.run_consistency(5).disagreements == []
+    assert len(checked) == len(set(checked)) == 120  # one per w of S5
+    monkeypatch.setattr(
+        spherical, "has_distinct_letter_word", lambda system, w: not true_distinct(system, w)
+    )
+    with pytest.raises(harness.CrossCheckFailure) as raised:
+        harness.run_consistency(4)
+    assert str(raised.value) == (
+        "search verdict disagrees with l(w) = |supp(w)|: w=1234"
+    )
+    assert cli.main(["verify-consistency", "--n", "4"]) == 2
+
+
+def test_consistency_sweep_searchers_make_no_records(monkeypatch):
+    # the sweep hands every searcher the walk's records
+    from coxsph import spherical
+
+    made = []
+    record = spherical.WitnessSearcher._record
+
+    def counting(self, w):
+        made.append(w)
+        return record(self, w)
+
+    monkeypatch.setattr(spherical.WitnessSearcher, "_record", counting)
+    assert harness.run_consistency(4).disagreements == []
+    assert made == []
 
 
 @pytest.mark.parametrize(

@@ -476,26 +476,73 @@ def test_weak_order_makes_one_element_per_element(name, built, monkeypatch):
     "name", ["A1", "A2", "A3", "A4", "A5", "B4", "D5", "F4", "G2", "I2(7)"]
 )
 def test_weak_order_table_matches_lazy_route(name):
-    """Each record of the table read off the weak order holds what a lazy
-    table computes for the same element once it opens the record and steps
+    """Each record of the weak-order walk holds what a fresh searcher's own
+    record of the same element holds once the searcher opens it and steps
     every slot: the support, the right descents and the down-steps."""
     system = coxeter_system(name)
-    table = spherical_module.NodeTable.weak_order(system)
-    assert [node.element for node in table.records] == system.elements()
-    for eid, node in enumerate(table.records):
+    records = system.weak_order()
+    assert [node.element for node in records] == system.elements()
+    assert len({node.element.rep for node in records}) == len(records)
+    for eid, node in enumerate(records):
         assert node.id == eid and node.length == node.element.length
-        assert all(table.records[child.id] is child for child in node.down)
-        lazy = spherical_module.NodeTable(system)
-        fresh = lazy.node(node.element)
+        assert all(records[child.id] is child for child in node.down)
+        lazy = WitnessSearcher(system, ())
+        fresh = lazy._record(node.element)
+        assert fresh.id is None
         assert fresh.descents is None and fresh.down is None
-        lazy.open(fresh)
+        assert lazy._record(node.element) is fresh
+        lazy._open(fresh)
         assert fresh.down == [None] * len(fresh.descents)
-        stepped = [lazy.step(fresh, k) for k in range(len(fresh.descents))]
+        stepped = [lazy._step(fresh, k) for k in range(len(fresh.descents))]
         assert fresh.down == stepped
+        assert all(child.id is None for child in stepped)
         assert fresh.support == node.support
         assert fresh.descents == node.descents
         assert [c.element for c in fresh.down] == [c.element for c in node.down]
-    assert all(table.node(node.element) is node for node in table.records)
+
+
+def test_walk_records_and_bare_elements_share_a_searcher_without_aliasing():
+    """One searcher per I handed both the walk's record of w and w itself,
+    in either order, gives each the word a cold `find_witness` finds: its
+    memos key on the record object, so the walk's record and the record the
+    searcher makes of w are two keys, never one key for two elements."""
+    system = coxeter_system("A5")
+    pairs = [
+        (node, I)
+        for node in system.weak_order()
+        for I in map(frozenset, _subsets(system.left_descents(node.element)))
+    ]
+    cold = {}
+    for node, I in pairs:
+        cert = find_witness(system, node.element, I)
+        cold[node.id, I] = None if cert is None else cert.word
+    for record_first in (True, False):
+        searchers = {}
+        for node, I in pairs:
+            searcher = searchers.get(I)
+            if searcher is None:
+                searcher = searchers[I] = WitnessSearcher(system, I)
+            order = (node, node.element) if record_first else (node.element, node)
+            for w in order:
+                assert searcher.search(w) == cold[node.id, I], (node.element, I)
+    assert len(pairs) == 4683
+
+
+@pytest.mark.parametrize("name", ["A5", "D5", "F4", "I2(60)"])
+def test_census_searchers_make_no_records(name, monkeypatch):
+    """A census hands every searcher the walk's records, so no searcher
+    makes a record of its own."""
+    made = []
+    record = WitnessSearcher._record
+
+    def counting(self, w):
+        made.append(w)
+        return record(self, w)
+
+    monkeypatch.setattr(WitnessSearcher, "_record", counting)
+    system = coxeter_system(name)
+    assert sum(1 for _ in spherical_module.census(system)) == system.order()
+    assert made == []
 
 
 @pytest.mark.parametrize(
