@@ -12,7 +12,6 @@ from .words import (
     bruhat_leq,
     evaluate,
     format_word,
-    is_reduced,
     parse_word,
     reduced_word_count,
     reduced_words,
@@ -47,7 +46,6 @@ __all__ = [
     "format_word",
     "is_I_spherical",
     "is_maximally_spherical",
-    "is_reduced",
     "nonspherical_census",
     "parse_word",
     "reduced_word_count",

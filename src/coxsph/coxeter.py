@@ -198,26 +198,23 @@ class Element:
 
 
 class WeakOrderNode:
-    """One element as a record of the right weak order: its id, the element
-    and its length, its support, its right descents in ascending order and
-    its down-steps, the records of w s_i.
+    """One element as a record of the right weak order: the element and its
+    length, its support, its right descents in ascending order and its
+    down-steps, the records of w s_i. A record is its own identity: it
+    hashes and compares by object, so maps keyed by records need no index.
 
     `down` is always a sequence aligned with `descents`: `down[k]` is the
     record of w s_i for i = descents[k]. `CoxeterSystem.weak_order` fills
-    every field at once: the id is the enumeration index and `down` is a
-    tuple of records. A record that a `spherical.WitnessSearcher` makes for
-    an element it is handed bare has id None and leaves `descents` and
-    `down` None until the search first admits it, then opens it with one
-    empty slot per descent and fills a slot the first time the search
-    takes that edge (most elements a search meets are never stepped
-    from)."""
+    every field at once, with `down` a tuple of records. A record that a
+    `spherical.WitnessSearcher` makes for an element it is handed bare
+    leaves `descents` and `down` None until the search first admits it,
+    then opens it with one empty slot per descent and fills a slot the
+    first time the search takes that edge (most elements a search meets are
+    never stepped from)."""
 
-    __slots__ = ("id", "element", "length", "support", "descents", "down")
+    __slots__ = ("element", "length", "support", "descents", "down")
 
-    def __init__(
-        self, eid: int | None, element: Element, support: frozenset, descents, down
-    ):
-        self.id = eid
+    def __init__(self, element: Element, support: frozenset, descents, down):
         self.element = element
         self.length = element.length
         self.support = support
@@ -231,9 +228,9 @@ class ComponentDecomposition:
 
     For each component C, `budgets` stores l(w0 of W_C) + #vertices(C), the
     letter allowance the witness condition grants that component.
+    `CoxeterSystem.decompose_subset` keys them by their subset.
     """
 
-    subset: frozenset[int]
     components: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
 
@@ -491,10 +488,9 @@ class CoxeterSystem:
     def weak_order(self) -> list[WeakOrderNode]:
         """The right weak order, breadth first: one record per element.
 
-        Records come by length, ties by representation; a record's id is
-        its index in this list. Its `descents` are the right descents of w,
-        ascending, and `down[k]` is the record of w s_i for i = descents[k]:
-        the down-edges of w.
+        Records come by length, ties by representation. A record's
+        `descents` are the right descents of w, ascending, and `down[k]` is
+        the record of w s_i for i = descents[k]: the down-edges of w.
 
         Level k + 1 is built from the steps w s_i with w in level k and i
         not a right descent of w: each has length k + 1, so no element of
@@ -524,7 +520,7 @@ class CoxeterSystem:
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
         out, right = [], self._right_rep
-        level = [WeakOrderNode(0, self.identity, frozenset(), (), ())]
+        level = [WeakOrderNode(self.identity, frozenset(), (), ())]
         grown: dict[tuple, frozenset] = {}  # (supp(w s_i), i) -> supp(w)
         length = 0
         while level:
@@ -542,7 +538,7 @@ class CoxeterSystem:
                         else:
                             edges += (i, node)
             level = []
-            for eid, rep in enumerate(sorted(nxt), len(out)):
+            for rep in sorted(nxt):
                 e = nxt[rep]
                 descents, down = tuple(e[::2]), tuple(e[1::2])
                 key = (down[0].support, descents[0])
@@ -551,7 +547,7 @@ class CoxeterSystem:
                     support = grown[key] = key[0] | {key[1]}
                 v = Element(self, rep)
                 v._length = length
-                level.append(WeakOrderNode(eid, v, support, descents, down))
+                level.append(WeakOrderNode(v, support, descents, down))
         return out
 
     def elements(self) -> list[Element]:
@@ -595,7 +591,7 @@ class CoxeterSystem:
             comps.append(tuple(sorted(comp)))
         comps.sort()
         budgets = tuple(self._component_budget(c) for c in comps)
-        return ComponentDecomposition(I, tuple(comps), budgets)
+        return ComponentDecomposition(tuple(comps), budgets)
 
     def _component_budget(self, comp: tuple[int, ...]) -> int:
         # l(w0 of W_C) is the number of positive roots supported inside C

@@ -116,13 +116,14 @@ def _from_parents(system: CoxeterSystem, rows, root, step):
 def _one_line_labels(system: CoxeterSystem, rows):
     """Pair each row (record of w, ...) of a type-A census with the
     one-line label of w: that of its weak-order parent w s_i, i the least
-    right descent of w, with entries i and i + 1 swapped."""
+    right descent of w, with entries i and i + 1 swapped. The labels made
+    so far are kept by record, the parent's being `labels[node.down[0]]`."""
     root = _element_label(system, system.identity)
-    labels = []
+    labels = {}
     for row in rows:
         node = row[0]
         if node.down:
-            line = labels[node.down[0].id]
+            line = labels[node.down[0]]
             i = node.descents[0]
             if "," in line:  # S_n with n > 9
                 parts = line.split(",")
@@ -132,7 +133,7 @@ def _one_line_labels(system: CoxeterSystem, rows):
                 label = line[:i - 1] + line[i] + line[i - 1] + line[i + 1:]
         else:
             label = root
-        labels.append(label)
+        labels[node] = label
         yield label, row
 
 

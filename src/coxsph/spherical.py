@@ -92,9 +92,9 @@ class WitnessSearcher:
     `_seen` holds the records this searcher visited. Supports, descents and
     down-steps come from the records it is handed (a census's walk records)
     or, for an element handed in bare, from the records it makes itself:
-    `_records` holds those by rep, each with id None. Both memos key on the
-    record object, so a walk record and a record made here for the same
-    element are two keys, never one key for two elements.
+    `_records` holds those by rep. Both memos key on the record object, so
+    a walk record and a record made here for the same element are two
+    keys, never one key for two elements.
     """
 
     def __init__(self, system: CoxeterSystem, I):
@@ -114,7 +114,7 @@ class WitnessSearcher:
         node = self._records.get(w.rep)
         if node is None:
             node = self._records[w.rep] = WeakOrderNode(
-                None, w, self.system.support(w), None, None
+                w, self.system.support(w), None, None
             )
         return node
 

@@ -107,14 +107,6 @@ def perm_from_code(alpha) -> tuple[int, ...]:
     return tuple(out)
 
 
-def strip_fixed_points(line) -> tuple[int, ...]:
-    """Drop trailing fixed points (display normalization)."""
-    n = len(line)
-    while n > 0 and line[n - 1] == n:
-        n -= 1
-    return tuple(line[:n])
-
-
 def rothe_diagram(line) -> set[tuple[int, int]]:
     """Cells (i, j) with j < w(i) and i < w^-1(j), in matrix coordinates."""
     inv = inverse(line)

@@ -40,10 +40,6 @@ def evaluate(system: CoxeterSystem, letters) -> Element:
     return w
 
 
-def is_reduced(system: CoxeterSystem, letters) -> bool:
-    return evaluate(system, letters).length == len(letters)
-
-
 def reduced_words(system: CoxeterSystem, w: Element):
     """Yield every reduced word of w exactly once, lexicographically.
 

@@ -107,11 +107,14 @@ def test_one_line_labels_swap_entries_past_nine():
 
     from coxsph import typea
 
+    class Record(SimpleNamespace):
+        __hash__ = object.__hash__  # SimpleNamespace defines __eq__ only
+
     system = coxeter_system("A9")
     letters = (9, 8, 9, 1, 5, 9)
-    nodes = [SimpleNamespace(id=0, down=(), descents=())]
-    for k, i in enumerate(letters, start=1):
-        nodes.append(SimpleNamespace(id=k, down=(nodes[-1],), descents=(i,)))
+    nodes = [Record(down=(), descents=())]
+    for i in letters:
+        nodes.append(Record(down=(nodes[-1],), descents=(i,)))
     rows = [(node,) for node in nodes]
     labels = [label for label, _ in harness._one_line_labels(system, rows)]
     assert labels == [

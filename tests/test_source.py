@@ -56,3 +56,20 @@ def test_coxeter_is_the_bottom_layer_and_imports_have_no_cycle():
 
     for module in graph:
         visit(module, [])
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a stale `__all__` entry breaks `from coxsph import *`; every name the
+    # package imports is one it exports
+    import coxsph
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert all(hasattr(coxsph, name) for name in coxsph.__all__)
+    assert len(set(coxsph.__all__)) == len(coxsph.__all__)
+    assert set(coxsph.__all__) == set(imported)

@@ -483,19 +483,20 @@ def test_weak_order_table_matches_lazy_route(name):
     records = system.weak_order()
     assert [node.element for node in records] == system.elements()
     assert len({node.element.rep for node in records}) == len(records)
-    for eid, node in enumerate(records):
-        assert node.id == eid and node.length == node.element.length
-        assert all(records[child.id] is child for child in node.down)
+    walked = set(records)  # records hash and compare by identity
+    for node in records:
+        assert node.length == node.element.length
+        assert all(child in walked for child in node.down)
         lazy = WitnessSearcher(system, ())
         fresh = lazy._record(node.element)
-        assert fresh.id is None
+        assert fresh not in walked
         assert fresh.descents is None and fresh.down is None
         assert lazy._record(node.element) is fresh
         lazy._open(fresh)
         assert fresh.down == [None] * len(fresh.descents)
         stepped = [lazy._step(fresh, k) for k in range(len(fresh.descents))]
         assert fresh.down == stepped
-        assert all(child.id is None for child in stepped)
+        assert not any(child in walked for child in stepped)
         assert fresh.support == node.support
         assert fresh.descents == node.descents
         assert [c.element for c in fresh.down] == [c.element for c in node.down]
@@ -515,7 +516,7 @@ def test_walk_records_and_bare_elements_share_a_searcher_without_aliasing():
     cold = {}
     for node, I in pairs:
         cert = find_witness(system, node.element, I)
-        cold[node.id, I] = None if cert is None else cert.word
+        cold[node, I] = None if cert is None else cert.word
     for record_first in (True, False):
         searchers = {}
         for node, I in pairs:
@@ -524,7 +525,7 @@ def test_walk_records_and_bare_elements_share_a_searcher_without_aliasing():
                 searcher = searchers[I] = WitnessSearcher(system, I)
             order = (node, node.element) if record_first else (node.element, node)
             for w in order:
-                assert searcher.search(w) == cold[node.id, I], (node.element, I)
+                assert searcher.search(w) == cold[node, I], (node.element, I)
     assert len(pairs) == 4683
 
 

@@ -8,7 +8,6 @@ from coxsph import (
     coxeter_system,
     evaluate,
     format_word,
-    is_reduced,
     parse_word,
     reduced_word_count,
     reduced_words,
@@ -64,11 +63,13 @@ def test_evaluate_rejects_letters_below_one(name, rank, letter):
 
 
 def test_is_reduced():
+    """A word is reduced iff its product has the word's length."""
     a2 = coxeter_system("A2")
-    assert not is_reduced(a2, (1, 1))
-    assert is_reduced(a2, (1, 2, 1))
+    assert evaluate(a2, (1, 1)).length != 2
+    assert evaluate(a2, (1, 2, 1)).length == 3
     e8 = coxeter_system("E8")
-    assert is_reduced(e8, parse_word(E8_WORD_NOT_WITNESS))
+    word = parse_word(E8_WORD_NOT_WITNESS)
+    assert evaluate(e8, word).length == len(word)
 
 
 def test_reduced_word_counts():
@@ -110,7 +111,7 @@ def test_total_reduced_words_match_brute_force():
     brute = 0
     for length in range(0, 7):
         for word in itertools.product((1, 2, 3), repeat=length):
-            if is_reduced(a3, word):
+            if evaluate(a3, word).length == len(word):
                 brute += 1
     assert by_recursion == brute
 
