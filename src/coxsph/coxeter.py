@@ -15,7 +15,8 @@ multiply by a generator. `weak_order()` enumerates the group by one
 breadth-first walk of the right weak order that keeps every edge it steps.
 It steps reps with `_right_rep`, one call per edge, and makes an `Element`
 only once per element. It builds one `WeakOrderNode` per element: its
-support, its right descents and the records of its down-steps w s_i.
+support, its right descents, the records of its down-steps w s_i and its
+left descents, each read off a parent's record with no descent query.
 `elements()` is the list of their elements, and a census hands the records
 themselves to its searchers.
 `multiply` is the general product. `word(w)`, the lex-first reduced word
@@ -199,27 +200,33 @@ class Element:
 
 class WeakOrderNode:
     """One element as a record of the right weak order: the element and its
-    length, its support, its right descents in ascending order and its
-    down-steps, the records of w s_i. A record is its own identity: it
-    hashes and compares by object, so maps keyed by records need no index.
+    length, its support, its right descents in ascending order, its
+    down-steps, the records of w s_i, and its left descent set J(w). A
+    record is its own identity: it hashes and compares by object, so maps
+    keyed by records need no index.
 
     `down` is always a sequence aligned with `descents`: `down[k]` is the
     record of w s_i for i = descents[k]. `CoxeterSystem.weak_order` fills
-    every field at once, with `down` a tuple of records. A record that a
+    every field at once, with `down` a tuple of records and `left_descents`
+    the frozenset `left_descents(w)` returns. A record that a
     `spherical.WitnessSearcher` makes for an element it is handed bare
+    leaves `left_descents` None, since the search never reads it, and
     leaves `descents` and `down` None until the search first admits it,
     then opens it with one empty slot per descent and fills a slot the
     first time the search takes that edge (most elements a search meets are
     never stepped from)."""
 
-    __slots__ = ("element", "length", "support", "descents", "down")
+    __slots__ = ("element", "length", "support", "descents", "down", "left_descents")
 
-    def __init__(self, element: Element, support: frozenset, descents, down):
+    def __init__(
+        self, element: Element, support: frozenset, descents, down, left_descents
+    ):
         self.element = element
         self.length = element.length
         self.support = support
         self.descents = descents
         self.down = down
+        self.left_descents = left_descents
 
 
 @dataclass(frozen=True)
@@ -412,6 +419,14 @@ class CoxeterSystem:
         out[i - 1] = -out[i - 1]
         return tuple(out)
 
+    def _left_gain(self, node: WeakOrderNode, i: int) -> int:
+        """The left descent that v s_i has and v lacks, 0 if none, for the
+        record of v and a letter i that is not a right descent of v: j when
+        v(alpha_i) = alpha_j is simple (entry i of rep is j <= rank), since
+        then J(v s_i) = J(v) + {j}, and otherwise J(v s_i) = J(v)."""
+        j = node.element.rep[i - 1]
+        return j if j <= self.rank else 0
+
     def inverse(self, w: Element) -> Element:
         self._check_member(w)
         out = [0] * len(w.rep)
@@ -501,10 +516,14 @@ class CoxeterSystem:
         descents are their letters: one `_right_rep` per edge, and no
         descent query. The `Element` of a new rep, with its length k + 1,
         is made once, with its record, not once per edge: most edges reach
-        an element another edge reached first. The support comes off the
-        first parent's: supp(w) = supp(w s_i) + {i} for a right descent i.
-        Equal supports are one frozenset: one per record took 87 MB max RSS
-        on the A7 census, against 69 MB shared. Raises CoxeterError when |W|
+        an element another edge reached first. The support and the left
+        descents come off the first parent's, v = w s_i with i =
+        descents[0]: supp(w) = supp(v) + {i}, and J(w) is J(v) plus the
+        letter `_left_gain` reads off v and i, if any (the lifting property
+        of the weak order, Bjorner-Brenti, ch. 3), so no record pays a
+        `left_descents` query. Equal sets are one frozenset, kept in one
+        table for both: one support per record took 87 MB max RSS on the A7
+        census, against 69 MB shared. Raises CoxeterError when |W|
         exceeds the cap (COXSPH_ENUM_CAP environment variable, default
         10**7; a value `int()` does not read raises CoxeterError too).
         """
@@ -519,9 +538,18 @@ class CoxeterSystem:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
-        out, right = [], self._right_rep
-        level = [WeakOrderNode(self.identity, frozenset(), (), ())]
-        grown: dict[tuple, frozenset] = {}  # (supp(w s_i), i) -> supp(w)
+        out, right, gain = [], self._right_rep, self._left_gain
+        empty = frozenset()
+        level = [WeakOrderNode(self.identity, empty, (), (), empty)]
+        # (a set, a letter) -> their union, for (supp(v), i) -> supp(w) and
+        # (J(v), j) -> J(w) with w = v s_i; and each union -> itself, so
+        # equal sets reached from different keys are one frozenset
+        grown: dict = {}
+
+        def grow(key):
+            union = key[0] | {key[1]}
+            union = grown[key] = grown.setdefault(union, union)
+            return union
         length = 0
         while level:
             out.extend(level)
@@ -541,13 +569,16 @@ class CoxeterSystem:
             for rep in sorted(nxt):
                 e = nxt[rep]
                 descents, down = tuple(e[::2]), tuple(e[1::2])
-                key = (down[0].support, descents[0])
-                support = grown.get(key)
-                if support is None:
-                    support = grown[key] = key[0] | {key[1]}
+                parent, i = down[0], descents[0]
+                key = (parent.support, i)
+                support = grown.get(key) or grow(key)
+                J, j = parent.left_descents, gain(parent, i)
+                if j:
+                    key = (J, j)
+                    J = grown.get(key) or grow(key)
                 v = Element(self, rep)
                 v._length = length
-                level.append(WeakOrderNode(v, support, descents, down))
+                level.append(WeakOrderNode(v, support, descents, down, J))
         return out
 
     def elements(self) -> list[Element]:
@@ -667,6 +698,18 @@ class DihedralSystem(CoxeterSystem):
         if i == 2:
             r = r + 1 if f else r - 1
         return (r % self.m, 1 - f)
+
+    def _left_gain(self, node: WeakOrderNode, i: int) -> int:
+        """Closed form of `CoxeterSystem._left_gain`. Below length m each
+        element has one reduced word, so v s_i keeps the first letter of v:
+        s_i gains i, and the other steps gain nothing, except the one to w0
+        from length m - 1, which gains the letter J(v) lacks."""
+        if node.length == 0:
+            return i
+        if node.length == self.m - 1:
+            (a,) = node.left_descents
+            return 3 - a
+        return 0
 
     def left_descents(self, w: Element) -> frozenset[int]:
         # the reduced word starts with s1 when (s1 s2)^r s1^f is the shorter

@@ -17,16 +17,17 @@ letter's group, and memoizes failed (element, remaining allowances) states.
 prune or memo, and `has_distinct_letter_word` decides I = {} without it.
 
 What the walk learns about an element does not depend on I: its support,
-its right descents and its down-steps w s_i, one `WeakOrderNode` record
-per element. Every record has one form: `down[k]` is the record of w s_i
-for i = `descents[k]`, and the search reads both by index. A census or a
-consistency sweep iterates the records of the one walk that enumerates the
-group (`CoxeterSystem.weak_order`), which steps each edge of the right weak
-order once, and hands each record to the searcher of its descent set, so
-the search makes no step and looks no element up. A searcher handed a bare
-`Element` (`find_witness`, `run_check`) makes its own records instead,
-lazily: a record gets its descents and empty slots when the search first
-admits it, and a slot is stepped the first time the search tries that edge.
+its right descents, its down-steps w s_i and its left descents J(w), one
+`WeakOrderNode` record per element. Every record has one form: `down[k]`
+is the record of w s_i for i = `descents[k]`, and the search reads both by
+index. A census or a consistency sweep iterates the records of the one
+walk that enumerates the group (`CoxeterSystem.weak_order`), which steps
+each edge of the right weak order once, and hands each record to the
+searcher of its descent set, so the search makes no step and looks no
+element up. A searcher handed a bare `Element` (`find_witness`,
+`run_check`) makes its own records instead, lazily: a record gets its
+descents and empty slots when the search first admits it, and a slot is
+stepped the first time the search tries that edge.
 """
 
 from __future__ import annotations
@@ -110,11 +111,12 @@ class WitnessSearcher:
 
     def _record(self, w: Element) -> WeakOrderNode:
         """This searcher's record of w, made on first sight with `descents`
-        and `down` None."""
+        and `down` None, and `left_descents` None for good: the search
+        never reads it."""
         node = self._records.get(w.rep)
         if node is None:
             node = self._records[w.rep] = WeakOrderNode(
-                w, self.system.support(w), None, None
+                w, self.system.support(w), None, None, None
             )
         return node
 
@@ -230,7 +232,9 @@ def census(system: CoxeterSystem):
     """Yield (record of w, J(w), J(w)-witness word or None) for each element,
     in enumeration order: the records of `system.weak_order()`, so the
     census makes one right step (`_right_rep`) per edge of the weak order,
-    all in the walk, and its searches make none.
+    all in the walk, and its searches make none. J(w) is the record's
+    `left_descents`, which the walk fills: the census makes no
+    `left_descents` call.
 
     One searcher per descent set is built on first use and shared by every
     later element with that set, so its failure memo carries across them;
@@ -240,7 +244,7 @@ def census(system: CoxeterSystem):
     """
     searchers: dict[frozenset, WitnessSearcher] = {}
     for node in system.weak_order():
-        J = system.left_descents(node.element)
+        J = node.left_descents
         searcher = searchers.get(J)
         if searcher is None:
             searcher = searchers[J] = WitnessSearcher(system, J)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -122,6 +123,53 @@ def test_one_line_labels_swap_entries_past_nine():
         for k in range(len(nodes))
     ]
     assert labels[3] == "1,2,3,4,5,6,7,10,9,8"
+
+
+def test_census_pauses_the_collector_while_it_builds(monkeypatch):
+    from coxsph import spherical
+
+    census, seen = spherical.census, []
+
+    def watched(system):
+        for row in census(system):
+            seen.append(gc.isenabled())
+            yield row
+
+    monkeypatch.setattr(spherical, "census", watched)
+    assert gc.isenabled()
+    assert harness.run_census("B3").total == 48
+    assert gc.isenabled()
+    assert len(seen) == 48 and not any(seen)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("cap", [None, "10"])
+def test_census_restores_the_callers_collector_state(enabled, cap, monkeypatch):
+    """After a normal return and after the enumeration cap's error, the
+    collector is on exactly when the caller had it on."""
+    if cap is not None:
+        monkeypatch.setenv("COXSPH_ENUM_CAP", cap)
+    if not enabled:
+        gc.disable()
+    try:
+        if cap is None:
+            assert harness.run_census("A3").total == 24
+        else:
+            with pytest.raises(CoxeterError, match="enumeration cap"):
+                harness.run_census("A3")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("t", ["A5", "B4", "F4", "I2(60)"])
+def test_census_leaves_no_reference_cycle(t):
+    """The census's records form a DAG, so with the collector paused
+    reference counting frees all of them: the collector finds nothing."""
+    coxeter_system(t)
+    gc.collect()
+    harness.run_census(t)
+    assert gc.collect() == 0
 
 
 def test_check_reports():
@@ -357,19 +405,27 @@ def test_consistency_sweep_re_decides_empty_I_without_the_search(monkeypatch):
 
 
 def test_consistency_sweep_searchers_make_no_records(monkeypatch):
-    # the sweep hands every searcher the walk's records
+    # the sweep hands every searcher the walk's records, and reads J(w)
+    # off them as the census does
     from coxsph import spherical
 
-    made = []
+    made, queried = [], []
     record = spherical.WitnessSearcher._record
+    system = coxeter_system("A3")
+    left_descents = system.left_descents
 
     def counting(self, w):
         made.append(w)
         return record(self, w)
 
+    def counting_descents(w):
+        queried.append(w)
+        return left_descents(w)
+
     monkeypatch.setattr(spherical.WitnessSearcher, "_record", counting)
+    monkeypatch.setitem(vars(system), "left_descents", counting_descents)
     assert harness.run_consistency(4).disagreements == []
-    assert made == []
+    assert made == [] and queried == []
 
 
 @pytest.mark.parametrize(

@@ -502,6 +502,44 @@ def test_weak_order_table_matches_lazy_route(name):
         assert [c.element for c in fresh.down] == [c.element for c in node.down]
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "D4", "D5", "F4", "G2",
+     "I2(3)", "I2(4)", "I2(5)", "I2(8)", "I2(60)"],
+)
+def test_weak_order_records_carry_their_left_descents(name):
+    """The walk's J(w), read off the first parent's record, is the set
+    `left_descents` computes; the even dihedral w0, whose first parent
+    w0 s1 starts with s2, gains s1. Equal sets of one walk are one
+    frozenset. A searcher's own record leaves J None."""
+    system = coxeter_system(name)
+    records = system.weak_order()
+    for node in records:
+        assert node.left_descents == system.left_descents(node.element)
+    for field in ("left_descents", "support"):
+        sets = [getattr(node, field) for node in records]
+        assert len(set(map(id, sets))) == len(set(sets))  # equal sets are one
+    searcher = WitnessSearcher(system, ())
+    assert searcher._record(records[-1].element).left_descents is None
+
+
+@pytest.mark.parametrize("name", ["A5", "D5", "F4", "I2(8)", "I2(60)"])
+def test_census_makes_no_left_descent_query(name, monkeypatch):
+    system = coxeter_system(name)
+    calls = []
+    left_descents = system.left_descents
+
+    def counting(w):
+        calls.append(w)
+        return left_descents(w)
+
+    monkeypatch.setitem(vars(system), "left_descents", counting)
+    rows = list(spherical_module.census(system))
+    assert len(rows) == system.order()
+    assert calls == []
+    assert all(J is node.left_descents for node, J, _ in rows)
+
+
 def test_walk_records_and_bare_elements_share_a_searcher_without_aliasing():
     """One searcher per I handed both the walk's record of w and w itself,
     in either order, gives each the word a cold `find_witness` finds: its
