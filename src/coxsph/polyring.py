@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as _iproduct
 from math import prod
-from operator import add, sub
+from operator import add, lt, sub
 
 from .typea import act_on_composition, left_descents
 
@@ -360,13 +360,21 @@ def d_schur(split: SplitSet, lams) -> Poly:
     The blocks use disjoint variables, so each monomial of the product is one
     Schur monomial per block written side by side, with the product of their
     coefficients, and no two choices meet on the same monomial.
+
+    Each block must be a partition padded with zeros: weakly decreasing with
+    a nonnegative last part, checked in one pass before its Schur polynomial
+    is looked up in the cache `schur` also reads.
     """
     blocks = split.blocks
     if len(lams) != len(blocks):
         raise ValueError("one partition per block required")
-    factors = [
-        schur(lam, b - a + 1).terms.items() for (a, b), lam in zip(blocks, lams)
-    ]
+    factors = []
+    for (a, b), lam in zip(blocks, lams):
+        lam = tuple(lam)
+        if any(map(lt, lam, lam[1:])) or lam and lam[-1] < 0:
+            raise ValueError(f"{lam} is not a partition")
+        lam = lam[:len(lam) - lam.count(0)]
+        factors.append(_schur_cached(lam, b - a + 1).terms.items())
     out = {}
     for pick in _iproduct(*factors):
         exps, coeff = (), 1
@@ -388,7 +396,8 @@ def _peel(f: Poly, pick, name, element):
 
     Yields (name(m), c) for the monomial m = pick(remainder) and its
     coefficient c, and only after that subtracts c * element(name(m)), which
-    must have coefficient 1 at m. A consumer that stops early builds no
+    must have coefficient 1 at m: ValueError if m survives the subtraction,
+    which would pick it again forever. A consumer that stops early builds no
     further basis element.
     """
     rem = dict(f.terms)
@@ -398,6 +407,8 @@ def _peel(f: Poly, pick, name, element):
         label = name(m)
         yield label, c
         _add_into(rem, element(label).terms.items(), -c)
+        if m in rem:
+            raise ValueError(f"basis element {label} does not clear monomial {m}")
 
 
 def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:

@@ -10,9 +10,12 @@ of increasing tableaux (one per block, empty allowed) such that
   (d) column-inserting that word gives the target tableau built from alpha.
 
 The search reads a reduced word of w[alpha] left to right, one left descent
-of the remaining permutation at a time. Its state is the remaining
-permutation, the insertion columns of the letters read so far, the current
-block with the count and the last of its closed rows, and the open row. One
+of the remaining permutation at a time. Its state is the insertion tableau
+of the letters read so far, which fixes the remaining permutation, the
+current block with the count and the last of its closed rows, and the open
+row. Each distinct tableau is one record of what it fixes and of the
+tableau each letter inserts to, so a letter is inserted into a tableau at
+most once per search, however many states share the tableau. One
 loop picks the next letter: it extends the open row, closes it, finishes a
 read whose insertion equals the target, or opens a row in the current block
 or a later one. A letter is read only if the row it lands in fits under the
@@ -39,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .polyring import SplitExpansion, SplitSet
-from .typea import apply_word, descents, inverse, inversions, perm_from_code
+from .typea import apply_word, inverse, inversions, perm_from_code
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,6 @@ class IncreasingTableau:
 
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
-
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        ncols = len(self.rows[0]) if self.rows else 0
-        return tuple(
-            tuple(row[c] for row in self.rows if len(row) > c)
-            for c in range(ncols)
-        )
 
     @staticmethod
     def from_columns(cols) -> "IncreasingTableau":
@@ -152,48 +148,75 @@ def build_t_alpha(alpha) -> IncreasingTableau:
     left of the previous position); the stripped positions, bottom to top,
     fill one column. Repeat on the remainder until the identity.
     """
-    line = list(perm_from_code(tuple(alpha)))
-    n = len(line)
+    return IncreasingTableau.from_columns(_target_columns(perm_from_code(alpha)))
+
+
+def _target_columns(line) -> tuple:
+    """The columns of `build_t_alpha` for the permutation `line` of alpha."""
+    line = list(line)
     cols = []
     while True:
-        desc = descents(line)
+        desc = [i for i in range(1, len(line)) if line[i - 1] > line[i]]
         if not desc:
-            break
+            return tuple(cols)
         col = []
-        limit = n
-        while True:
-            pick = max((i for i in desc if i < limit), default=None)
-            if pick is None:
-                break
+        while desc:
+            pick = desc.pop()
             line[pick - 1], line[pick] = line[pick], line[pick - 1]
             col.append(pick)
-            limit = pick
-            desc = descents(line[:limit])
+            # the swap leaves every descent below pick - 1 as it was
+            if desc and desc[-1] == pick - 1:
+                desc.pop()
+            if pick > 1 and line[pick - 2] > line[pick - 1]:
+                desc.append(pick - 1)
         cols.append(tuple(reversed(col)))
-    return IncreasingTableau.from_columns(cols)
+
+
+class _Tableau:
+    """One insertion tableau of a search, with what its columns fix.
+
+    The letters read so far multiply to the permutation of `cols`, so `cols`
+    fixes `vinv`, the inverse of the permutation still to be read, its left
+    descents `left`, and `fixed`, how many of 1, 2, ... it fixes (0 when
+    `left` is empty, where it is not read). `children` maps a letter j, the first time it
+    is tried, to the tableau that column-inserting j gives, or to None when
+    that insertion leaves the target. A search makes one per distinct
+    `cols`, so it hashes by identity.
+    """
+
+    __slots__ = ("cols", "vinv", "left", "fixed", "children")
+
+    def __init__(self, cols, vinv):
+        self.cols, self.vinv, self.children = cols, vinv, {}
+        self.left = [j for j in range(1, len(vinv)) if vinv[j - 1] > vinv[j]]
+        fixed = 0
+        if self.left:
+            while vinv[fixed] == fixed + 1:
+                fixed += 1
+        self.fixed = fixed
 
 
 class _RuleSearch:
-    """A memoized depth-first walk over the state (vinv, cols, b, nrows, last, run).
+    """A memoized depth-first walk over the state (t, b, nrows, last, run).
 
-    - vinv: the inverse of the permutation still to be read;
-    - cols: the insertion columns of the letters read so far;
+    - t: the `_Tableau` of the insertion columns of the letters read so far,
+      which fixes the permutation still to be read;
     - b: the current block;
     - nrows, last: how many rows of block b are closed, and the last of them
       (() before the first), all that a later row of block b is checked
       against;
     - run: the open row, in reading (decreasing) order.
 
-    `_read` takes one letter; `_visit` is the one place that picks the next
-    letter. It picks j only when the row j lands in fits under `last`
+    `_visit` is the one place that picks the next letter, and `_child` reads
+    it. It picks j only when the row j lands in fits under `last`
     (`_fits`): (j,) + row for an extension, and (j,), that is j > last[0], for
     a new row of block b. So every state's open row fits and closes with no
     check; extending cannot make a row fit, so nothing counted is skipped.
     `_visit` returns a dict from suffix to multiplicity, where a suffix holds,
     for each block from b on, the tuple of `mark(row)` over the rows closed
-    from its state on. The letters read so far multiply to the permutation of
-    `cols`, so `cols` fixes `vinv`, and `memo` keys each state by the rest of
-    it. The memo lives as long as the search.
+    from its state on. `memo` keys each state by the tuple above and
+    `tableaux` each `_Tableau` by its columns, so each letter is inserted
+    into each tableau once. Both live as long as the search.
     """
 
     def __init__(self, alpha, split: SplitSet, mark):
@@ -201,50 +224,61 @@ class _RuleSearch:
         self.sizes = split.block_sizes()
         self.mark = mark
         self.memo: dict = {}
-        self.target_cols = build_t_alpha(alpha).columns()
-        self.start_vinv = inverse(perm_from_code(alpha))
+        line = perm_from_code(alpha)
+        self.target_cols = _target_columns(line)
+        self.start = _Tableau((), inverse(line))
+        self.tableaux = {(): self.start}
 
     def run(self) -> dict:
         """Every suffix from the start, one tuple of marked rows per block."""
-        return self._visit(self.start_vinv, (), 0, 0, (), ())
+        return self._visit(self.start, 0, 0, (), ())
 
-    def _read(self, vinv, cols, b, nrows, last, run, j):
-        """Column-insert j inside the target, then swap j in vinv."""
-        cols = _eg_insert_columns(cols, j, self.target_cols)
-        if cols is None:
-            return {}
-        vinv = vinv[:j - 1] + (vinv[j], vinv[j - 1]) + vinv[j + 1:]
-        return self._visit(vinv, cols, b, nrows, last, run + (j,))
+    def _child(self, t: _Tableau, j: int):
+        """The tableau after reading j from t, or None outside the target."""
+        kids = t.children
+        if j in kids:
+            return kids[j]
+        cols = _eg_insert_columns(t.cols, j, self.target_cols)
+        child = None
+        if cols is not None:
+            child = self.tableaux.get(cols)
+            if child is None:
+                v = t.vinv
+                child = self.tableaux[cols] = _Tableau(
+                    cols, v[:j - 1] + (v[j], v[j - 1]) + v[j + 1:]
+                )
+        kids[j] = child
+        return child
 
-    def _visit(self, vinv, cols, b, nrows, last, run):
-        state = (cols, b, nrows, last, run)
+    def _visit(self, t, b, nrows, last, run):
+        state = (t, b, nrows, last, run)
         out = self.memo.get(state)
         if out is not None:
             return out
         out = self.memo[state] = {}
-        # left descents of the remaining permutation
-        left = [j for j in range(1, len(vinv)) if vinv[j - 1] > vinv[j]]
+        left = t.left
         head = ()  # the marked row this state closes, if it has one
         if run:
             row = run[::-1]
             for j in left:
                 if self.cuts[b] < j < row[0] and _fits((j,) + row, last):
-                    child = self._read(vinv, cols, b, nrows, last, run, j)
-                    for suffix, m in child.items():
+                    child = self._child(t, j)
+                    if child is None:
+                        continue
+                    for suffix, m in self._visit(
+                        child, b, nrows, last, run + (j,)
+                    ).items():
                         out[suffix] = out.get(suffix, 0) + m
             nrows, last, head = nrows + 1, row, (self.mark(row),)
         if not left:
-            if cols == self.target_cols:
+            if t.cols == self.target_cols:
                 out[(head,) + ((),) * (len(self.sizes) - b - 1)] = 1
             return out
-        # When vinv does not fix 1..d_c it still needs a letter <= d_c, which
-        # neither block c nor any later block may read.
-        fixed = 0
-        while vinv[fixed] == fixed + 1:  # stops: left is not empty
-            fixed += 1
+        # When the remaining permutation does not fix 1..d_c it still needs a
+        # letter <= d_c, which neither block c nor any later block may read.
         for c in range(b, len(self.sizes)):
             lo = self.cuts[c]
-            if lo > fixed:
+            if lo > t.fixed:
                 break
             if c == b:
                 if nrows >= self.sizes[b]:
@@ -252,16 +286,22 @@ class _RuleSearch:
                 floor = max(lo, last[0]) if last else lo
                 for j in left:
                     if j > floor:
-                        child = self._read(vinv, cols, b, nrows, last, (), j)
-                        for suffix, m in child.items():
+                        child = self._child(t, j)
+                        if child is None:
+                            continue
+                        for suffix, m in self._visit(
+                            child, b, nrows, last, (j,)
+                        ).items():
                             key = (head + suffix[0],) + suffix[1:]
                             out[key] = out.get(key, 0) + m
                 continue
             prefix = (head,) + ((),) * (c - b - 1)  # then blocks b+1..c-1 empty
             for j in left:
                 if j > lo:
-                    child = self._read(vinv, cols, c, 0, (), (), j)
-                    for suffix, m in child.items():
+                    child = self._child(t, j)
+                    if child is None:
+                        continue
+                    for suffix, m in self._visit(child, c, 0, (), (j,)).items():
                         key = prefix + suffix
                         out[key] = out.get(key, 0) + m
         return out

@@ -1,5 +1,6 @@
 import itertools
 import random
+from itertools import islice
 
 import pytest
 
@@ -413,6 +414,26 @@ def test_d_schur_equals_product_of_embedded_block_schurs():
                     assert d_schur(split, lams) == _embedded_schur_product(split, lams)
                     count += 1
     assert count > 1000
+
+
+def test_d_schur_rejects_what_is_not_a_partition_per_block():
+    split = SplitSet(4, (2,))
+    for lams in (
+        ((1, 2), (0, 0)),  # an increasing block
+        ((1, 0), (1, -1)),  # a negative part
+        ((1, 1, 1), (0, 0)),  # more parts than the block has variables
+        ((1, 0),),  # the wrong number of blocks
+    ):
+        with pytest.raises(ValueError):
+            d_schur(split, lams)
+    assert d_schur(split, ((2, 0), (1, 1))) == d_schur(split, ((2,), (1, 1)))
+
+
+def test_peel_raises_when_the_element_does_not_clear_its_lead():
+    f = key_polynomial((0, 1, 2))
+    peel = polyring._peel(f, max, lambda lead: lead, lambda label: Poly.zero(3))
+    with pytest.raises(ValueError, match=r"\(2, 1, 0\)"):
+        list(islice(peel, 3))
 
 
 def test_split_coefficients_of_staircase_keys_nonnegative():

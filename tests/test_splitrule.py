@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from coxsph import coxeter_system, reduced_words
+from coxsph import coxeter_system, polyring, reduced_words, splitrule
 from coxsph.polyring import SplitSet, key_polynomial, split_expand
 from coxsph.splitrule import (
     EMPTY_TABLEAU,
@@ -15,7 +15,13 @@ from coxsph.splitrule import (
     ry_expand,
     ry_tableau_sequences,
 )
-from coxsph.typea import apply_word, element_to_perm, inversions, perm_from_code
+from coxsph.typea import (
+    apply_word,
+    descents,
+    element_to_perm,
+    inversions,
+    perm_from_code,
+)
 
 
 def test_increasing_tableau_validation():
@@ -34,6 +40,38 @@ def test_build_t_alpha_examples():
     assert build_t_alpha(()).to_lists() == []
     t = build_t_alpha((2, 1, 0))
     assert t.to_lists() == [[1, 2], [2]]
+
+
+def _reference_t_alpha(alpha):
+    """`build_t_alpha` as first written: every descent rescanned per swap."""
+    line = list(perm_from_code(tuple(alpha)))
+    n = len(line)
+    cols = []
+    while True:
+        desc = descents(line)
+        if not desc:
+            break
+        col = []
+        limit = n
+        while True:
+            pick = max((i for i in desc if i < limit), default=None)
+            if pick is None:
+                break
+            line[pick - 1], line[pick] = line[pick], line[pick - 1]
+            col.append(pick)
+            limit = pick
+            desc = descents(line[:limit])
+        cols.append(tuple(reversed(col)))
+    return IncreasingTableau.from_columns(cols)
+
+
+def test_build_t_alpha_matches_the_rescanning_reference():
+    count = 0
+    for length in range(1, 7):
+        for alpha in itertools.product(range(5), repeat=length):
+            assert build_t_alpha(alpha).rows == _reference_t_alpha(alpha).rows
+            count += 1
+    assert count == 19530
 
 
 def test_eg_column_insert_examples():
@@ -168,6 +206,29 @@ def test_rule_search_states_are_pinned():
             cases += 1
             states += len(search.memo)
     assert (cases, states) == (1225, 28651)
+
+
+def test_rule_search_insertions_are_pinned(monkeypatch):
+    """Over the family of the states pin, the walk column-inserts each letter
+    into each tableau at most once: 21627 insertions, the distinct
+    (tableau, letter) pairs tried. It builds no Poly."""
+    calls = 0
+    real_insert = splitrule._eg_insert_columns
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real_insert(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the tableau rule must not build a Poly")
+
+    monkeypatch.setattr(splitrule, "_eg_insert_columns", counted)
+    monkeypatch.setattr(polyring.Poly, "__init__", forbidden)
+    for length in range(1, 5):
+        for alpha, split in _splits(length, 4):
+            _RuleSearch(alpha, split, len).run()
+    assert calls == 21627
 
 
 def test_tableau_sequences_walk_order_is_pinned():
