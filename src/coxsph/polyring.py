@@ -15,12 +15,16 @@ monomial, whose per-block exponents are weakly decreasing and name a D-Schur
 product. `expand_in_keys` picks the lexicographically smallest monomial,
 which names a key polynomial.
 
-`is_D_multiplicity_free` and `split_expand_via_solver` build no Schur
-polynomial: both read coefficients off Jacobi's bialternant formula through
-`_alternant_shifts`, which with `_schur_cached` makes the module's two caches.
+The module keeps two caches. `_schur_cached` holds one Schur polynomial
+per (partition, variable count), for `schur` and `d_schur`.
+`_alternant_shifts` holds one entry of read tables per split: the shifts
+delta - sigma delta of Jacobi's bialternant formula for sigma != 1, split by
+the sign of sigma.
+`is_D_multiplicity_free` and `split_expand_via_solver` read coefficients off
+those tables and build no Schur polynomial.
 
 A Poly is never changed after it is built, so `Poly.is_symmetric_in`
-remembers its answer per j on the Poly itself.
+remembers its answer per j on the Poly itself, not in a module cache.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as _iproduct
 from math import prod
-from operator import add, lt, sub
+from operator import add, eq, itemgetter, lt, sub
 
 from .typea import act_on_composition, left_descents
 
@@ -128,7 +132,12 @@ class Poly:
         return self.terms.get(tuple(exps), 0)
 
     def is_symmetric_in(self, j: int) -> bool:
-        """True iff swapping x_j and x_(j+1) fixes self; scanned once per j."""
+        """True iff swapping x_j and x_(j+1) fixes self; scanned once per j.
+
+        ValueError unless 1 <= j <= nvars - 1, before any answer is read.
+        """
+        if not 1 <= j <= self.nvars - 1:
+            raise ValueError(f"operator index {j} out of range 1..{self.nvars - 1}")
         try:
             known = self._symmetric
         except AttributeError:
@@ -139,13 +148,14 @@ class Poly:
         return got
 
     def _scan_symmetric(self, j: int) -> bool:
-        for e, c in self.terms.items():
-            if e[j - 1] != e[j]:
-                le = list(e)
-                le[j - 1], le[j] = le[j], le[j - 1]
-                if self.terms.get(tuple(le), 0) != c:
-                    return False
-        return True
+        """One C-level pass: each exponent tuple, with entries j - 1 and j
+        (0-based) exchanged by one itemgetter, must look up its own
+        coefficient. Coefficients are nonzero, so a missing partner (None)
+        never compares equal. j must lie in 1..nvars - 1."""
+        order = list(range(self.nvars))
+        order[j - 1], order[j] = j, j - 1
+        swap, terms = itemgetter(*order), self.terms
+        return all(map(eq, map(terms.get, map(swap, terms)), terms.values()))
 
     def __str__(self):
         if not self.terms:
@@ -274,14 +284,20 @@ def _schur_cached(lam: tuple[int, ...], m: int) -> Poly:
     return Poly(m, out)
 
 
-def schur(lam, m: int) -> Poly:
-    """Schur polynomial s_lam(x_1..x_m) via the one-variable branching rule."""
-    lam = tuple(p for p in lam if p)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(
-        p < 0 for p in lam
-    ):
+def _partition(lam) -> tuple[int, ...]:
+    """lam without its trailing zeros, checked in one pass: ValueError unless
+    it is weakly decreasing with a nonnegative last part."""
+    lam = tuple(lam)
+    if any(map(lt, lam, lam[1:])) or lam and lam[-1] < 0:
         raise ValueError(f"{lam} is not a partition")
-    return _schur_cached(lam, m)
+    return lam[:len(lam) - lam.count(0)]
+
+
+def schur(lam, m: int) -> Poly:
+    """Schur polynomial s_lam(x_1..x_m) via the one-variable branching rule.
+
+    lam may end in zeros, as in (2, 1, 0); (2, 0, 1) is not a partition."""
+    return _schur_cached(_partition(lam), m)
 
 
 @dataclass(frozen=True)
@@ -361,20 +377,16 @@ def d_schur(split: SplitSet, lams) -> Poly:
     Schur monomial per block written side by side, with the product of their
     coefficients, and no two choices meet on the same monomial.
 
-    Each block must be a partition padded with zeros: weakly decreasing with
-    a nonnegative last part, checked in one pass before its Schur polynomial
-    is looked up in the cache `schur` also reads.
+    Each block must be a partition padded with zeros, checked by the one-pass
+    `_partition` that `schur` also uses before the Schur polynomial is looked
+    up in the cache `schur` reads.
     """
     blocks = split.blocks
     if len(lams) != len(blocks):
         raise ValueError("one partition per block required")
     factors = []
     for (a, b), lam in zip(blocks, lams):
-        lam = tuple(lam)
-        if any(map(lt, lam, lam[1:])) or lam and lam[-1] < 0:
-            raise ValueError(f"{lam} is not a partition")
-        lam = lam[:len(lam) - lam.count(0)]
-        factors.append(_schur_cached(lam, b - a + 1).terms.items())
+        factors.append(_schur_cached(_partition(lam), b - a + 1).terms.items())
     out = {}
     for pick in _iproduct(*factors):
         exps, coeff = (), 1
@@ -431,19 +443,23 @@ def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:
 
 @lru_cache(maxsize=None)
 def _alternant_shifts(split: SplitSet) -> tuple:
-    """(sgn(sigma), delta - sigma delta) for sigma in W_D, the product of the
-    block symmetric groups; delta is (k-1, ..., 0) in a block of k variables.
-    Within a block sigma is a permutation p of range(k), and
-    delta - sigma delta is p - (0, ..., k-1)."""
+    """The per-split read tables (plus, minus): delta - sigma delta for the
+    sigma != 1 in W_D, the product of the block symmetric groups, of sign +1
+    and -1. delta is (k-1, ..., 0) in a block of k variables, so within a
+    block sigma is a permutation p of range(k) and delta - sigma delta is
+    p - (0, ..., k-1). The identity's shift is 0 and is in neither table."""
     per_block = [
         [((-1) ** sum(x > y for i, x in enumerate(p) for y in p[i + 1 :]),
           tuple(x - i for i, x in enumerate(p)))
          for p in permutations(range(k))]
         for k in split.block_sizes()
     ]
-    return tuple(
+    shifts = [
         (prod(s for s, _ in pick), sum((t for _, t in pick), ()))
         for pick in _iproduct(*per_block)
+    ]
+    return tuple(
+        tuple(t for s, t in shifts if s == sign and any(t)) for sign in (1, -1)
     )
 
 
@@ -451,23 +467,33 @@ def is_D_multiplicity_free(f: Poly, split: SplitSet) -> bool:
     """True iff every D-Schur coefficient of f lies in {0, 1}.
 
     Reads the coefficient sum_sigma sgn(sigma) * f[lam + delta - sigma delta]
-    at each block-dominant monomial lam of f, and stops at the first above 1;
-    ValueError if f is not split-symmetric or a coefficient is negative.
-    Exact only if f has a nonnegative D-Schur expansion, as every
+    at each block-dominant monomial lam of f, in f's term order, and stops at
+    the first above 1; ValueError if f is not split-symmetric or at the first
+    negative coefficient met. Each read starts from f[lam], the identity's
+    term, taken off the iteration; it then adds one lookup per shift of
+    `_alternant_shifts`'s plus table and subtracts one per shift of its minus
+    table. Exact only if f has a nonnegative D-Schur expansion, as every
     split-symmetric key has (Reiner-Shimozono): no lead monomial cancels. For
     signed f, e.g. s_(2) - s_(1,1), use `split_expand(...).is_multiplicity_free()`.
     """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
-    shifts, pairs, get = _alternant_shifts(split), split.pairs, f.terms.get
-    for lam in f.terms:
-        if any(lam[i] < lam[j] for i, j in pairs):
-            continue
-        c = sum(sgn * get(tuple(map(add, lam, t)), 0) for sgn, t in shifts)
-        if c > 1:
-            return False
-        if c < 0:
-            raise ValueError(f"D-Schur coefficient {c} < 0 at {lam}; use split_expand")
+    (plus, minus), pairs, get = _alternant_shifts(split), split.pairs, f.terms.get
+    for lam, c in f.terms.items():
+        for i, j in pairs:
+            if lam[i] < lam[j]:
+                break
+        else:
+            for t in plus:
+                c += get(tuple(map(add, lam, t)), 0)
+            for t in minus:
+                c -= get(tuple(map(add, lam, t)), 0)
+            if c > 1:
+                return False
+            if c < 0:
+                raise ValueError(
+                    f"D-Schur coefficient {c} < 0 at {lam}; use split_expand"
+                )
     return True
 
 
@@ -493,10 +519,11 @@ def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
     """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
-    shifts, pairs = _alternant_shifts(split), split.pairs
-    totals: dict = {}
+    plus, minus = _alternant_shifts(split)
+    signed = [(1, t) for t in ((0,) * split.n,) + plus] + [(-1, t) for t in minus]
+    pairs, totals = split.pairs, {}
     for e, c in f.terms.items():
-        for sgn, t in shifts:
+        for sgn, t in signed:
             lam = tuple(map(sub, e, t))
             for i, j in pairs:
                 if lam[i] < lam[j]:

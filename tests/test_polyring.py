@@ -1,6 +1,7 @@
 import itertools
 import random
 from itertools import islice
+from math import factorial, prod
 
 import pytest
 
@@ -151,6 +152,28 @@ def test_schur_basics():
         schur((1, 2), 3)
 
 
+def test_schur_rejects_a_zero_between_parts():
+    # checked before trailing zeros go, as d_schur checks each block
+    for lam in ((2, 0, 1), (0, 1), (1, -1), (2, 1, -1)):
+        with pytest.raises(ValueError, match="is not a partition"):
+            schur(lam, 3)
+    assert schur((2, 1, 0), 3) == schur((2, 1), 3)
+    assert schur((0, 0), 2) == schur((), 2) == Poly.one(2)
+
+
+def test_is_symmetric_in_rejects_an_index_outside_1_to_n_minus_1():
+    f = Poly.monomial((2, 1, 0))  # x1^2 x2
+    for p in (f, Poly.zero(3)):
+        for j in (0, -1, 3, 4):
+            with pytest.raises(ValueError, match=rf"operator index {j} out of range 1\.\.2"):
+                p.is_symmetric_in(j)
+        assert set(getattr(p, "_symmetric", {})) == set()  # nothing cached
+    assert not f.is_symmetric_in(1) and not f.is_symmetric_in(2)
+    assert Poly.monomial((1, 1, 0)).is_symmetric_in(1) and Poly.zero(3).is_symmetric_in(2)
+    with pytest.raises(ValueError, match="out of range"):
+        Poly.one(1).is_symmetric_in(1)
+
+
 def test_schur_symmetric_and_padded():
     s = schur((3, 1), 3)
     for j in (1, 2):
@@ -283,6 +306,50 @@ def test_multiplicity_verdict_stops_at_the_first_coefficient_above_one(monkeypat
     assert not is_D_multiplicity_free(Poly(2, terms), split)
     with pytest.raises(ValueError, match="coefficient -1"):
         is_D_multiplicity_free(Poly(2, dict(reversed(terms.items()))), split)
+
+
+def test_multiplicity_verdict_on_one_pair_no_pair_and_one_variable():
+    # the edge cases of the read tables: one pair, no pair, one variable
+    s1 = schur((1,), 2)
+    one_pair = SplitSet(2, ())
+    assert [is_D_multiplicity_free(f, one_pair) for f in (
+        key_polynomial((0, 2)), s1 * s1, s1 * s1 * s1,
+        schur((2,), 2).scale(2) + schur((1, 1), 2), Poly.zero(2),
+    )] == [True, True, False, False, True]
+    with pytest.raises(ValueError, match=r"coefficient -1 < 0 at \(2, 0\)"):
+        is_D_multiplicity_free(schur((1, 1), 2) - schur((2,), 2), one_pair)
+    no_pair = SplitSet(3, (1, 2))  # one variable per block: f's coefficients
+    assert [is_D_multiplicity_free(f, no_pair) for f in (
+        Poly.monomial((1, 0, 2)), key_polynomial((0, 1, 2)),
+        key_polynomial((2, 1, 0)).scale(2),
+    )] == [True, False, False]
+    with pytest.raises(ValueError, match=r"coefficient -1 < 0 at \(0, 1, 0\)"):
+        is_D_multiplicity_free(
+            Poly.monomial((1, 0, 2)) - Poly.monomial((0, 1, 0)), no_pair
+        )
+    n1 = SplitSet(1, ())
+    assert [is_D_multiplicity_free(f, n1) for f in (
+        Poly.monomial((3,)), Poly(1, {(0,): 1, (2,): 2}), Poly.zero(1),
+    )] == [True, False, True]
+    with pytest.raises(ValueError, match=r"coefficient -1 < 0 at \(2,\)"):
+        is_D_multiplicity_free(Poly(1, {(0,): 1, (2,): -1}), n1)
+
+
+def test_read_tables_hold_each_non_identity_shift_once_by_sign():
+    for n in range(0, 6):
+        for D in itertools.chain.from_iterable(
+            itertools.combinations(range(1, n), r) for r in range(n)
+        ):
+            split = SplitSet(n, D)
+            plus, minus = polyring._alternant_shifts(split)
+            order = prod(factorial(k) for k in split.block_sizes())
+            assert len(set(plus + minus)) == len(plus) + len(minus) == order - 1
+            assert all(map(any, plus + minus))  # the identity's 0 is in neither
+            # the sign character sums to 0 on any nontrivial group
+            assert 1 + len(plus) - len(minus) == (order == 1)
+            # delta - sigma delta sums to 0 within each block
+            for t in plus + minus:
+                assert all(sum(t[a - 1 : b]) == 0 for a, b in split.blocks), t
 
 
 def test_multiplicity_verdict_rejects_a_negative_coefficient():

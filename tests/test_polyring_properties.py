@@ -4,7 +4,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coxsph.polyring import (
     Poly,
@@ -79,6 +79,49 @@ def test_key_is_symmetric_exactly_at_weak_ascents(parts):
     kappa = key_polynomial(parts)
     for j in range(1, len(parts)):
         assert kappa.is_symmetric_in(j) == (parts[j - 1] <= parts[j]), j
+
+
+def _scan_by_swapping(terms, j):
+    """The swap loop `Poly._scan_symmetric` replaced, kept as its reference."""
+    for e, c in terms.items():
+        if e[j - 1] != e[j]:
+            le = list(e)
+            le[j - 1], le[j] = le[j], le[j - 1]
+            if terms.get(tuple(le), 0) != c:
+                return False
+    return True
+
+
+@st.composite
+def nearly_symmetric_polys(draw):
+    """A signed sparse Poly in 2..5 variables, often symmetric in one x_j,
+    x_(j+1) but for a term whose partner is dropped or negated."""
+    n = draw(st.integers(2, 5))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(-2, 2).filter(bool), max_size=6))
+    j = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        for e, c in list(terms.items()):
+            terms.setdefault(e[: j - 1] + (e[j], e[j - 1]) + e[j + 1 :], c)
+    moved = sorted(e for e in terms if e[j - 1] != e[j])
+    if moved:
+        e = draw(st.sampled_from(moved))
+        flaw = draw(st.sampled_from(("none", "drop", "negate")))
+        if flaw == "drop":
+            del terms[e]
+        elif flaw == "negate":
+            terms[e] = -terms[e]
+    return Poly(n, terms)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(nearly_symmetric_polys())
+@example(Poly.zero(2))
+@example(Poly.zero(5))
+def test_one_pass_scan_matches_the_swap_loop(f):
+    for j in range(1, f.nvars):
+        assert f._scan_symmetric(j) == _scan_by_swapping(f.terms, j), (f, j)
+        assert f.is_symmetric_in(j) == _scan_by_swapping(f.terms, j), (f, j)
 
 
 @st.composite
