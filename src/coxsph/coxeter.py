@@ -11,12 +11,13 @@ the rep of w. `step(w, i)` wraps it as an `Element`: it returns w s_i (s_i w
 with `left=True`) with its length l(w) - 1 or l(w) + 1 recorded, so the
 callers that walk reduced words one element at a time (the witness search
 of single queries, words and Bruhat order) never recount a length or
-multiply by a generator. `weak_order()` enumerates the group by one
-breadth-first walk of the right weak order that keeps every edge it steps.
-It steps reps with `_right_rep`, one call per edge, and makes an `Element`
-only once per element. It builds one `WeakOrderNode` per element: its
-support, its right descents, the records of its down-steps w s_i and its
-left descents, each read off a parent's record with no descent query.
+multiply by a generator. A rep's first `rank` entries, the images of the
+simple roots, fix the element. `weak_order()` enumerates the group by one
+breadth-first walk of the right weak order that keeps every edge it steps:
+one `_right_prefix` per edge, one `_right_rep` and `Element` per element.
+It builds one `WeakOrderNode` per element: its support, its right
+descents, the records of its down-steps w s_i and its left descents, each
+read off a parent's record with no descent query.
 `elements()` is the list of their elements, and a census hands the records
 themselves to its searchers.
 `multiply` is the general product. `word(w)`, the lex-first reduced word
@@ -280,6 +281,10 @@ class CoxeterSystem:
         self._left_images = tuple(
             (0, *s.rep, *(-q for q in reversed(s.rep))) for s in self._generators
         )
+        self._prefix_orders = tuple(
+            itemgetter(*(abs(q) - 1 for q in s.rep[: self.rank])) if self.rank > 1 else tuple
+            for s in self._generators
+        )
 
     # -- construction -----------------------------------------------------
 
@@ -419,6 +424,18 @@ class CoxeterSystem:
         out[i - 1] = -out[i - 1]
         return tuple(out)
 
+    def _right_prefix(self, rep: tuple, i: int) -> tuple:
+        """`_right_rep(rep, i)[:rank]` in `rank` steps: w s_i's images of the
+        simple roots, which fix w s_i."""
+        out = list(self._prefix_orders[i - 1](rep))
+        out[i - 1] = -out[i - 1]
+        return tuple(out)
+
+    def _left_prefix(self, prefix: tuple, j: int) -> tuple:
+        """The prefix of s_j w from the prefix of w: s_j maps each image."""
+        images = self._left_images[j - 1]
+        return tuple([images[q] for q in prefix])
+
     def _left_gain(self, node: WeakOrderNode, i: int) -> int:
         """The left descent that v s_i has and v lacks, 0 if none, for the
         record of v and a letter i that is not a right descent of v: j when
@@ -509,23 +526,24 @@ class CoxeterSystem:
 
         Level k + 1 is built from the steps w s_i with w in level k and i
         not a right descent of w: each has length k + 1, so no element of
-        an earlier level can recur and the level's own dict, keyed by the
-        rep `_right_rep` returns, is the only dedupe. Every such step is a
-        down-edge of its result, and the letters run in the outer loop, so
-        each element collects its edges in ascending order and its right
-        descents are their letters: one `_right_rep` per edge, and no
-        descent query. The `Element` of a new rep, with its length k + 1,
-        is made once, with its record, not once per edge: most edges reach
-        an element another edge reached first. The support and the left
-        descents come off the first parent's, v = w s_i with i =
+        an earlier level can recur and the level's own dict, keyed by
+        `_right_prefix`, is the only dedupe: the images of the simple roots
+        fix an element, the representation being faithful (Bjorner-Brenti,
+        ch. 4), and lead its rep, so they sort as reps do. Every such step
+        is a down-edge of its result, and the letters run in the outer
+        loop, so each element collects its edges in ascending order and its
+        right descents are their letters: no descent query. A new element's
+        rep (`_right_rep` from its first down-edge) and `Element`, with its
+        length k + 1, are made once, not once per edge. The support and the
+        left descents come off the first parent's, v = w s_i with i =
         descents[0]: supp(w) = supp(v) + {i}, and J(w) is J(v) plus the
         letter `_left_gain` reads off v and i, if any (the lifting property
         of the weak order, Bjorner-Brenti, ch. 3), so no record pays a
         `left_descents` query. Equal sets are one frozenset, kept in one
         table for both: one support per record took 87 MB max RSS on the A7
-        census, against 69 MB shared. Raises CoxeterError when |W|
-        exceeds the cap (COXSPH_ENUM_CAP environment variable, default
-        10**7; a value `int()` does not read raises CoxeterError too).
+        census, against 69 MB shared. Raises CoxeterError when |W| exceeds
+        the cap (COXSPH_ENUM_CAP environment variable, default 10**7; a
+        value `int()` does not read raises CoxeterError too).
         """
         raw = os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
         try:
@@ -538,7 +556,7 @@ class CoxeterSystem:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
-        out, right, gain = [], self._right_rep, self._left_gain
+        out, right, gain, prefix = [], self._right_rep, self._left_gain, self._right_prefix
         empty = frozenset()
         level = [WeakOrderNode(self.identity, empty, (), (), empty)]
         # (a set, a letter) -> their union, for (supp(v), i) -> supp(w) and
@@ -554,20 +572,20 @@ class CoxeterSystem:
         while level:
             out.extend(level)
             length += 1
-            # rep of w s_i -> [i, then the record of w, per down-edge]
+            # prefix of w s_i -> [i, then the record of w, per down-edge]
             nxt = {}
             for i in range(1, self.rank + 1):
                 for node in level:
                     if i not in node.descents:
-                        rep = right(node.element.rep, i)
-                        edges = nxt.get(rep)
+                        images = prefix(node.element.rep, i)
+                        edges = nxt.get(images)
                         if edges is None:
-                            nxt[rep] = [i, node]
+                            nxt[images] = [i, node]
                         else:
                             edges += (i, node)
             level = []
-            for rep in sorted(nxt):
-                e = nxt[rep]
+            for images in sorted(nxt):
+                e = nxt[images]
                 descents, down = tuple(e[::2]), tuple(e[1::2])
                 parent, i = down[0], descents[0]
                 key = (parent.support, i)
@@ -576,7 +594,7 @@ class CoxeterSystem:
                 if j:
                     key = (J, j)
                     J = grown.get(key) or grow(key)
-                v = Element(self, rep)
+                v = Element(self, right(parent.element.rep, i))
                 v._length = length
                 level.append(WeakOrderNode(v, support, descents, down, J))
         return out
@@ -683,11 +701,7 @@ class DihedralSystem(CoxeterSystem):
         self._check_member(w)
         if not 0 < i <= 2:
             raise CoxeterError(f"generator index {i} out of range 1..2")
-        if left:
-            r, f = w.rep
-            rep = ((-r - i + 1) % self.m, 1 - f)
-        else:
-            rep = self._right_rep(w.rep, i)
+        rep = self._left_prefix(w.rep, i) if left else self._right_rep(w.rep, i)
         v = Element(self, rep)
         v._length = self._rep_length(*rep)
         return v
@@ -698,6 +712,13 @@ class DihedralSystem(CoxeterSystem):
         if i == 2:
             r = r + 1 if f else r - 1
         return (r % self.m, 1 - f)
+
+    _right_prefix = _right_rep  # (r, f) has rank = 2 entries: its own prefix
+
+    def _left_prefix(self, rep: tuple, j: int) -> tuple:
+        """Closed form of `CoxeterSystem._left_prefix`: the rep of s_j w."""
+        r, f = rep
+        return ((-r - j + 1) % self.m, 1 - f)
 
     def _left_gain(self, node: WeakOrderNode, i: int) -> int:
         """Closed form of `CoxeterSystem._left_gain`. Below length m each

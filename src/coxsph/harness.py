@@ -93,24 +93,27 @@ def _from_parents(system: CoxeterSystem, rows, root, step):
     left parent s_j w, j = min J(w).
 
     The record is a `WeakOrderNode` of `CoxeterSystem.weak_order`. Its
-    down-edges are the right steps w s_i, so the left parent is stepped
-    here. The identity gets `root`; any other w gets step(j, value of
-    s_j w). The rows must come in enumeration order, which is
-    breadth-first by length, so the parent s_j w of every w lies in the
-    previous length level: values of two levels are all that is kept.
+    down-edges are the right steps w s_i, so values are kept by prefix,
+    the first `rank` entries of the rep, and the left parent's is
+    `_left_prefix` of w's: no element is stepped. The identity gets
+    `root`; any other w gets step(j, value of s_j w). The rows must come
+    in enumeration order, which is breadth-first by length, so the parent
+    s_j w of every w lies in the previous length level: values of two
+    levels are all that is kept.
     """
+    rank, left = system.rank, system._left_prefix
     before, now, level = {}, {}, 0
     for row in rows:
-        w, J = row[0].element, row[1]
-        if w.length > level:
-            level, before, now = w.length, now, {}
+        node, J = row[0], row[1]
+        if node.length > level:
+            level, before, now = node.length, now, {}
+        prefix = node.element.rep[:rank]
         if J:
             j = min(J)
-            parent = system.step(w, j, left=True)
-            value = step(j, before[parent.rep])
+            value = step(j, before[left(prefix, j)])
         else:
             value = root
-        now[w.rep] = value
+        now[prefix] = value
         yield value, row
 
 
@@ -152,9 +155,9 @@ def run_census(type_string: str, progress=None) -> CensusReport:
     read per element: in type A the one-line form of w is that of its
     weak-order parent w s_i, the record's first down-edge, with two entries
     swapped (`_one_line_labels`); elsewhere the word of w is s_j + the word
-    of s_j w with j = min J(w) (`_from_parents`), the recursion
-    `Element.word()` follows. `progress(done, total)`, if given, is called
-    after every 500 elements.
+    of s_j w with j = min J(w) (`_from_parents`, which steps no element),
+    the recursion `Element.word()` follows. `progress(done, total)`, if
+    given, is called after every 500 elements.
 
     CPython's cyclic collector is paused while the report is built and
     restored to the caller's state afterwards, even on an error, so a
@@ -409,11 +412,11 @@ def run_consistency(n: int) -> ConsistencyReport:
     Each I gets one searcher and one split set D = [n-1] - I. The sweep
     iterates the records of `system.weak_order()`, reads J(w) off each
     record as `spherical.census` does, and hands each record to its
-    searchers, so it makes one step per weak-order edge, all in the walk,
-    and its searches make none. Each verdict reads D-Schur
-    coefficients off the key by `polyring.is_D_multiplicity_free`, which
-    builds no D-Schur product; each key scans its symmetry in x_j, x_(j+1)
-    once per j (`Poly.is_symmetric_in`).
+    searchers, so it steps one prefix per weak-order edge and one rep per
+    element, all in the walk, and its searches none. Each verdict reads
+    D-Schur coefficients off the key by `polyring.is_D_multiplicity_free`,
+    which builds no D-Schur product; each key scans its symmetry in x_j,
+    x_(j+1) once per j (`Poly.is_symmetric_in`).
     """
     _check_size("consistency check", n, 2)
     start = time.perf_counter()

@@ -82,6 +82,9 @@ class Poly:
 
     @staticmethod
     def variable(i: int, nvars: int) -> "Poly":
+        """x_i among x_1..x_nvars; ValueError unless 1 <= i <= nvars."""
+        if not 1 <= i <= nvars:
+            raise ValueError(f"variable index {i} out of range 1..{nvars}")
         exp = tuple(1 if j == i - 1 else 0 for j in range(nvars))
         return Poly(nvars, {exp: 1})
 

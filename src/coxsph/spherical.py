@@ -22,9 +22,9 @@ its right descents, its down-steps w s_i and its left descents J(w), one
 is the record of w s_i for i = `descents[k]`, and the search reads both by
 index. A census or a consistency sweep iterates the records of the one
 walk that enumerates the group (`CoxeterSystem.weak_order`), which steps
-each edge of the right weak order once, and hands each record to the
-searcher of its descent set, so the search makes no step and looks no
-element up. A searcher handed a bare `Element` (`find_witness`,
+each edge of the right weak order once, by prefix, and hands each record
+to the searcher of its descent set, so the search makes no step and looks
+no element up. A searcher handed a bare `Element` (`find_witness`,
 `run_check`) makes its own records instead, lazily: a record gets its
 descents and empty slots when the search first admits it, and a slot is
 stepped the first time the search tries that edge.
@@ -231,10 +231,9 @@ def is_maximally_spherical(system: CoxeterSystem, w: Element) -> bool:
 def census(system: CoxeterSystem):
     """Yield (record of w, J(w), J(w)-witness word or None) for each element,
     in enumeration order: the records of `system.weak_order()`, so the
-    census makes one right step (`_right_rep`) per edge of the weak order,
-    all in the walk, and its searches make none. J(w) is the record's
-    `left_descents`, which the walk fills: the census makes no
-    `left_descents` call.
+    census steps one prefix (`_right_prefix`) per weak-order edge and one
+    rep per element, all in the walk, and its searches none. J(w) is the
+    record's `left_descents`, which the walk fills: no `left_descents` call.
 
     One searcher per descent set is built on first use and shared by every
     later element with that set, so its failure memo carries across them;

@@ -72,10 +72,11 @@ def test_census_json_matches_golden_digest(t):
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_JSON_SHA256[t]
 
 
-@pytest.mark.parametrize("t", ["A5", "D5"])
+@pytest.mark.parametrize("t", ["A5", "D5", "F4"])
 def test_census_labels_spell_nothing_per_element(t, monkeypatch):
     """Census labels are read off parents' labels: at most the identity's
-    one-line form is computed, and no reduced word is spelt."""
+    one-line form is computed, no reduced word is spelt, and outside type
+    A each parent is found by its prefix, with no `step` call."""
     from coxsph import coxeter, typea
 
     calls = []
@@ -93,6 +94,7 @@ def test_census_labels_spell_nothing_per_element(t, monkeypatch):
     counted(typea, "format_permutation")
     counted(coxeter.Element, "word")
     counted(coxeter.CoxeterSystem, "word")
+    counted(coxeter.CoxeterSystem, "step")
     report = harness.run_census(t)
     assert report.total == coxeter_system(t).order()
     if t == "A5":

@@ -161,6 +161,13 @@ def test_schur_rejects_a_zero_between_parts():
     assert schur((0, 0), 2) == schur((), 2) == Poly.one(2)
 
 
+def test_variable_rejects_an_index_outside_1_to_nvars():
+    for i in (0, 4, -2):
+        with pytest.raises(ValueError, match=rf"variable index {i} out of range 1\.\.3"):
+            Poly.variable(i, 3)
+    assert Poly.variable(3, 3) == Poly.monomial((0, 0, 1))
+
+
 def test_is_symmetric_in_rejects_an_index_outside_1_to_n_minus_1():
     f = Poly.monomial((2, 1, 0))  # x1^2 x2
     for p in (f, Poly.zero(3)):

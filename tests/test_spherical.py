@@ -413,19 +413,20 @@ def test_census_search_work_is_pinned(name, searchers, seen, fail, monkeypatch):
     ],
 )
 def test_census_down_steps_are_pinned(name, steps, monkeypatch):
-    """Golden count of the right steps one `census` makes: one `_right_rep`
-    per edge of the right weak order, |W| * rank / 2, all of them in the
-    walk that enumerates the group, and none in the search, which reads
-    every down-step off the table that walk fills. The census calls `step`
-    not at all. Any later change to these numbers must be explained."""
+    """Golden count of the right steps one `census` makes: one
+    `_right_prefix` per edge of the right weak order, |W| * rank / 2, all
+    of them in the walk that enumerates the group, and none in the search,
+    which reads every down-step off the table that walk fills. The census
+    calls `step` not at all. Any later change to these numbers must be
+    explained."""
     system = coxeter_system(name)
     calls, stepped = [], []
-    right_rep, step = type(system)._right_rep, type(system).step
+    right_prefix, step = type(system)._right_prefix, type(system).step
     searching = []
 
     def counting(self, rep, i):
         calls.append(bool(searching))
-        return right_rep(self, rep, i)
+        return right_prefix(self, rep, i)
 
     def counting_step(self, w, i, left=False):
         stepped.append(i)
@@ -440,7 +441,7 @@ def test_census_down_steps_are_pinned(name, steps, monkeypatch):
         finally:
             searching.pop()
 
-    monkeypatch.setattr(type(system), "_right_rep", counting)
+    monkeypatch.setattr(type(system), "_right_prefix", counting)
     monkeypatch.setattr(type(system), "step", counting_step)
     monkeypatch.setattr(WitnessSearcher, "search", marked)
     for _ in spherical_module.census(system):
@@ -470,6 +471,52 @@ def test_weak_order_makes_one_element_per_element(name, built, monkeypatch):
     monkeypatch.setattr(Element, "__init__", counting)
     records = system.weak_order()
     assert made == built == system.order() - 1 == len(records) - 1
+
+
+@pytest.mark.parametrize(
+    "name, full", [("A5", 719), ("D5", 1919), ("F4", 1151), ("I2(60)", 119)]
+)
+def test_weak_order_makes_one_full_right_step_per_element(name, full, monkeypatch):
+    """Golden count of the full reps one `weak_order()` walk computes: one
+    `_right_rep` per element but the identity, |W| - 1, from its first
+    down-edge; each edge steps only a prefix. Any later change to these
+    numbers must be explained."""
+    system = coxeter_system(name)
+    calls = []
+    right_rep = type(system)._right_rep
+
+    def counting(self, rep, i):
+        calls.append(i)
+        return right_rep(self, rep, i)
+
+    monkeypatch.setattr(type(system), "_right_rep", counting)
+    records = system.weak_order()
+    assert len(calls) == full == system.order() - 1
+    assert calls == [node.descents[0] for node in records[1:]]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B4", "D5", "F4", "G2", "I2(7)",
+     pytest.param("E6", marks=pytest.mark.slow)],
+)
+def test_rep_prefixes_fix_and_order_the_elements(name):
+    """The first `rank` entries of a rep, the images of the simple roots
+    (the whole pair in I2(m)), are pairwise distinct over the group, and
+    sorting by them sorts by the full rep: the walk dedupes and orders
+    each level by them, and `_right_prefix` and `_left_prefix` give the
+    prefixes of w s_i and s_i w."""
+    system = coxeter_system(name)
+    rank = system.rank
+    reps = [w.rep for w in system.elements()]
+    assert len({rep[:rank] for rep in reps}) == len(reps) == system.order()
+    assert sorted(reps, key=lambda rep: rep[:rank]) == sorted(reps)
+    for rep in reps:
+        w = Element(system, rep)
+        for i in range(1, rank + 1):
+            assert system._right_prefix(rep, i) == system._right_rep(rep, i)[:rank]
+            want = system.step(w, i, left=True).rep[:rank]
+            assert system._left_prefix(rep[:rank], i) == want
 
 
 @pytest.mark.parametrize(
