@@ -5,6 +5,8 @@ positive roots written in the simple-root basis: an element is stored as the
 signed permutation it induces on the list of positive roots. This gives
 O(#roots) multiplication, inversion-free length and descent queries, and a
 canonical representation (two elements are equal iff their tuples are).
+The roots and each generator's permutation of them come from one closure
+that reflects each root by each generator once.
 
 `_right_rep(rep, i)` is the one right-step formula: the rep of w s_i from
 the rep of w. `step(w, i)` wraps it as an `Element`: it returns w s_i (s_i w
@@ -45,7 +47,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 ENUM_CAP_ENV = "COXSPH_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10**7
@@ -254,7 +256,7 @@ class CoxeterSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = _cartan_matrix(cartan_type)
-        self.positive_roots = self._close_roots()
+        self.positive_roots, generator_reps = self._roots_and_generators()
         self._root_index = {r: i for i, r in enumerate(self.positive_roots)}
         # the nodes each positive root involves, for `support` and budgets
         self._root_supports = tuple(
@@ -264,8 +266,7 @@ class CoxeterSystem:
         self._negative_simple = frozenset(range(-self.rank, 0))
         self.coxeter_matrix = self._coxeter_from_cartan()
         self._set_elements(
-            tuple(range(1, len(self.positive_roots) + 1)),
-            [self._generator_action(i) for i in range(1, self.rank + 1)],
+            tuple(range(1, len(self.positive_roots) + 1)), generator_reps
         )
         # `step` tables, one per generator. w s_i lists w's entries in the
         # order of s_i's root permutation, then negates entry i; with a single
@@ -304,43 +305,45 @@ class CoxeterSystem:
         self._longest = None
         self._decompositions: dict[frozenset, ComponentDecomposition] = {}
 
-    def _reflect(self, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
-        A = self.cartan_matrix
-        pairing = sum(A[i][j] * c for j, c in enumerate(root))
-        out = list(root)
-        out[i] -= pairing
-        return tuple(out)
+    def _roots_and_generators(self):
+        """The positive roots, simple roots first and then by height and
+        coordinates, and each generator's signed root permutation.
 
-    def _close_roots(self):
-        r = self.rank
-        simple = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-        roots = list(simple)
-        seen = set(roots)
-        frontier = list(roots)
+        One closure reflects every root by every generator once and keeps
+        the image s_i(beta): a positive root, or -alpha_i for beta = alpha_i;
+        CoxeterError for anything else.
+        """
+        r, A = self.rank, self.cartan_matrix
+        simple = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+        images: dict = {}  # each positive root -> its images under s_1..s_r
+        frontier, seen = simple, set(simple)
         while frontier:
             nxt = []
             for root in frontier:
+                images[root] = row = []
                 for i in range(r):
-                    img = self._reflect(i, root)
-                    if img not in seen and all(c >= 0 for c in img):
+                    img = list(root)
+                    img[i] -= sum(map(mul, A[i], root))
+                    img = tuple(img)
+                    row.append(img)
+                    if min(img) >= 0 and img not in seen:
                         seen.add(img)
                         nxt.append(img)
-            roots.extend(nxt)
             frontier = nxt
-        # simple roots first, then by height/coords for determinism
-        tail = sorted(roots[r:], key=lambda v: (sum(v), v))
-        return tuple(simple + tail)
+        tail = sorted(seen.difference(simple), key=lambda v: (sum(v), v))
+        roots = tuple(simple + tail)
+        index = {root: k for k, root in enumerate(roots, start=1)}
 
-    def _generator_action(self, i: int) -> tuple[int, ...]:
-        out = []
-        for root in self.positive_roots:
-            img = self._reflect(i - 1, root)
-            if all(c >= 0 for c in img):
-                out.append(self._root_index[img] + 1)
-            else:
-                neg = tuple(-c for c in img)
-                out.append(-(self._root_index[neg] + 1))
-        return tuple(out)
+        def label(img, i):
+            if img in index:
+                return index[img]
+            if img == tuple(-c for c in simple[i]):
+                return -(i + 1)
+            raise CoxeterError(f"s{i + 1} maps a positive root to {img}, not a root")
+
+        return roots, [
+            tuple(label(images[root][i], i) for root in roots) for i in range(r)
+        ]
 
     def _coxeter_from_cartan(self):
         r = self.rank

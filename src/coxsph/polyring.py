@@ -1,7 +1,7 @@
 """Sparse integer polynomials, key polynomials, and split-Schur expansions.
 
-A Poly is a map from exponent tuples to nonzero integer coefficients, with a
-fixed variable count. Everything is exact: Demazure operators use the
+A Poly is a map from monomials to nonzero integer coefficients, with a fixed
+variable count. Everything is exact: Demazure operators use the
 telescoping quotient term by term, Schur polynomials come from the branching
 recursion, and expansions subtract basis elements until the remainder is 0.
 
@@ -25,6 +25,22 @@ those tables and build no Schur polynomial.
 
 A Poly is never changed after it is built, so `Poly.is_symmetric_in`
 remembers its answer per j on the Poly itself, not in a module cache.
+
+Packed exponent vectors (after Monagan-Pearce, CASC 2007). `Poly.terms` keys
+each monomial x^e by one int: one byte per variable, x_1 in the highest
+byte, so int order is lex order on exponent tuples. A byte holds e_i in its
+low 7 bits, so exponents lie in 0..127, and keeps its top bit, the guard
+bit, clear. A shift by an integer vector t with |t_i| <= 127 is one add of
+its offset sum t_i 2^(8(n-i)). If an entry of the sum leaves 0..127, the
+lowest field that does so ends with its guard bit set, whether it carried
+up or borrowed from its neighbour: the sum is no key, and its lookup misses
+instead of aliasing another monomial, so the fields need no bias. Moving c
+from x_j to x_(j+1) subtracts c (2^8 - 1) 2^(8(n-j-1)), and block
+dominance of a whole key is one guarded subtract-and-mask (`_read_tables`).
+Tuples live only at the edges: the `Poly` constructor, `monomial`, `coeff`,
+`items`, `__str__`, the `SplitExpansion` labels and the error messages. The
+edges raise ValueError for a negative exponent, one above 127 or a tuple of
+the wrong length. No packed int leaves this module.
 """
 from __future__ import annotations
 
@@ -32,9 +48,30 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as _iproduct
 from math import prod
-from operator import add, eq, itemgetter, lt, sub
+from operator import lt
 
 from .typea import act_on_composition, left_descents
+
+
+_W, _TOP = 8, 127  # bits per variable; the top exponent, below the guard bit
+
+
+def _pack(exps, n: int) -> int:
+    """The packed key of an exponent tuple; ValueError unless it has n entries
+    in 0..127."""
+    exps = tuple(exps)
+    if len(exps) != n or exps and not 0 <= min(exps) <= max(exps) <= _TOP:
+        raise ValueError(f"exponents {exps} must be {n} integers in 0..{_TOP}")
+    return int.from_bytes(bytes(exps), "big")
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple(key.to_bytes(n, "big"))
+
+
+def _guards(n: int) -> int:
+    """The guard bits of n fields."""
+    return int.from_bytes(b"\x80" * n, "big")
 
 
 def _add_into(out: dict, terms, c: int) -> dict:
@@ -54,6 +91,8 @@ def _add_into(out: dict, terms, c: int) -> dict:
 class Poly:
     """Sparse polynomial with integer coefficients in nvars variables.
 
+    `terms` maps each monomial's packed key to its coefficient; the
+    constructor takes exponent tuples instead and packs them.
     Immutable by convention: nothing changes `terms` after construction, and
     every operation returns a new Poly. `is_symmetric_in` relies on this to
     keep its answers in the `_symmetric` slot, which it creates on first use.
@@ -63,7 +102,13 @@ class Poly:
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
-        self.terms = terms or {}
+        self.terms = {_pack(e, nvars): c for e, c in (terms or {}).items()}
+
+    @staticmethod
+    def _from_packed(nvars: int, terms: dict) -> "Poly":
+        f = Poly(nvars)
+        f.terms = terms
+        return f
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -76,9 +121,8 @@ class Poly:
     @staticmethod
     def monomial(exps, coeff: int = 1) -> "Poly":
         exps = tuple(exps)
-        if coeff == 0:
-            return Poly(len(exps))
-        return Poly(len(exps), {exps: coeff})
+        f = Poly(len(exps), {exps: coeff})  # checks exps even when coeff is 0
+        return f if coeff else Poly(len(exps))
 
     @staticmethod
     def variable(i: int, nvars: int) -> "Poly":
@@ -94,11 +138,15 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.nvars, _add_into(dict(self.terms), other.terms.items(), 1))
+        return Poly._from_packed(
+            self.nvars, _add_into(dict(self.terms), other.terms.items(), 1)
+        )
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.nvars, _add_into(dict(self.terms), other.terms.items(), -1))
+        return Poly._from_packed(
+            self.nvars, _add_into(dict(self.terms), other.terms.items(), -1)
+        )
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -107,19 +155,18 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        products = (
-            (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-            for e1, c1 in a.items()
-            for e2, c2 in b.items()
-        )
-        return Poly(self.nvars, _add_into({}, products, 1))
+        products = ((e1 + e2, c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items())
+        out, guards = _add_into({}, products, 1), _guards(self.nvars)
+        if any(e & guards for e in out):
+            raise ValueError(f"a product exponent is above {_TOP}")
+        return Poly._from_packed(self.nvars, out)
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Poly":
         if c == 0:
             return Poly(self.nvars)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return Poly._from_packed(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -132,7 +179,11 @@ class Poly:
         return bool(self.terms)
 
     def coeff(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
+        return self.terms.get(_pack(exps, self.nvars), 0)
+
+    def items(self) -> list[tuple[tuple[int, ...], int]]:
+        """The (exponent tuple, coefficient) pairs, in `terms` order."""
+        return [(_unpack(e, self.nvars), c) for e, c in self.terms.items()]
 
     def is_symmetric_in(self, j: int) -> bool:
         """True iff swapping x_j and x_(j+1) fixes self; scanned once per j.
@@ -151,21 +202,23 @@ class Poly:
         return got
 
     def _scan_symmetric(self, j: int) -> bool:
-        """One C-level pass: each exponent tuple, with entries j - 1 and j
-        (0-based) exchanged by one itemgetter, must look up its own
-        coefficient. Coefficients are nonzero, so a missing partner (None)
-        never compares equal. j must lie in 1..nvars - 1."""
-        order = list(range(self.nvars))
-        order[j - 1], order[j] = j, j - 1
-        swap, terms = itemgetter(*order), self.terms
-        return all(map(eq, map(terms.get, map(swap, terms)), terms.values()))
+        """One pass: each key, with the fields of x_j and x_(j+1) exchanged,
+        must look up its own coefficient. Coefficients are nonzero, so a
+        missing partner (None) never compares equal. j must lie in
+        1..nvars - 1."""
+        low = _W * (self.nvars - 1 - j)
+        high, step, terms = low + _W, 255 << low, self.terms
+        get = terms.get
+        for e, c in terms.items():
+            if get(e - ((e >> high & 255) - (e >> low & 255)) * step) != c:
+                return False
+        return True
 
     def __str__(self):
         if not self.terms:
             return "0"
         bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(self.items(), reverse=True):
             mono = " ".join(
                 f"x{i + 1}^{p}" if p > 1 else f"x{i + 1}"
                 for i, p in enumerate(e)
@@ -183,21 +236,27 @@ def demazure_pi(j: int, f: Poly) -> Poly:
     The quotient is exact and expands monomial by monomial:
     for p >= q the pair x_j^p x_{j+1}^q contributes the shuffle sum
     x^{p} y^{q} + x^{p-1} y^{q+1} + ... + x^{q} y^{p}; for p < q it
-    contributes the negated interior sum.
+    contributes the negated interior sum. On packed keys each shuffle term
+    is the previous one minus `step`, one unit moved from x_j to x_(j+1).
     """
     if not 1 <= j <= f.nvars - 1:
         raise ValueError(f"operator index {j} out of range 1..{f.nvars - 1}")
-
-    def shuffles():
-        for e, c in f.terms.items():
-            p, q = e[j - 1], e[j]
-            hi, lo, sign = (p, q, c) if p >= q else (q - 1, p + 1, -c)
-            le = list(e)
-            for t in range(hi - lo + 1):
-                le[j - 1], le[j] = hi - t, lo + t
-                yield tuple(le), sign
-
-    return Poly(f.nvars, _add_into({}, shuffles(), 1))
+    low = _W * (f.nvars - 1 - j)  # x_(j+1)'s field; x_j's is above it
+    high, step = low + _W, 255 << low
+    out: dict = {}
+    get = out.get
+    for e, c in f.terms.items():
+        d = (e >> high & 255) - (e >> low & 255)  # p - q
+        if d < 0:  # start from x_j^(q-1) x_(j+1)^(p+1), negated
+            e, c, d = e - (d + 1) * step, -c, -d - 2
+        for _ in range(d + 1):
+            nc = get(e, 0) + c
+            if nc:
+                out[e] = nc
+            else:
+                del out[e]
+            e -= step
+    return Poly._from_packed(f.nvars, out)
 
 
 def key_polynomial(alpha) -> Poly:
@@ -205,9 +264,12 @@ def key_polynomial(alpha) -> Poly:
 
     Weakly decreasing alpha gives the monomial x^alpha; otherwise swap the
     first ascent pair and apply the Demazure operator there. Each call
-    builds its key afresh: nothing is kept between calls.
+    builds its key afresh: nothing is kept between calls. ValueError for a
+    part outside 0..127, named as given, before any sorting.
     """
-    return _sorted_key(tuple(alpha))
+    alpha = tuple(alpha)
+    _pack(alpha, len(alpha))
+    return _sorted_key(alpha)
 
 
 def _sorted_key(a: tuple) -> Poly:
@@ -281,18 +343,19 @@ def _schur_cached(lam: tuple[int, ...], m: int) -> Poly:
         mu_clean = tuple(p for p in mu if p)
         if len(mu_clean) > m - 1:
             continue
-        last = total - sum(mu)
+        last = total - sum(mu)  # x_m's field, appended below the others
         sub = _schur_cached(mu_clean, m - 1).terms.items()
-        _add_into(out, ((e + (last,), c) for e, c in sub), 1)
-    return Poly(m, out)
+        _add_into(out, (((e << _W) + last, c) for e, c in sub), 1)
+    return Poly._from_packed(m, out)
 
 
 def _partition(lam) -> tuple[int, ...]:
     """lam without its trailing zeros, checked in one pass: ValueError unless
-    it is weakly decreasing with a nonnegative last part."""
+    it is weakly decreasing with a nonnegative last part, and no part is above
+    127, the top exponent of a packed key."""
     lam = tuple(lam)
-    if any(map(lt, lam, lam[1:])) or lam and lam[-1] < 0:
-        raise ValueError(f"{lam} is not a partition")
+    if any(map(lt, lam, lam[1:])) or lam and not 0 <= lam[-1] <= lam[0] <= _TOP:
+        raise ValueError(f"{lam} is not a partition with parts in 0..{_TOP}")
     return lam[:len(lam) - lam.count(0)]
 
 
@@ -363,7 +426,7 @@ class SplitExpansion:
         out: dict = {}
         for lams, c in self.coefficients.items():
             _add_into(out, d_schur(self.split, lams).terms.items(), c)
-        return Poly(self.split.n, out)
+        return Poly._from_packed(self.split.n, out)
 
     def to_json_dict(self) -> dict:
         terms = [
@@ -384,20 +447,22 @@ def d_schur(split: SplitSet, lams) -> Poly:
     `_partition` that `schur` also uses before the Schur polynomial is looked
     up in the cache `schur` reads.
     """
-    blocks = split.blocks
+    blocks, n = split.blocks, split.n
     if len(lams) != len(blocks):
         raise ValueError("one partition per block required")
     factors = []
     for (a, b), lam in zip(blocks, lams):
-        factors.append(_schur_cached(_partition(lam), b - a + 1).terms.items())
+        low = _W * (n - b)  # each block's keys, moved up to its own fields
+        block = _schur_cached(_partition(lam), b - a + 1).terms.items()
+        factors.append([(e << low, c) for e, c in block])
     out = {}
     for pick in _iproduct(*factors):
-        exps, coeff = (), 1
+        exps, coeff = 0, 1
         for e, c in pick:
             exps += e
             coeff *= c
         out[exps] = coeff
-    return Poly(split.n, out)
+    return Poly._from_packed(n, out)
 
 
 def is_split_symmetric(f: Poly, split: SplitSet) -> bool:
@@ -419,11 +484,13 @@ def _peel(f: Poly, pick, name, element):
     while rem:
         m = pick(rem)
         c = rem[m]
-        label = name(m)
+        label = name(_unpack(m, f.nvars))
         yield label, c
         _add_into(rem, element(label).terms.items(), -c)
         if m in rem:
-            raise ValueError(f"basis element {label} does not clear monomial {m}")
+            raise ValueError(
+                f"basis element {label} does not clear monomial {_unpack(m, f.nvars)}"
+            )
 
 
 def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:
@@ -437,7 +504,7 @@ def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
     if all(s == 1 for s in split.block_sizes()):
-        terms = ((tuple((p,) for p in e), c) for e, c in f.terms.items())
+        terms = ((tuple((p,) for p in e), c) for e, c in f.items())
     else:
         name = lambda lead: tuple(lead[a - 1 : b] for a, b in split.blocks)
         terms = _peel(f, max, name, lambda lams: d_schur(split, lams))
@@ -466,6 +533,23 @@ def _alternant_shifts(split: SplitSet) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _read_tables(split: SplitSet) -> tuple:
+    """`_alternant_shifts` as packed offsets (plus, minus), and the masks of
+    the guarded dominance test: `pairs` keeps the fields of the x_i whose
+    x_(i+1) shares their block, and `guards` is every field's guard bit. For
+    a key lam with clear guard bits, each field of lam | guards minus the
+    next field (lam << 8) & pairs keeps its guard bit iff it is not below
+    that next field, and no field borrows from another: so
+    ((lam | guards) - ((lam << 8) & pairs)) & guards == guards
+    iff lam is weakly decreasing in each block."""
+    n = split.n
+    offset = lambda t: sum(x << _W * (n - 1 - i) for i, x in enumerate(t))
+    plus, minus = (tuple(map(offset, table)) for table in _alternant_shifts(split))
+    pairs = sum(255 << _W * (n - 1 - i) for i, _ in split.pairs)
+    return plus, minus, pairs, _guards(n)
+
+
 def is_D_multiplicity_free(f: Poly, split: SplitSet) -> bool:
     """True iff every D-Schur coefficient of f lies in {0, 1}.
 
@@ -475,27 +559,27 @@ def is_D_multiplicity_free(f: Poly, split: SplitSet) -> bool:
     negative coefficient met. Each read starts from f[lam], the identity's
     term, taken off the iteration; it then adds one lookup per shift of
     `_alternant_shifts`'s plus table and subtracts one per shift of its minus
-    table. Exact only if f has a nonnegative D-Schur expansion, as every
-    split-symmetric key has (Reiner-Shimozono): no lead monomial cancels. For
-    signed f, e.g. s_(2) - s_(1,1), use `split_expand(...).is_multiplicity_free()`.
+    table, each one add to the packed key (`_read_tables`). Exact only if f
+    has a nonnegative D-Schur expansion, as every split-symmetric key has
+    (Reiner-Shimozono): no lead monomial cancels. For signed f, e.g.
+    s_(2) - s_(1,1), use `split_expand(...).is_multiplicity_free()`.
     """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
-    (plus, minus), pairs, get = _alternant_shifts(split), split.pairs, f.terms.get
+    plus, minus, pairs, guards = _read_tables(split)
+    get = f.terms.get
     for lam, c in f.terms.items():
-        for i, j in pairs:
-            if lam[i] < lam[j]:
-                break
-        else:
+        if ((lam | guards) - ((lam << _W) & pairs)) & guards == guards:
             for t in plus:
-                c += get(tuple(map(add, lam, t)), 0)
+                c += get(lam + t, 0)
             for t in minus:
-                c -= get(tuple(map(add, lam, t)), 0)
+                c -= get(lam + t, 0)
             if c > 1:
                 return False
             if c < 0:
                 raise ValueError(
-                    f"D-Schur coefficient {c} < 0 at {lam}; use split_expand"
+                    f"D-Schur coefficient {c} < 0 at {_unpack(lam, f.nvars)}; "
+                    "use split_expand"
                 )
     return True
 
@@ -522,21 +606,20 @@ def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
     """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
-    plus, minus = _alternant_shifts(split)
-    signed = [(1, t) for t in ((0,) * split.n,) + plus] + [(-1, t) for t in minus]
-    pairs, totals = split.pairs, {}
+    plus, minus, pairs, guards = _read_tables(split)
+    signed = [(1, t) for t in (0,) + plus] + [(-1, t) for t in minus]
+    totals: dict = {}
     for e, c in f.terms.items():
         for sgn, t in signed:
-            lam = tuple(map(sub, e, t))
-            for i, j in pairs:
-                if lam[i] < lam[j]:
-                    break
-            else:
-                if min(lam, default=0) >= 0:  # else its total is 0 anyway
-                    totals[lam] = totals.get(lam, 0) + sgn * c
+            lam = e - t
+            # a guard bit is set iff an entry left 0..127; its total is 0
+            if not lam & guards and (
+                ((lam | guards) - ((lam << _W) & pairs)) & guards == guards
+            ):
+                totals[lam] = totals.get(lam, 0) + sgn * c
+    lams = ((_unpack(k, split.n), c) for k, c in totals.items() if c)
     return SplitExpansion(split, {
-        tuple(lam[a - 1 : b] for a, b in split.blocks): c
-        for lam, c in totals.items() if c
+        tuple(lam[a - 1 : b] for a, b in split.blocks): c for lam, c in lams
     })
 
 

@@ -342,3 +342,61 @@ def test_left_descents_are_right_descents_of_inverse(name):
     system = coxeter_system(name)
     for w in system.elements():
         assert system.left_descents(w) == system.right_descents(system.inverse(w))
+
+
+def _two_pass_roots_and_generators(system):
+    """The closure and generator actions the one-pass build replaced, kept as
+    its reference: the roots are reflected once to close them and again for
+    each generator's root permutation."""
+    A, r = system.cartan_matrix, system.rank
+
+    def reflect(i, root):
+        out = list(root)
+        out[i] -= sum(A[i][j] * c for j, c in enumerate(root))
+        return tuple(out)
+
+    simple = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    roots, seen, frontier = list(simple), set(simple), list(simple)
+    while frontier:
+        nxt = []
+        for root in frontier:
+            for i in range(r):
+                img = reflect(i, root)
+                if img not in seen and all(c >= 0 for c in img):
+                    seen.add(img)
+                    nxt.append(img)
+        roots.extend(nxt)
+        frontier = nxt
+    roots = tuple(simple + sorted(roots[r:], key=lambda v: (sum(v), v)))
+    index = {root: k for k, root in enumerate(roots)}
+    reps = []
+    for i in range(r):
+        rep = []
+        for root in roots:
+            img = reflect(i, root)
+            if all(c >= 0 for c in img):
+                rep.append(index[img] + 1)
+            else:
+                rep.append(-(index[tuple(-c for c in img)] + 1))
+        reps.append(tuple(rep))
+    return roots, reps
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A6", "B2", "B3", "B5", "D4", "D5", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_one_pass_root_build_matches_the_two_pass_reference(name):
+    system = coxeter_system(name)
+    roots, reps = _two_pass_roots_and_generators(system)
+    assert system.positive_roots == roots
+    assert [s.rep for s in system._generators] == reps
+
+
+def test_root_build_rejects_an_image_that_is_not_a_root(monkeypatch):
+    # a one-sided bond, which no Cartan type has: s2 maps the root
+    # alpha_1 + alpha_2 to alpha_1 - alpha_2, which has mixed signs
+    from coxsph import coxeter
+
+    monkeypatch.setattr(coxeter, "_cartan_matrix", lambda t: ((2, -1), (0, 2)))
+    with pytest.raises(CoxeterError, match="not a root"):
+        coxeter.CoxeterSystem(CartanType.parse("A2"))

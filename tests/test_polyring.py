@@ -390,15 +390,15 @@ def test_poly_cancellation_leaves_no_zero_terms():
     assert f - f == Poly.zero(3)
     assert (f + f.scale(-1)).terms == {}
     x1, x2 = Poly.variable(1, 2), Poly.variable(2, 2)
-    assert (x1 + x2 - x1).terms == {(0, 1): 1}
-    assert ((x1 - x2) * (x1 + x2)).terms == {(2, 0): 1, (0, 2): -1}
+    assert (x1 + x2 - x1).items() == [((0, 1), 1)]
+    assert dict(((x1 - x2) * (x1 + x2)).items()) == {(2, 0): 1, (0, 2): -1}
 
 
 def test_reconstruct_when_terms_cancel():
     split = SplitSet(2, ())
     # s_(2) - s_(1,1) = x1^2 + x2^2: the x1 x2 terms cancel
     expansion = polyring.SplitExpansion(split, {((2, 0),): 1, ((1, 1),): -1})
-    assert expansion.reconstruct().terms == {(2, 0): 1, (0, 2): 1}
+    assert dict(expansion.reconstruct().items()) == {(2, 0): 1, (0, 2): 1}
     split = SplitSet(3, (1,))
     coeffs = {((1,), (1, 0)): 2, ((2,), (0, 0)): -1, ((0,), (2, 0)): 1,
               ((0,), (1, 1)): -1}
@@ -466,7 +466,7 @@ def _embedded_schur_product(split, lams):
     out = Poly.one(split.n)
     for (a, b), lam in zip(split.blocks, lams):
         block = {}
-        for e, c in schur(lam, b - a + 1).terms.items():
+        for e, c in schur(lam, b - a + 1).items():
             full = [0] * split.n
             full[a - 1 : b] = e
             block[tuple(full)] = c
@@ -565,3 +565,75 @@ def test_sufficient_conditions_for_descent_split():
             D = tuple(ta.descents(alpha))
             split = SplitSet(length, D)
             assert is_D_multiplicity_free(key_polynomial(alpha), split), alpha
+
+
+# -- the edges of the packed exponent keys ------------------------------------
+
+
+def test_key_polynomial_rejects_a_negative_part():
+    with pytest.raises(ValueError, match=r"exponents \(-1, 2\) must be 2 integers in 0\.\.127"):
+        key_polynomial((-1, 2))
+
+
+def test_monomial_rejects_a_negative_exponent():
+    for coeff in (1, 0):
+        with pytest.raises(ValueError, match=r"exponents \(-1, 2\)"):
+            Poly.monomial((-1, 2), coeff)
+    with pytest.raises(ValueError, match="exponents"):
+        Poly(2, {(1, -1): 3})
+
+
+def test_coeff_rejects_a_tuple_of_the_wrong_length():
+    f = Poly.monomial((1, 2))
+    for exps in ((1, 2, 0), (1,), ()):
+        with pytest.raises(ValueError, match="must be 2 integers"):
+            f.coeff(exps)
+    assert f.coeff((1, 2)) == 1 and f.coeff([0, 0]) == 0
+
+
+def test_exponents_above_the_field_are_rejected_at_every_edge():
+    top = Poly.monomial((127, 0))
+    assert top.coeff((127, 0)) == 1 and str(top) == "1 * x1^127"
+    for build in (
+        lambda: Poly.monomial((128, 0)),
+        lambda: Poly(2, {(0, 128): 1}),
+        lambda: top.coeff((0, 128)),
+        lambda: key_polynomial((0, 128)),
+        lambda: top * Poly.variable(1, 2),
+        lambda: schur((128,), 2),
+        lambda: d_schur(SplitSet(2, (1,)), ((128,), (0,))),
+    ):
+        with pytest.raises(ValueError, match="127"):
+            build()
+    assert top * Poly.variable(2, 2) == Poly.monomial((127, 1))
+    assert key_polynomial((0, 127)).coeff((0, 127)) == 1
+
+
+def test_cli_rejects_an_exponent_above_the_field(capsys):
+    from coxsph import cli
+
+    assert cli.main(["key-expand", "(0,128)", "--D", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "0..127" in err[0]
+
+
+@pytest.mark.slow
+def test_memory_peak_of_a_seven_variable_key_stays_packed():
+    # tracemalloc peak while building the 36 961-term key kappa_(0,1,...,6):
+    # 4.9 MB with packed keys, 9.4 MB with exponent-tuple keys (Python
+    # 3.11). pytest.fail, not assert, so the pin holds under python -O too.
+    import tracemalloc
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kappa = key_polynomial(range(7))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    if len(kappa.terms) != 36961 or peak > 7_000_000:
+        pytest.fail(f"{len(kappa.terms)} terms, peak {peak / 1e6:.2f} MB > 7 MB")

@@ -1,11 +1,14 @@
 """Property tests for the split-Schur expansion oracles (needs Hypothesis)."""
 
+from operator import add
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
+from coxsph import polyring
 from coxsph.polyring import (
     Poly,
     SplitSet,
@@ -92,6 +95,119 @@ def _scan_by_swapping(terms, j):
     return True
 
 
+def _tuple_demazure_pi(j, terms):
+    """The tuple-keyed `demazure_pi` that packed keys replaced, kept as its
+    reference: {exponent tuple: coefficient} in and out."""
+    out = {}
+    for e, c in terms.items():
+        p, q = e[j - 1], e[j]
+        hi, lo, sign = (p, q, c) if p >= q else (q - 1, p + 1, -c)
+        le = list(e)
+        for t in range(hi - lo + 1):
+            le[j - 1], le[j] = hi - t, lo + t
+            k = tuple(le)
+            out[k] = out.get(k, 0) + sign
+            if not out[k]:
+                del out[k]
+    return out
+
+
+def _tuple_key(alpha):
+    j = next((i for i in range(len(alpha) - 1) if alpha[i] < alpha[i + 1]), None)
+    if j is None:
+        return {tuple(alpha): 1}
+    hat = list(alpha)
+    hat[j], hat[j + 1] = hat[j + 1], hat[j]
+    return _tuple_demazure_pi(j + 1, _tuple_key(tuple(hat)))
+
+
+def _tuple_read(terms, split):
+    """The tuple-keyed `is_D_multiplicity_free` that packed keys replaced,
+    kept as its reference: each shift is a tuple sum, and block dominance a
+    loop over the split's pairs."""
+    if not all(_scan_by_swapping(terms, j) for _, j in split.pairs):
+        raise ValueError("polynomial is not split-symmetric for this D")
+    plus, minus = polyring._alternant_shifts(split)
+    for lam, c in terms.items():
+        if any(lam[i] < lam[j] for i, j in split.pairs):
+            continue
+        c += sum(terms.get(tuple(map(add, lam, t)), 0) for t in plus)
+        c -= sum(terms.get(tuple(map(add, lam, t)), 0) for t in minus)
+        if c > 1:
+            return False
+        if c < 0:
+            raise ValueError(f"D-Schur coefficient {c} < 0 at {lam}; use split_expand")
+    return True
+
+
+def _verdict(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def lifted_keys_and_splits(draw):
+    """A key with n <= 5 parts <= 3, times (x_1...x_n)^r with r up to the
+    largest lift that keeps every exponent in its field, and any split: the
+    read's shifts then take entries below 0 and above the top exponent."""
+    n = draw(st.integers(1, 5))
+    alpha = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    top = polyring._TOP - max(alpha)
+    r = draw(st.sampled_from((0, 1, top - 1, top)))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    split = SplitSet(n, tuple(j for j, cut in enumerate(cuts, start=1) if cut))
+    return tuple(a + r for a in alpha), split
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(lifted_keys_and_splits())
+def test_packed_key_and_read_match_the_tuple_references(case):
+    alpha, split = case
+    kappa = key_polynomial(alpha)
+    terms = dict(kappa.items())
+    assert terms == _tuple_key(alpha)
+    assert _verdict(is_D_multiplicity_free, kappa, split) == _verdict(_tuple_read, terms, split)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(d_schur_combinations(), st.sampled_from((0, 1, polyring._TOP - 3)))
+def test_packed_read_matches_the_tuple_reference_on_signed_combinations(case, r):
+    # signed coefficients: the read may stop above 1 or raise below 0, and
+    # must do so at the same monomial as the reference
+    split, coeffs = case
+    f = Poly.zero(split.n)
+    for lams, c in coeffs.items():
+        f = f + d_schur(split, lams).scale(c)
+    f = f * Poly.monomial((r,) * split.n)
+    assert _verdict(is_D_multiplicity_free, f, split) == (
+        _verdict(_tuple_read, dict(f.items()), split)
+    )
+    expected = {
+        tuple(tuple(p + r for p in lam) for lam in lams): c for lams, c in coeffs.items()
+    }
+    assert split_expand_via_solver(f, split).coefficients == expected
+
+
+@st.composite
+def sparse_polys_and_operator(draw):
+    """A signed sparse Poly in 2..5 variables with exponents near 0 or at the
+    top of the field, and an operator index j."""
+    n = draw(st.integers(2, 5))
+    top = polyring._TOP
+    exps = st.tuples(*[st.sampled_from((0, 1, 2, top - 2, top - 1, top))] * n)
+    terms = draw(st.dictionaries(exps, st.integers(-2, 2).filter(bool), max_size=6))
+    return Poly(n, terms), draw(st.integers(1, n - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(sparse_polys_and_operator())
+def test_packed_demazure_matches_the_tuple_reference(case):
+    f, j = case
+    assert dict(demazure_pi(j, f).items()) == _tuple_demazure_pi(j, dict(f.items()))
+
+
 @st.composite
 def nearly_symmetric_polys(draw):
     """A signed sparse Poly in 2..5 variables, often symmetric in one x_j,
@@ -120,8 +236,8 @@ def nearly_symmetric_polys(draw):
 @example(Poly.zero(5))
 def test_one_pass_scan_matches_the_swap_loop(f):
     for j in range(1, f.nvars):
-        assert f._scan_symmetric(j) == _scan_by_swapping(f.terms, j), (f, j)
-        assert f.is_symmetric_in(j) == _scan_by_swapping(f.terms, j), (f, j)
+        assert f._scan_symmetric(j) == _scan_by_swapping(dict(f.items()), j), (f, j)
+        assert f.is_symmetric_in(j) == _scan_by_swapping(dict(f.items()), j), (f, j)
 
 
 @st.composite
@@ -145,7 +261,7 @@ def test_symmetry_answers_are_not_carried_to_derived_polys(case):
     derived = [f, g, f + g, f - g, g - f, f * g, f.scale(c), g.scale(c)]
     derived += [demazure_pi(j, p) for j in js for p in (f, g)]
     for h in derived:
-        fresh = Poly(h.nvars, dict(h.terms))
+        fresh = Poly(h.nvars, dict(h.items()))
         for j in js:
             assert h.is_symmetric_in(j) == fresh.is_symmetric_in(j), (h, j)
 
