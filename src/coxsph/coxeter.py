@@ -22,7 +22,9 @@ descents, the records of its down-steps w s_i and its left descents, each
 read off a parent's record with no descent query.
 `elements()` is the list of their elements, and a census hands the records
 themselves to its searchers.
-`multiply` is the general product. `word(w)`, the lex-first reduced word
+`multiply` is the general product; `product(letters)` evaluates a word in
+one loop of `_right_rep` steps. `support(w)` reads only the images of the
+simple roots. `word(w)`, the lex-first reduced word
 that labels an element, steps no element: it walks the inversion set of
 w^-1, at most l(w) roots, through the same per-generator tables as the left
 step.
@@ -46,8 +48,9 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter, mul
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import getitem, itemgetter, mul, or_
 
 ENUM_CAP_ENV = "COXSPH_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10**7
@@ -86,7 +89,8 @@ class CartanType:
         else:
             ok = False
         if not ok:
-            raise CoxeterError(f"invalid Cartan type {fam}{rank} (gonality={self.gonality})")
+            bond = f" (gonality={self.gonality})" if fam == "I" else ""
+            raise CoxeterError(f"invalid Cartan type {fam}{rank}{bond}")
         if fam != "I" and self.gonality is not None:
             raise CoxeterError("gonality is only meaningful for I2(m)")
 
@@ -257,11 +261,10 @@ class CoxeterSystem:
         self.rank = cartan_type.rank
         self.cartan_matrix = _cartan_matrix(cartan_type)
         self.positive_roots, generator_reps = self._roots_and_generators()
-        self._root_index = {r: i for i, r in enumerate(self.positive_roots)}
-        # the nodes each positive root involves, for `support` and budgets
+        # the nodes each positive root involves, for budgets and `typea`
+        nodes = range(1, self.rank + 1)
         self._root_supports = tuple(
-            frozenset(j + 1 for j, c in enumerate(root) if c)
-            for root in self.positive_roots
+            frozenset(compress(nodes, root)) for root in self.positive_roots
         )
         self._negative_simple = frozenset(range(-self.rank, 0))
         self.coxeter_matrix = self._coxeter_from_cartan()
@@ -286,6 +289,18 @@ class CoxeterSystem:
             itemgetter(*(abs(q) - 1 for q in s.rep[: self.rank])) if self.rank > 1 else tuple
             for s in self._generators
         )
+        # `support` tables, one per node j, laid out as `_left_images`: the
+        # bit mask of supp(q - alpha_j) for each signed root q. Coefficient
+        # j turns c_j - 1 (0 iff c_j = 1) on a positive root, -c_j - 1 on a
+        # negative one.
+        roots, bits = self.positive_roots, [1 << j for j in range(self.rank)]
+        masks = [sum(compress(bits, root)) for root in roots]
+        self._image_supports = tuple(
+            (0, *[m & ~bit if root[j] == 1 else m | bit for root, m in zip(roots, masks)],
+             *[m | bit for m in reversed(masks)])
+            for j, bit in enumerate(bits)
+        )
+        self._support_sets: dict[int, frozenset] = {}  # mask -> its node set
 
     # -- construction -----------------------------------------------------
 
@@ -420,6 +435,26 @@ class CoxeterSystem:
         v._length = w.length - 1 if down else w.length + 1
         return v
 
+    def product(self, letters) -> Element:
+        """s_{i1} ... s_{ik} for the letters i1, ..., ik, in one loop over
+        reps: per letter a range check (`step`'s CoxeterError), one
+        `_right_rep` and `step`'s descent test, which carries l(w); one
+        `Element` at the end."""
+        rank, right = self.rank, self._right_rep
+        rep, length = self._identity.rep, 0
+        for i in letters:
+            if not 0 < i <= rank:
+                raise CoxeterError(f"generator index {i} out of range 1..{rank}")
+            length += -1 if rep[i - 1] < 0 else 1
+            rep = right(rep, i)
+        return self._with_length(rep, length)
+
+    def _with_length(self, rep: tuple, length: int) -> Element:
+        """The Element of rep with the length `product` carried."""
+        w = Element(self, rep)
+        w._length = length
+        return w
+
     def _right_rep(self, rep: tuple, i: int) -> tuple:
         """The rep of w s_i, given the rep of w and a valid i: w's entries
         in the order of s_i's root permutation, with entry i negated."""
@@ -510,13 +545,22 @@ class CoxeterSystem:
         return self._longest
 
     def support(self, w: Element) -> frozenset[int]:
-        """Nodes whose generator appears in every reduced word of w."""
+        """Nodes whose generator appears in every reduced word of w:
+        the union over j of supp(w(alpha_j) - alpha_j), read off the first
+        `rank` entries of rep, one table lookup each.
+
+        w is in W_K iff (w - 1)V lies in the span of alpha_K, since
+        pointwise stabilizers are parabolic (Steinberg; Humphreys,
+        Reflection Groups and Coxeter Groups, 1.12), and the alpha_j span V.
+        """
         self._check_member(w)
-        supp = set()
-        for root_support, q in zip(self._root_supports, w.rep):
-            if q < 0:
-                supp |= root_support
-        return frozenset(supp)
+        mask = reduce(or_, map(getitem, self._image_supports, w.rep), 0)
+        supp = self._support_sets.get(mask)
+        if supp is None:
+            supp = self._support_sets[mask] = frozenset(
+                j + 1 for j in range(self.rank) if mask >> j & 1
+            )
+        return supp
 
     # -- enumeration and subsets ---------------------------------------------
 
@@ -694,6 +738,13 @@ class DihedralSystem(CoxeterSystem):
     def _rep_length(self, r: int, f: int) -> int:
         return 2 * min(r, self.m - f - r) + f
 
+    def _with_length(self, rep: tuple, length) -> Element:
+        """The length rule of `product` and `step`: the closed form, not
+        the count the loop carried ((r, f) has no signed entries)."""
+        w = Element(self, rep)
+        w._length = self._rep_length(*rep)
+        return w
+
     def step(self, w: Element, i: int, left: bool = False) -> Element:
         """Closed form of `CoxeterSystem.step`, with the closed-form length.
 
@@ -705,9 +756,7 @@ class DihedralSystem(CoxeterSystem):
         if not 0 < i <= 2:
             raise CoxeterError(f"generator index {i} out of range 1..2")
         rep = self._left_prefix(w.rep, i) if left else self._right_rep(w.rep, i)
-        v = Element(self, rep)
-        v._length = self._rep_length(*rep)
-        return v
+        return self._with_length(rep, None)
 
     def _right_rep(self, rep: tuple, i: int) -> tuple:
         """Closed form of `CoxeterSystem._right_rep`, as in `step`."""

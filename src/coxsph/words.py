@@ -33,11 +33,11 @@ def format_word(letters) -> str:
 
 
 def evaluate(system: CoxeterSystem, letters) -> Element:
-    """Product of the generators named by `letters`."""
-    w = system.identity
-    for i in letters:
-        w = system.step(w, i)
-    return w
+    """Product of the generators named by `letters`, left to right, as one
+    `Element` (`CoxeterSystem.product`). l(w s_i) = l(w) - 1 iff w(alpha_i)
+    < 0, and l(w) + 1 otherwise (Humphreys, 1.6-1.7), so one sign test per
+    letter carries the length."""
+    return system.product(letters)
 
 
 def reduced_words(system: CoxeterSystem, w: Element):

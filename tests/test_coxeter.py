@@ -400,3 +400,68 @@ def test_root_build_rejects_an_image_that_is_not_a_root(monkeypatch):
     monkeypatch.setattr(coxeter, "_cartan_matrix", lambda t: ((2, -1), (0, 2)))
     with pytest.raises(CoxeterError, match="not a root"):
         coxeter.CoxeterSystem(CartanType.parse("A2"))
+
+
+def _inversion_set_support(system, w):
+    """The support loop `support` replaced, kept as its reference: the union
+    of the supports of the positive roots that w sends negative."""
+    supp = set()
+    for root_support, q in zip(system._root_supports, w.rep):
+        if q < 0:
+            supp |= root_support
+    return frozenset(supp)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5", "E6",
+     "F4", "G2", "I2(7)"],
+)
+def test_support_reads_the_simple_root_images_on_every_element(name):
+    """On every element, `support` equals the walk record's support and the
+    inversion-set reference (I2(m) has no roots: the letters of its reduced
+    word instead)."""
+    system = coxeter_system(name)
+    dihedral = system.positive_roots is None
+    for node in system.weak_order():
+        w = node.element
+        got = system.support(w)
+        want = frozenset(w.word()) if dihedral else _inversion_set_support(system, w)
+        assert got == want == node.support, w.rep
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_support_matches_the_inversion_set_on_random_words(name):
+    system = coxeter_system(name)
+    rng = random.Random(name)
+    for _ in range(3000):
+        word = [rng.randint(1, system.rank) for _ in range(rng.randint(0, 150))]
+        w = evaluate(system, word)
+        assert system.support(w) == _inversion_set_support(system, w), word
+
+
+@pytest.mark.parametrize("name", ["A1", "B3", "E8"])
+def test_support_table_holds_one_mask_per_node_and_signed_root(name):
+    """rank tables of 2N + 1 ints, indexed like `_left_images`, and one
+    frozenset per mask: equal supports are one object."""
+    system = coxeter_system(name)
+    n = len(system.positive_roots)
+    assert [len(t) for t in system._image_supports] == [2 * n + 1] * system.rank
+    # supp(alpha_j - alpha_j) is empty; supp(-alpha_j - alpha_j) is {j}
+    for j, table in enumerate(system._image_supports):
+        assert table[j + 1] == 0 and table[-(j + 1)] == 1 << j
+    w0 = system.longest_element()
+    everything = frozenset(range(1, system.rank + 1))
+    assert system.support(w0) == everything
+    assert system.support(w0) is system.support(system.inverse(w0))
+    assert system.support(system.identity) == frozenset()
+
+
+def test_invalid_cartan_type_names_only_what_is_wrong():
+    for family, rank, text in [("E", 9, "E9"), ("B", 1, "B1"), ("A", 0, "A0")]:
+        with pytest.raises(CoxeterError) as exc:
+            CartanType(family, rank)
+        assert str(exc.value) == f"invalid Cartan type {text}"
+    with pytest.raises(CoxeterError) as exc:
+        CartanType.parse("I2(2)")
+    assert str(exc.value) == "invalid Cartan type I2 (gonality=2)"

@@ -11,9 +11,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from coxsph import coxeter_system, evaluate
+from coxsph import CoxeterError, coxeter_system, evaluate
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -86,3 +86,63 @@ def test_word_spells_the_element_in_length_letters(pair):
     reduced = w.word()
     assert len(reduced) == w.length
     assert evaluate(system, reduced).rep == w.rep
+
+
+def _step_by_step(system, letters):
+    """The evaluation `product` replaced, kept as its reference: one `step`,
+    and one `Element`, per letter."""
+    w = system.identity
+    for i in letters:
+        w = system.step(w, i)
+    return w
+
+
+def _outcome(evaluate_word, system, word):
+    """(rep, carried length) of the word, or the error's message with the
+    letters left unread after the letter that raised it."""
+    letters = iter(word)
+    try:
+        w = evaluate_word(system, letters)
+    except CoxeterError as exc:
+        return str(exc), list(letters)
+    return w.rep, w._length
+
+
+EVALUATED = st.one_of(
+    st.sampled_from(
+        [f"A{n}" for n in range(1, 10)] + [f"B{n}" for n in range(2, 9)]
+        + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+    ),
+    st.integers(4, 40).map(lambda m: f"I2({m})"),
+)
+
+
+@st.composite
+def words_to_evaluate(draw):
+    """A Cartan type and a word; half the words may hold letters 0, -1 or
+    rank + 1, which every evaluation must reject."""
+    name = draw(EVALUATED)
+    rank = coxeter_system(name).rank
+    letter = st.integers(1, rank)
+    if draw(st.booleans()):
+        letter = st.one_of(letter, letter, letter, st.sampled_from((0, -1, rank + 1)))
+    return name, draw(st.lists(letter, max_size=40))
+
+
+@_SETTINGS
+@given(words_to_evaluate())
+@example(("E8", []))
+@example(("I2(7)", []))
+def test_product_matches_the_step_by_step_reference(pair):
+    """`evaluate` gives the reference's rep and length on the word and on a
+    reduced word of its element (the empty word included), and the same
+    CoxeterError at the same letter on words with a letter out of range."""
+    name, word = pair
+    system = coxeter_system(name)
+    got, want = _outcome(evaluate, system, word), _outcome(_step_by_step, system, word)
+    assert got == want
+    if isinstance(want[0], str):
+        return
+    reduced = _step_by_step(system, word).word()
+    assert _outcome(evaluate, system, reduced) == _outcome(_step_by_step, system, reduced)
+    assert len(reduced) == want[1]

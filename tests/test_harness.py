@@ -596,7 +596,7 @@ def _run_id(value):
 
 
 @pytest.mark.parametrize(
-    "argv, element",
+    "argv, pinned",
     [
         (["census", "F4", "--expect-nonspherical", "1033"], None),
         pytest.param(["census", "A7", "--slow", "--expect-nonspherical", "34043"],
@@ -608,11 +608,13 @@ def _run_id(value):
           "--paranoid"], None),
         (["check", "I2(60)", "s1 s2 s1", "--I", "1", "--paranoid"], None),
         (["check", "E7", "s7 s6 s5 s4 s3 s2 s4 s5 s6 s7 s1 s3 s4", "--I", "7"],
-         "s7 s6 s5 s4 s2 s3 s1 s4 s3 s5 s4 s6 s7"),
+         {"element": "s7 s6 s5 s4 s2 s3 s1 s4 s3 s5 s4 s6 s7"}),
+        (["check", "E8", "s5 s3 s6 s5 s7 s2 s1 s4 s5 s3 s8", "--I", "5", "--paranoid"],
+         {"element": "s2 s3 s1 s5 s4 s6 s5 s4 s3 s7 s8", "spherical": False}),
         (["check", "B5", "s5 s4 s5 s3 s4 s5 s2 s1 s2 s3", "--I", "5"],
-         "s1 s5 s4 s3 s2 s1 s5 s4 s3 s5"),
+         {"element": "s1 s5 s4 s3 s2 s1 s5 s4 s3 s5"}),
         (["check", "I2(7)", "s2 s1 s2 s1 s2 s1 s2", "--I", "1,2"],
-         "s1 s2 s1 s2 s1 s2 s1"),
+         {"element": "s1 s2 s1 s2 s1 s2 s1"}),
         (["key-expand", "(1,5,2,4,3)", "--D", "2,4", "--oracle", "ry",
           "--cross-check"], None),
         (["key-expand", "(0,0,0,2,1)", "--D", "1,2,4,5", "--n", "6",
@@ -625,17 +627,19 @@ def _run_id(value):
     ],
     ids=_run_id,
 )
-def test_cli_pinned_runs(tmp_path, argv, element):
+def test_cli_pinned_runs(tmp_path, argv, pinned):
     """Each run exits 0: 2 would mean a census count other than the one
     expected, a witness the recount rejects, a type-A verdict that peeling
-    contradicts, or oracles that disagree. A `check` row also pins the
-    element's label in its `--json` output."""
-    if element is None:
+    contradicts, or oracles that disagree. A `check` row also pins fields
+    of its `--json` output: the element's label, and the verdict where it
+    is negative."""
+    if pinned is None:
         assert cli.main(argv) == 0
         return
     out = tmp_path / "check.json"
     assert cli.main([*argv, "--json", str(out)]) == 0
-    assert json.loads(out.read_text())["element"] == element
+    got = json.loads(out.read_text())
+    assert {field: got[field] for field in pinned} == pinned
 
 
 def test_cli_json_to_unwritable_path_is_one_error_line(capsys, tmp_path):
@@ -682,6 +686,21 @@ def test_cli_check_empty_element_is_one_error_line(capsys, cartan):
         assert err.startswith("error: ")
         assert "<id>" in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["check", "E9", "s1"], "E9"),
+        (["census", "B1"], "B1"),
+        (["check", "A0", "s1"], "A0"),
+        (["check", "I2(2)", "s1"], "I2 (gonality=2)"),
+    ],
+)
+def test_cli_invalid_cartan_type_is_one_error_line(capsys, argv, named):
+    """Only a dihedral type names its bond order."""
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: invalid Cartan type {named}\n"
 
 
 def test_cli_check_generator_zero_is_one_error_line(capsys):

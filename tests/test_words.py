@@ -177,3 +177,25 @@ def test_bruhat_deep_dihedral_needs_no_recursion():
     below = big.multiply(w0, big.generator(1))
     assert bruhat_leq(big, below, w0)
     assert not bruhat_leq(big, w0, below)
+
+
+def test_evaluate_builds_one_element_per_word(monkeypatch):
+    """A word is evaluated on reps, letter by letter: one `Element` for the
+    whole word, not one per letter."""
+    from coxsph.coxeter import Element
+
+    system = coxeter_system("E8")
+    letters = parse_word(E8_WORD_NOT_WITNESS)
+    assert len(letters) == 19
+    made = 0
+    init = Element.__init__
+
+    def counting(self, *args):
+        nonlocal made
+        made += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Element, "__init__", counting)
+    w = evaluate(system, letters)
+    assert made == 1
+    assert w._length == 19 == len(w.word())
