@@ -15,11 +15,18 @@ callers that walk reduced words one element at a time (the witness search
 of single queries, words and Bruhat order) never recount a length or
 multiply by a generator. A rep's first `rank` entries, the images of the
 simple roots, fix the element. `weak_order()` enumerates the group by one
-breadth-first walk of the right weak order that keeps every edge it steps:
-one `_right_prefix` per edge, one `_right_rep` and `Element` per element.
-It builds one `WeakOrderNode` per element: its support, its right
-descents, the records of its down-steps w s_i and its left descents, each
-read off a parent's record with no descent query.
+breadth-first walk of the right weak order that keeps every edge it steps.
+It keys each element by one int, the code of w(2 rho), 2 rho the sum of the
+positive roots: 2 rho is regular, so w -> w(2 rho) is one-to-one
+(Humphreys, Reflection Groups and Coxeter Groups, 1.12; Bjorner-Brenti,
+ch. 4), and w(2 rho), a signed sum of all positive roots, has coordinate j
+in [-(2 rho)_j, (2 rho)_j], so reading it in base 2 max_j (2 rho)_j + 1 is
+one-to-one and linear. As s_i(2 rho) = 2 rho - 2 alpha_i, the code of w s_i
+is the code of w minus 2 code(w(alpha_i)): one lookup (`_right_code`) per
+edge, one `_right_rep` and `Element` per element. It builds one
+`WeakOrderNode` per element: its support, its right descents, the records
+of its down-steps w s_i and its left descents, each read off a parent's
+record with no descent query.
 `elements()` is the list of their elements, and a census hands the records
 themselves to its searchers.
 `multiply` is the general product; `product(letters)` evaluates a word in
@@ -47,7 +54,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import getitem, itemgetter, mul, or_
@@ -238,15 +245,23 @@ class WeakOrderNode:
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Connected components of the subdiagram induced by a node subset.
+    """Connected components of the subdiagram induced by a node subset I.
 
     For each component C, `budgets` stores l(w0 of W_C) + #vertices(C), the
-    letter allowance the witness condition grants that component.
-    `CoxeterSystem.decompose_subset` keys them by their subset.
+    letter allowance the witness condition grants that component. `groups`
+    and `allowances` are the letter bounds (S.1)/(S.2) as one table: a
+    budget-1 singleton per node outside I, then the components of I with
+    their budgets; `slot[i]` is the group of node i. The witness search,
+    its certificate and `verify_witness` all read this table.
+    `CoxeterSystem.decompose_subset` keys the decompositions by their
+    subset, so each table is built once per subset and system.
     """
 
     components: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
+    groups: tuple[tuple[int, ...], ...]
+    allowances: tuple[int, ...]
+    slot: dict = field(compare=False)  # derived from `groups`
 
 
 class CoxeterSystem:
@@ -255,6 +270,8 @@ class CoxeterSystem:
     Elements are signed permutations of the positive roots; `from_string`
     returns a `DihedralSystem` for I2(m).
     """
+
+    _twice_codes = None  # `_right_code`'s table, built by the first walk
 
     def __init__(self, cartan_type: CartanType):
         self.cartan_type = cartan_type
@@ -284,10 +301,6 @@ class CoxeterSystem:
         )
         self._left_images = tuple(
             (0, *s.rep, *(-q for q in reversed(s.rep))) for s in self._generators
-        )
-        self._prefix_orders = tuple(
-            itemgetter(*(abs(q) - 1 for q in s.rep[: self.rank])) if self.rank > 1 else tuple
-            for s in self._generators
         )
         # `support` tables, one per node j, laid out as `_left_images`: the
         # bit mask of supp(q - alpha_j) for each signed root q. Coefficient
@@ -462,12 +475,34 @@ class CoxeterSystem:
         out[i - 1] = -out[i - 1]
         return tuple(out)
 
-    def _right_prefix(self, rep: tuple, i: int) -> tuple:
-        """`_right_rep(rep, i)[:rank]` in `rank` steps: w s_i's images of the
-        simple roots, which fix w s_i."""
-        out = list(self._prefix_orders[i - 1](rep))
-        out[i - 1] = -out[i - 1]
-        return tuple(out)
+    def _start_code(self) -> int:
+        """The code of the identity, where `weak_order` starts: code(2 rho).
+        The first call builds the table `_right_code` reads.
+
+        code(v) = sum_j v_j M^j on the root lattice, M = 2 max_j (2 rho)_j
+        + 1. w(2 rho) is the sum of w(beta) over the positive roots beta, a
+        signed sum of all of them, so its coordinate j lies in [-(2 rho)_j,
+        (2 rho)_j], where code is one-to-one; and 2 rho is regular
+        (<rho, alpha_i-check> = 1), so w -> w(2 rho) is one-to-one
+        (Humphreys, Reflection Groups and Coxeter Groups, 1.12). Entry q of
+        the table, laid out as `_left_images`, is 2 code(q) for the signed
+        root q.
+        """
+        if self._twice_codes is None:
+            roots = self.positive_roots
+            base = 2 * max(map(sum, zip(*roots))) + 1
+            codes = [reduce(lambda c, x: c * base + x, reversed(root), 0) for root in roots]
+            self._start = sum(codes)
+            self._twice_codes = (
+                0, *[2 * c for c in codes], *[-2 * c for c in reversed(codes)]
+            )
+        return self._start
+
+    def _right_code(self, rep: tuple, code: int, i: int) -> int:
+        """The code of w s_i from the rep and code of w: s_i(2 rho) = 2 rho -
+        2 alpha_i, so it is code(w) - 2 code(w(alpha_i)), and w(alpha_i) is
+        entry i of rep. One lookup in the table `_start_code` builds."""
+        return code - self._twice_codes[rep[i - 1]]
 
     def _left_prefix(self, prefix: tuple, j: int) -> tuple:
         """The prefix of s_j w from the prefix of w: s_j maps each image."""
@@ -573,24 +608,30 @@ class CoxeterSystem:
 
         Level k + 1 is built from the steps w s_i with w in level k and i
         not a right descent of w: each has length k + 1, so no element of
-        an earlier level can recur and the level's own dict, keyed by
-        `_right_prefix`, is the only dedupe: the images of the simple roots
-        fix an element, the representation being faithful (Bjorner-Brenti,
-        ch. 4), and lead its rep, so they sort as reps do. Every such step
-        is a down-edge of its result, and the letters run in the outer
-        loop, so each element collects its edges in ascending order and its
-        right descents are their letters: no descent query. A new element's
-        rep (`_right_rep` from its first down-edge) and `Element`, with its
-        length k + 1, are made once, not once per edge. The support and the
-        left descents come off the first parent's, v = w s_i with i =
-        descents[0]: supp(w) = supp(v) + {i}, and J(w) is J(v) plus the
-        letter `_left_gain` reads off v and i, if any (the lifting property
-        of the weak order, Bjorner-Brenti, ch. 3), so no record pays a
-        `left_descents` query. Equal sets are one frozenset, kept in one
-        table for both: one support per record took 87 MB max RSS on the A7
-        census, against 69 MB shared. Raises CoxeterError when |W| exceeds
-        the cap (COXSPH_ENUM_CAP environment variable, default 10**7; a
-        value `int()` does not read raises CoxeterError too).
+        an earlier level can recur and the level's own dict is the only
+        dedupe. It is keyed by one int per element, the code of w(2 rho)
+        (`_start_code`), kept in a list beside the level's records:
+        s_i(2 rho) = 2 rho - 2 alpha_i, so the code of w s_i is that of w
+        minus 2 code(w(alpha_i)), one lookup and one subtraction per edge
+        (`_right_code`; in I2(m) the rep (r, f) is its own code). Every
+        such step is a down-edge of its result, and the letters run in the
+        outer loop, so each element collects its edges in ascending order
+        and its right descents are their letters: no descent query. A new
+        element's rep (`_right_rep` from its first down-edge) and
+        `Element`, with its length k + 1, are made once, not once per
+        edge, and the level is sorted by rep; the images of the simple
+        roots, its first `rank` entries, already fix the element (the
+        representation is faithful, Bjorner-Brenti, ch. 4), so they decide
+        the order. The support and the left descents come off the first
+        parent's, v = w s_i with i = descents[0]: supp(w) = supp(v) + {i},
+        and J(w) is J(v) plus the letter `_left_gain` reads off v and i, if
+        any (the lifting property of the weak order, Bjorner-Brenti, ch.
+        3), so no record pays a `left_descents` query. Equal sets are one
+        frozenset, kept in one table for both: one support per record took
+        87 MB max RSS on the A7 census, against 69 MB shared. Raises
+        CoxeterError when |W| exceeds the cap (COXSPH_ENUM_CAP environment
+        variable, default 10**7; a value `int()` does not read raises
+        CoxeterError too).
         """
         raw = os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
         try:
@@ -603,9 +644,10 @@ class CoxeterSystem:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
-        out, right, gain, prefix = [], self._right_rep, self._left_gain, self._right_prefix
+        out, right, gain, code_of = [], self._right_rep, self._left_gain, self._right_code
         empty = frozenset()
         level = [WeakOrderNode(self.identity, empty, (), (), empty)]
+        codes = [self._start_code()]  # codes[k] is the code of level[k]
         # (a set, a letter) -> their union, for (supp(v), i) -> supp(w) and
         # (J(v), j) -> J(w) with w = v s_i; and each union -> itself, so
         # equal sets reached from different keys are one frozenset
@@ -619,21 +661,24 @@ class CoxeterSystem:
         while level:
             out.extend(level)
             length += 1
-            # prefix of w s_i -> [i, then the record of w, per down-edge]
+            # code of w s_i -> [i, then the record of w, per down-edge]
             nxt = {}
             for i in range(1, self.rank + 1):
-                for node in level:
+                for node, code in zip(level, codes):
                     if i not in node.descents:
-                        images = prefix(node.element.rep, i)
-                        edges = nxt.get(images)
+                        key = code_of(node.element.rep, code, i)
+                        edges = nxt.get(key)
                         if edges is None:
-                            nxt[images] = [i, node]
+                            nxt[key] = [i, node]
                         else:
                             edges += (i, node)
-            level = []
-            for images in sorted(nxt):
-                e = nxt[images]
+            made = []
+            for code, e in nxt.items():
                 descents, down = tuple(e[::2]), tuple(e[1::2])
+                made.append((right(down[0].element.rep, descents[0]), code, descents, down))
+            made.sort()
+            level, codes = [], []
+            for rep, code, descents, down in made:
                 parent, i = down[0], descents[0]
                 key = (parent.support, i)
                 support = grown.get(key) or grow(key)
@@ -641,9 +686,10 @@ class CoxeterSystem:
                 if j:
                     key = (J, j)
                     J = grown.get(key) or grow(key)
-                v = Element(self, right(parent.element.rep, i))
+                v = Element(self, rep)
                 v._length = length
                 level.append(WeakOrderNode(v, support, descents, down, J))
+                codes.append(code)
         return out
 
     def elements(self) -> list[Element]:
@@ -687,7 +733,12 @@ class CoxeterSystem:
             comps.append(tuple(sorted(comp)))
         comps.sort()
         budgets = tuple(self._component_budget(c) for c in comps)
-        return ComponentDecomposition(tuple(comps), budgets)
+        outside = [(j,) for j in range(1, self.rank + 1) if j not in I]
+        groups = (*outside, *comps)
+        slot = {i: g for g, group in enumerate(groups) for i in group}
+        return ComponentDecomposition(
+            tuple(comps), budgets, groups, (1,) * len(outside) + budgets, slot
+        )
 
     def _component_budget(self, comp: tuple[int, ...]) -> int:
         # l(w0 of W_C) is the number of positive roots supported inside C
@@ -696,6 +747,16 @@ class CoxeterSystem:
 
 
 _S1, _S2, _S12 = frozenset({1}), frozenset({2}), frozenset({1, 2})
+
+
+def _dihedral_right(rep: tuple, i: int, m: int) -> tuple:
+    """The rep of w s_i in I2(m) from the rep (r, f) of w: both generators
+    flip f; s1 keeps r, and s2 = (s1 s2)^-1 s1 turns it by one (up when f
+    = 1)."""
+    r, f = rep
+    if i == 2:
+        r = r + 1 if f else r - 1
+    return (r % m, 1 - f)
 
 
 class DihedralSystem(CoxeterSystem):
@@ -760,12 +821,16 @@ class DihedralSystem(CoxeterSystem):
 
     def _right_rep(self, rep: tuple, i: int) -> tuple:
         """Closed form of `CoxeterSystem._right_rep`, as in `step`."""
-        r, f = rep
-        if i == 2:
-            r = r + 1 if f else r - 1
-        return (r % self.m, 1 - f)
+        return _dihedral_right(rep, i, self.m)
 
-    _right_prefix = _right_rep  # (r, f) has rank = 2 entries: its own prefix
+    def _start_code(self) -> tuple:
+        """(r, f) is its own code in `weak_order`: the identity's rep."""
+        return self._identity.rep
+
+    def _right_code(self, rep: tuple, code: tuple, i: int) -> tuple:
+        """Closed form of `CoxeterSystem._right_code`: the rep of w s_i, as
+        `_right_rep` gives it."""
+        return _dihedral_right(code, i, self.m)
 
     def _left_prefix(self, rep: tuple, j: int) -> tuple:
         """Closed form of `CoxeterSystem._left_prefix`: the rep of s_j w."""

@@ -7,12 +7,13 @@ when some reduced word R of w satisfies both letter bounds:
   (S.2) for each connected component C of the subdiagram induced by I, the
         letters from C occur at most l(w0 of W_C) + #vertices(C) times.
 
-(S.1) is (S.2) for a one-node group of budget 1, so `_allowances` writes both
-bounds as one table of letter groups and budgets: a singleton (j,) for each
-node j outside I, then the components of I. The search, the recount of a
-witness and the certificate all read that table. The search walks reduced
-words right-to-left over right descents, spending one unit of each peeled
-letter's group, and memoizes failed (element, remaining allowances) states.
+(S.1) is (S.2) for a one-node group of budget 1, so both bounds are one
+table of letter groups and budgets: a singleton (j,) for each node j outside
+I, then the components of I. `CoxeterSystem.decompose_subset` builds it once
+per I and system, and the search, the recount of a witness and the
+certificate all read it. The search walks reduced words right-to-left over
+right descents, spending one unit of each peeled letter's group, and
+memoizes failed (element, remaining allowances) states.
 `verify_witness` recounts a word against the table without the search's
 prune or memo, and `has_distinct_letter_word` decides I = {} without it.
 
@@ -22,7 +23,7 @@ its right descents, its down-steps w s_i and its left descents J(w), one
 is the record of w s_i for i = `descents[k]`, and the search reads both by
 index. A census or a consistency sweep iterates the records of the one
 walk that enumerates the group (`CoxeterSystem.weak_order`), which steps
-each edge of the right weak order once, by prefix, and hands each record
+each edge of the right weak order once, by code, and hands each record
 to the searcher of its descent set, so the search makes no step and looks
 no element up. A searcher handed a bare `Element` (`find_witness`,
 `run_check`) makes its own records instead, lazily: a record gets its
@@ -53,14 +54,6 @@ class WitnessCertificate:
         return _words.format_word(self.word)
 
 
-def _allowances(system: CoxeterSystem, I: frozenset):
-    """The letter groups of (S.1)/(S.2) for I and their budgets: a budget-1
-    singleton per node outside I, then the components of I."""
-    decomp = system.decompose_subset(I)
-    outside = [(j,) for j in range(1, system.rank + 1) if j not in I]
-    return (*outside, *decomp.components), (1,) * len(outside) + decomp.budgets
-
-
 def _descent_subset(system: CoxeterSystem, w: Element, I) -> frozenset:
     """I as a frozenset; raises unless its nodes are in range and it lies in
     the left descents of w."""
@@ -77,17 +70,19 @@ def verify_witness(system: CoxeterSystem, w: Element, I, letters) -> bool:
     if len(letters) != w.length or _words.evaluate(system, letters) != w:
         return False
     counts = Counter(letters)
+    decomp = system.decompose_subset(I)
     return all(
         sum(counts[j] for j in group) <= budget
-        for group, budget in zip(*_allowances(system, I))
+        for group, budget in zip(decomp.groups, decomp.allowances)
     )
 
 
 class WitnessSearcher:
     """Budgeted DFS over reduced words, reusable across queries with one I.
 
-    Group g of `groups` (the `_allowances` table) has budget `budgets[g]`;
-    `slot[i]` is the group of node i. The failure memo `_fail` is keyed by
+    Group g of `groups` has budget `budgets[g]`, and `slot[i]` is the group
+    of node i: the table of I's `ComponentDecomposition`, shared by every
+    searcher of the system with this I. The failure memo `_fail` is keyed by
     (record, remaining allowance per group), valid for any element of the
     system with this I, so censuses share one searcher per descent set.
     `_seen` holds the records this searcher visited. Supports, descents and
@@ -101,8 +96,8 @@ class WitnessSearcher:
     def __init__(self, system: CoxeterSystem, I):
         self.system = system
         self.I = frozenset(I)
-        self.groups, self.budgets = _allowances(system, self.I)
-        self.slot = {i: g for g, group in enumerate(self.groups) for i in group}
+        decomp = system.decompose_subset(self.I)
+        self.groups, self.budgets, self.slot = decomp.groups, decomp.allowances, decomp.slot
         self._fail: set = set()
         self._seen: set[WeakOrderNode] = set()
         # support -> the groups whose letters it contains
@@ -231,7 +226,7 @@ def is_maximally_spherical(system: CoxeterSystem, w: Element) -> bool:
 def census(system: CoxeterSystem):
     """Yield (record of w, J(w), J(w)-witness word or None) for each element,
     in enumeration order: the records of `system.weak_order()`, so the
-    census steps one prefix (`_right_prefix`) per weak-order edge and one
+    census steps one code (`_right_code`) per weak-order edge and one
     rep per element, all in the walk, and its searches none. J(w) is the
     record's `left_descents`, which the walk fills: no `left_descents` call.
 

@@ -465,3 +465,92 @@ def test_invalid_cartan_type_names_only_what_is_wrong():
     with pytest.raises(CoxeterError) as exc:
         CartanType.parse("I2(2)")
     assert str(exc.value) == "invalid Cartan type I2 (gonality=2)"
+
+
+def _prefix_keyed_walk(system):
+    """The walk `weak_order` replaced, kept as its reference: each level
+    deduped and sorted by the prefix of w s_i, the first `rank` entries of
+    its rep, stepped per edge."""
+    from coxsph.coxeter import Element, WeakOrderNode
+
+    rank, empty = system.rank, frozenset()
+    level = [WeakOrderNode(system.identity, empty, (), (), empty)]
+    out, length = [], 0
+    while level:
+        out.extend(level)
+        length += 1
+        nxt = {}
+        for i in range(1, rank + 1):
+            for node in level:
+                if i not in node.descents:
+                    prefix = system._right_rep(node.element.rep, i)[:rank]
+                    nxt.setdefault(prefix, []).append((i, node))
+        level = []
+        for prefix in sorted(nxt):
+            descents = tuple(i for i, _ in nxt[prefix])
+            down = tuple(node for _, node in nxt[prefix])
+            parent, i = down[0], descents[0]
+            J, j = parent.left_descents, system._left_gain(parent, i)
+            v = Element(system, system._right_rep(parent.element.rep, i))
+            v._length = length
+            level.append(WeakOrderNode(
+                v, parent.support | {i}, descents, down, J | {j} if j else J
+            ))
+    return out
+
+
+WALK_GROUPS = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
+    "F4", "G2", "I2(7)", "I2(60)",
+]
+
+
+@pytest.mark.parametrize("name", [*WALK_GROUPS, pytest.param("E6", marks=pytest.mark.slow)])
+def test_code_keyed_walk_matches_the_prefix_keyed_reference(name):
+    """Record by record, the code-keyed walk gives what the prefix-keyed
+    walk gave: rep, length, support, descents, the down-edges by position
+    and the left descents, in the same order."""
+    system = coxeter_system(name)
+    got, want = system.weak_order(), _prefix_keyed_walk(system)
+    assert len(got) == len(want) == system.order()
+    at_got = {node: k for k, node in enumerate(got)}
+    at_want = {node: k for k, node in enumerate(want)}
+    for g, w in zip(got, want):
+        assert g.element.rep == w.element.rep
+        assert g.length == w.length == g.element.length
+        assert g.support == w.support
+        assert g.descents == w.descents
+        assert [at_got[c] for c in g.down] == [at_want[c] for c in w.down]
+        assert g.left_descents == w.left_descents
+
+
+def _code_from_scratch(system, rep):
+    """The code of w(2 rho) = sum over beta > 0 of w(beta), summed root by
+    root from the rep and read in base 2 max_j (2 rho)_j + 1."""
+    roots, rank = system.positive_roots, system.rank
+    base = 2 * max(sum(root[j] for root in roots) for j in range(rank)) + 1
+    vector = [0] * rank
+    for q in rep:
+        for j, c in enumerate(roots[abs(q) - 1]):
+            vector[j] += c if q > 0 else -c
+    return sum(v * base**j for j, v in enumerate(vector))
+
+
+@pytest.mark.parametrize("name", [*WALK_GROUPS, pytest.param("E6", marks=pytest.mark.slow)])
+def test_walk_codes_are_distinct_and_step_by_the_table(name):
+    """The codes of w(2 rho) are pairwise distinct over the group, the walk
+    starts from the identity's, and on every edge, up or down, `_right_code`
+    gives the code of w s_i computed from scratch; in I2(m) the code is
+    the rep."""
+    system = coxeter_system(name)
+    elements = system.elements()
+    if system.positive_roots is None:
+        code = {w: w.rep for w in elements}
+    else:
+        code = {w: _code_from_scratch(system, w.rep) for w in elements}
+    assert len(set(code.values())) == len(elements) == system.order()
+    assert system._start_code() == code[system.identity]
+    for w in elements:
+        for i in range(1, system.rank + 1):
+            got = system._right_code(w.rep, code[w], i)
+            assert got == code[system.step(w, i)], (w.rep, i)

@@ -588,6 +588,25 @@ def test_cli_census_and_expectations(capsys, tmp_path):
     assert cli.main(["census", "B3", "--expect-nonspherical", "3"]) == 2
 
 
+def test_json_output_holds_one_census_entry_per_line(tmp_path):
+    """`--json` writes one line per top-level key and per item of a
+    top-level list, each item compact; what it writes reads back as the
+    payload, empty lists and nested values included."""
+    out = tmp_path / "census.json"
+    assert cli.main(["census", "B3", "--json", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    payload = json.loads(out.read_text())
+    entries = payload["entries"]
+    assert len(lines) == 1 + len(payload) + len(entries) + 2
+    start = lines.index('  "entries": [')
+    items = lines[start + 1:start + 1 + len(entries)]
+    assert [json.loads(line.strip().rstrip(",")) for line in items] == entries
+    payload = {"b": [], "a": [1, {"x": [2, "y"]}], "c": {"d": None}, "e": 0.5}
+    harness.write_json(str(out), payload)
+    assert json.loads(out.read_text()) == payload
+    assert out.read_text().splitlines()[:4] == ["{", '  "a": [', "    1,", '    {"x": [2, "y"]}']
+
+
 def _run_id(value):
     """`census F4-exit` pins the exit code alone, `check E7-label` the label too."""
     if isinstance(value, list):

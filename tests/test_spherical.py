@@ -92,6 +92,25 @@ def test_find_witness_decomposes_I_once(name, word, I, found, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name, I", [("E8", (2, 3, 4, 5, 7, 8)), ("A5", (1, 2, 4)), ("I2(9)", ())])
+def test_searchers_share_the_allowance_table_of_the_decomposition(name, I):
+    """(S.1)/(S.2) as one table, built once per subset: a budget-1
+    singleton per node outside I, then the components of I with their
+    budgets, and the group of each node. Two searchers with one I read the
+    same objects."""
+    system = coxeter_system(name)
+    decomp = system.decompose_subset(I)
+    outside = [(j,) for j in range(1, system.rank + 1) if j not in I]
+    assert decomp.groups == (*outside, *decomp.components)
+    assert decomp.allowances == (1,) * len(outside) + decomp.budgets
+    assert decomp.slot == {i: g for g, group in enumerate(decomp.groups) for i in group}
+    assert sorted(decomp.slot) == list(range(1, system.rank + 1))
+    first, second = WitnessSearcher(system, I), WitnessSearcher(system, set(I))
+    for attr in ("groups", "budgets", "slot"):
+        assert getattr(first, attr) is getattr(second, attr)
+    assert first.slot is decomp.slot and first.budgets is decomp.allowances
+
+
 def test_verify_witness_rejects_bad_queries():
     a4 = coxeter_system("A4")
     w = perm_to_element(a4, (2, 4, 5, 3, 1))
@@ -413,20 +432,20 @@ def test_census_search_work_is_pinned(name, searchers, seen, fail, monkeypatch):
     ],
 )
 def test_census_down_steps_are_pinned(name, steps, monkeypatch):
-    """Golden count of the right steps one `census` makes: one
-    `_right_prefix` per edge of the right weak order, |W| * rank / 2, all
+    """Golden count of the right steps one `census` makes: one code step
+    (`_right_code`) per edge of the right weak order, |W| * rank / 2, all
     of them in the walk that enumerates the group, and none in the search,
     which reads every down-step off the table that walk fills. The census
     calls `step` not at all. Any later change to these numbers must be
     explained."""
     system = coxeter_system(name)
     calls, stepped = [], []
-    right_prefix, step = type(system)._right_prefix, type(system).step
+    right_code, step = type(system)._right_code, type(system).step
     searching = []
 
-    def counting(self, rep, i):
+    def counting(self, rep, code, i):
         calls.append(bool(searching))
-        return right_prefix(self, rep, i)
+        return right_code(self, rep, code, i)
 
     def counting_step(self, w, i, left=False):
         stepped.append(i)
@@ -441,7 +460,7 @@ def test_census_down_steps_are_pinned(name, steps, monkeypatch):
         finally:
             searching.pop()
 
-    monkeypatch.setattr(type(system), "_right_prefix", counting)
+    monkeypatch.setattr(type(system), "_right_code", counting)
     monkeypatch.setattr(type(system), "step", counting_step)
     monkeypatch.setattr(WitnessSearcher, "search", marked)
     for _ in spherical_module.census(system):
@@ -479,20 +498,27 @@ def test_weak_order_makes_one_element_per_element(name, built, monkeypatch):
 def test_weak_order_makes_one_full_right_step_per_element(name, full, monkeypatch):
     """Golden count of the full reps one `weak_order()` walk computes: one
     `_right_rep` per element but the identity, |W| - 1, from its first
-    down-edge; each edge steps only a prefix. Any later change to these
-    numbers must be explained."""
+    down-edge; each edge steps only a code. A level's reps are made before
+    it is sorted, so the steps are compared level by level, not in call
+    order. Any later change to these numbers must be explained."""
     system = coxeter_system(name)
     calls = []
     right_rep = type(system)._right_rep
 
     def counting(self, rep, i):
-        calls.append(i)
+        calls.append((rep, i))
         return right_rep(self, rep, i)
 
     monkeypatch.setattr(type(system), "_right_rep", counting)
     records = system.weak_order()
     assert len(calls) == full == system.order() - 1
-    assert calls == [node.descents[0] for node in records[1:]]
+    length = {node.element.rep: node.length for node in records}
+    levels = [length[rep] + 1 for rep, _ in calls]
+    assert levels == sorted(levels)
+    assert sorted((k, rep, i) for k, (rep, i) in zip(levels, calls)) == sorted(
+        (node.length, node.down[0].element.rep, node.descents[0])
+        for node in records[1:]
+    )
 
 
 @pytest.mark.parametrize(
@@ -503,9 +529,10 @@ def test_weak_order_makes_one_full_right_step_per_element(name, full, monkeypatc
 def test_rep_prefixes_fix_and_order_the_elements(name):
     """The first `rank` entries of a rep, the images of the simple roots
     (the whole pair in I2(m)), are pairwise distinct over the group, and
-    sorting by them sorts by the full rep: the walk dedupes and orders
-    each level by them, and `_right_prefix` and `_left_prefix` give the
-    prefixes of w s_i and s_i w."""
+    sorting by them sorts by the full rep: they decide the order of each
+    level of the walk, and census labels are kept by them. The prefix of w
+    s_i is `_right_rep(rep, i)[:rank]`, and `_left_prefix` gives that of
+    s_i w."""
     system = coxeter_system(name)
     rank = system.rank
     reps = [w.rep for w in system.elements()]
@@ -514,7 +541,7 @@ def test_rep_prefixes_fix_and_order_the_elements(name):
     for rep in reps:
         w = Element(system, rep)
         for i in range(1, rank + 1):
-            assert system._right_prefix(rep, i) == system._right_rep(rep, i)[:rank]
+            assert system._right_rep(rep, i)[:rank] == system.step(w, i).rep[:rank]
             want = system.step(w, i, left=True).rep[:rank]
             assert system._left_prefix(rep[:rank], i) == want
 
