@@ -10,6 +10,7 @@ from coxsph import (
     parse_word,
     reduced_words,
 )
+from coxsph.coxeter import Element, WeakOrderNode
 
 
 @pytest.mark.parametrize(
@@ -471,8 +472,6 @@ def _prefix_keyed_walk(system):
     """The walk `weak_order` replaced, kept as its reference: each level
     deduped and sorted by the prefix of w s_i, the first `rank` entries of
     its rep, stepped per edge."""
-    from coxsph.coxeter import Element, WeakOrderNode
-
     rank, empty = system.rank, frozenset()
     level = [WeakOrderNode(system.identity, empty, (), (), empty)]
     out, length = [], 0
