@@ -19,11 +19,12 @@ breadth-first walk of the right weak order that keeps every edge it steps.
 It keys each element by one int, the code of w(2 rho), 2 rho the sum of the
 positive roots: 2 rho is regular, so w -> w(2 rho) is one-to-one
 (Humphreys, Reflection Groups and Coxeter Groups, 1.12; Bjorner-Brenti,
-ch. 4), and w(2 rho), a signed sum of all positive roots, has coordinate j
-in [-(2 rho)_j, (2 rho)_j], so reading it in base 2 max_j (2 rho)_j + 1 is
-one-to-one and linear. As s_i(2 rho) = 2 rho - 2 alpha_i, the code of w s_i
-is the code of w minus 2 code(w(alpha_i)): one lookup (`_right_code`) per
-edge, one `_right_rep` and `Element` per element. It builds one
+ch. 4), and w(2 rho), a signed sum of all positive roots, has weight
+coordinate <w(2 rho), alpha_k-check> in [-B, B], B = max_k sum_beta
+|<beta, alpha_k-check>|, so reading it in base 2 B + 1 is one-to-one and
+linear. As s_i(2 rho) = 2 rho - 2 alpha_i, the code of w s_i is the code
+of w minus 2 code(w(alpha_i)): one lookup (`_right_code`) per edge, one
+`_right_rep` and `Element` per element. It builds one
 `WeakOrderNode` per element: its support, its right descents, the records
 of its down-steps w s_i and its left descents, each read off a parent's
 record with no descent query.
@@ -32,9 +33,13 @@ themselves to its searchers.
 `multiply` is the general product; `product(letters)` evaluates a word in
 one loop of `_right_rep` steps. `support(w)` reads only the images of the
 simple roots. `word(w)`, the lex-first reduced word
-that labels an element, steps no element: it walks the inversion set of
-w^-1, at most l(w) roots, through the same per-generator tables as the left
-step.
+that labels an element, steps no element: it reads w(2 rho) in
+fundamental-weight coordinates off those images through the walk's code
+table, which holds codes in those coordinates, then walks it to the
+dominant chamber. i is a left descent of w iff <w(2 rho), alpha_i-check> <
+0, and s_i moves only coordinate i and those of i's diagram neighbours
+(Casselman, Machine calculations in Weyl groups, 1994), so each of the
+l(w) letters costs O(rank).
 
 `DihedralSystem` handles I2(m), which has no integral root basis for general
 m and whose root permutations would make every product O(m): it stores
@@ -271,7 +276,7 @@ class CoxeterSystem:
     returns a `DihedralSystem` for I2(m).
     """
 
-    _twice_codes = None  # `_right_code`'s table, built by the first walk
+    _twice_codes = None  # the code table of `_right_code` and `word`, built on first use
 
     def __init__(self, cartan_type: CartanType):
         self.cartan_type = cartan_type
@@ -292,9 +297,8 @@ class CoxeterSystem:
         # order of s_i's root permutation, then negates entry i; with a single
         # root (A1) that order is the identity, and `tuple` stands in for an
         # itemgetter of one index, which would return a scalar. s_i w maps
-        # each entry q of w through s_i, and `word` maps root indices the
-        # same way: a tuple with s_i's images at 1..N and their negatives at
-        # -N..-1, read from its end.
+        # each entry q of w through s_i: a tuple with s_i's images at 1..N
+        # and their negatives at -N..-1, read from its end.
         self._right_orders = tuple(
             itemgetter(*(abs(q) - 1 for q in s.rep)) if len(s.rep) > 1 else tuple
             for s in self._generators
@@ -477,22 +481,36 @@ class CoxeterSystem:
 
     def _start_code(self) -> int:
         """The code of the identity, where `weak_order` starts: code(2 rho).
-        The first call builds the table `_right_code` reads.
+        The first call builds the table `_right_code` and `word` read.
 
-        code(v) = sum_j v_j M^j on the root lattice, M = 2 max_j (2 rho)_j
-        + 1. w(2 rho) is the sum of w(beta) over the positive roots beta, a
-        signed sum of all of them, so its coordinate j lies in [-(2 rho)_j,
-        (2 rho)_j], where code is one-to-one; and 2 rho is regular
-        (<rho, alpha_i-check> = 1), so w -> w(2 rho) is one-to-one
-        (Humphreys, Reflection Groups and Coxeter Groups, 1.12). Entry q of
-        the table, laid out as `_left_images`, is 2 code(q) for the signed
-        root q.
+        code(v) = sum_k v_k M^k on the weight coordinates v_k = <v,
+        alpha_k-check>, read off the simple-root coordinates through the
+        Cartan matrix, with M = 2 B + 1 and B = max_k sum_beta |<beta,
+        alpha_k-check>| over the positive roots beta. code is linear, so
+        the rule code(w s_i) = code(w) - 2 code(w(alpha_i)) holds in these
+        coordinates as in any. w(2 rho) is the sum of w(beta) over the
+        positive roots, a signed sum of all of them, so |v_k| <= B, where
+        code is one-to-one and its balanced digits read v back; and 2 rho
+        is regular (<2 rho, alpha_k-check> = 2), so w -> w(2 rho) is
+        one-to-one (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
+        Entry q of the table, laid out as `_left_images`, is 2 code(q) for
+        the signed root q. Beside it, for `word`: M, the simple-root
+        coordinates of 2 rho, and for each node k the pairs (j, A[j][k])
+        over its diagram neighbours j, the coordinates s_k moves.
         """
         if self._twice_codes is None:
-            roots = self.positive_roots
-            base = 2 * max(map(sum, zip(*roots))) + 1
-            codes = [reduce(lambda c, x: c * base + x, reversed(root), 0) for root in roots]
+            A, nodes, roots = self.cartan_matrix, range(self.rank), self.positive_roots
+            weights = [[sum(map(mul, row, root)) for row in A] for root in roots]
+            bound = max(sum(map(abs, column)) for column in zip(*weights))
+            base = 2 * bound + 1
+            powers = [base**k for k in nodes]
+            codes = [sum(map(mul, wt, powers)) for wt in weights]
             self._start = sum(codes)
+            self._code_base = base
+            self._two_rho = tuple(map(sum, zip(*roots)))
+            self._neighbours = tuple(
+                tuple((j, A[j][k]) for j in nodes if j != k and A[j][k]) for k in nodes
+            )
             self._twice_codes = (
                 0, *[2 * c for c in codes], *[-2 * c for c in reversed(codes)]
             )
@@ -541,32 +559,51 @@ class CoxeterSystem:
         return frozenset([-q for q in self._negative_simple.intersection(w.rep)])
 
     def word(self, w: Element) -> tuple[int, ...]:
-        """The lex-first reduced word of w, read off the inversion set of w^-1.
+        """The lex-first reduced word of w, by the chamber walk of w(2 rho).
 
-        N(w^-1) = {beta > 0 : w^-1 beta < 0} holds the roots that w sends to
-        negatives of positive roots, so it is {-q for q in rep if q < 0}, and
-        its simple roots are the left descents of w. Its smallest root, when
-        simple, is the smallest left descent i; then N((s_i w)^-1) =
-        s_i(N(w^-1) minus alpha_i), read through the `step` table of s_i.
-        Simple roots are the indices 1..rank, below every other root, so
-        each letter costs one pass over at most l(w) roots, not two over all
-        of them. Raises CoxeterError if a non-empty set has no simple root
-        or the walk does not spend exactly l(w) letters.
+        i is a left descent of w iff w^-1(alpha_i) < 0, that is iff v_i =
+        <w(2 rho), alpha_i-check> = <2 rho, w^-1(alpha_i-check)> < 0; v = 2
+        rho, dominant, only at the identity. So the walk takes the first k
+        with v_k < 0, spells k and reflects: s_k(v) = v - v_k alpha_k, and
+        alpha_k has weight coordinates A[j][k], so v_k turns to -v_k and
+        only k's diagram neighbours j move, by -v_k A[j][k]; then it goes on
+        from s_k w until v is dominant (Casselman, Machine calculations in
+        Weyl groups, Invent. Math. 116, 1994). v is read off the first
+        `rank` entries of rep, the images of the simple roots: with 2 rho =
+        sum_j c_j alpha_j, w(2 rho) = sum_j c_j w(alpha_j), so sum_j c_j
+        times entry w(alpha_j) of the `_start_code` table is 2 code(w(2
+        rho)), and `rank` divmods read its balanced digits. Each letter
+        costs O(rank). Raises CoxeterError if the walk spends a number of
+        letters other than l(w); it stops after l(w) + 1.
         """
         self._check_member(w)
-        roots = {-q for q in w.rep if q < 0}
-        letters = []
-        while roots:
-            i = min(roots)
-            if not 0 < i <= self.rank:
-                raise CoxeterError(f"no left descent left after {len(letters)} letters")
-            letters.append(i)
-            roots.discard(i)
-            images = self._left_images[i - 1]
-            roots = {images[p] for p in roots}
-        if len(letters) != w.length:
+        if self._twice_codes is None:
+            self._start_code()
+        base, neighbours = self._code_base, self._neighbours
+        bound = base >> 1
+        twice = map(self._twice_codes.__getitem__, w.rep)
+        # adding M^rank // 2, B in every digit, makes the balanced digits plain
+        code = (sum(map(mul, self._two_rho, twice)) >> 1) + base**self.rank // 2
+        v = []
+        for _ in range(self.rank):
+            code, digit = divmod(code, base)
+            v.append(digit - bound)
+        letters, length = [], w.length
+        for _ in range(length + 1):
+            k = 0  # counted by hand: `enumerate` pairs cost more here
+            for x in v:
+                if x < 0:
+                    break
+                k += 1
+            else:
+                break
+            letters.append(k + 1)
+            v[k] = -x
+            for j, a in neighbours[k]:
+                v[j] -= x * a
+        if len(letters) != length:
             raise CoxeterError(
-                f"the walk spent {len(letters)} letters on an element of length {w.length}"
+                f"the walk spent {len(letters)} letters on an element of length {length}"
             )
         return tuple(letters)
 

@@ -81,8 +81,8 @@ class CensusReport:
 
 def _element_label(system: CoxeterSystem, w) -> str:
     """One-line notation in type A, elsewhere the lex-first reduced word
-    `w.word()`, which `CoxeterSystem.word` reads off the inversion set of
-    w^-1 (a closed form in I2(m))."""
+    `w.word()`, which `CoxeterSystem.word` spells by walking w(2 rho) to
+    the dominant chamber, O(rank) per letter (a closed form in I2(m))."""
     if system.cartan_type.family == "A":
         return typea.format_permutation(typea.element_to_perm(system, w))
     return words.format_word(w.word())

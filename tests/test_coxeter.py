@@ -162,27 +162,32 @@ def test_element_word_roundtrip():
             assert evaluate(system, word) == w
 
 
+W0_ONLY = ("E7", "E8")  # groups too large to walk: their w0 alone
+
+
 @pytest.mark.parametrize(
     "name",
     ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "D4", "D5", "F4", "G2"]
     + [f"I2({m})" for m in range(4, 10)]
-    + [pytest.param("E6", marks=pytest.mark.slow)],
+    + [pytest.param("E6", marks=pytest.mark.slow), *W0_ONLY],
 )
 def test_word_is_the_first_word_of_the_step_walk(name):
-    """`word()` walks inversion sets (closed form in I2(m)); `reduced_words`
-    steps the element itself. Both must give the lex-first reduced word."""
+    """`word()` walks w(2 rho) to the dominant chamber (closed form in
+    I2(m)); `reduced_words` steps the element itself. Both must give the
+    lex-first reduced word, on every element (on w0 alone in E7 and E8)."""
     system = coxeter_system(name)
-    for w in system.elements():
+    elements = [system.longest_element()] if name in W0_ONLY else system.elements()
+    for w in elements:
         assert w.word() == next(reduced_words(system, w)), w.rep
 
 
 @pytest.mark.parametrize("name", ["B3", "I2(7)"])
 def test_word_stops_after_length_letters_under_a_faulty_step(name, monkeypatch):
-    """Faulty left-step data must make `word()` and `repr` raise, not loop.
+    """Faulty reflection data must make `word()` and `repr` raise, not loop.
 
-    B3 gets image tables in which no s_i moves any root, so the walk never
-    shrinks past the simple roots; I2(7) gets a `left_descents` that finds
-    nothing.
+    B3 gets neighbour data under which s_k sends v_k to v_k, not -v_k, so
+    the walk never leaves the first negative coordinate of w0(2 rho) =
+    -2 rho; I2(7) gets a `left_descents` that finds nothing.
     """
     system = coxeter_system(name)
     w = system.longest_element()
@@ -197,10 +202,12 @@ def test_word_stops_after_length_letters_under_a_faulty_step(name, monkeypatch):
     if name == "B3":
 
         class Stuck(tuple):
-            def __getitem__(self, p):
-                return count(p)
+            def __getitem__(self, k):
+                # v_k = -x, then v_k -= x * -2: v_k is x again
+                return count(((k, -2),))
 
-        monkeypatch.setattr(system, "_left_images", (Stuck(),) * system.rank)
+        system._start_code()  # build the tables, so the patch is not overwritten
+        monkeypatch.setattr(system, "_neighbours", Stuck())
     else:
         monkeypatch.setitem(
             vars(system), "left_descents", lambda v: count(frozenset())
@@ -221,13 +228,18 @@ def test_left_step_with_one_root_keeps_a_tuple():
 
 
 def test_word_rejects_a_walk_of_the_wrong_length(monkeypatch):
-    """Image tables that send every root to alpha_1 empty the walk in two
-    letters, short of l(w0) = 9 in B3."""
+    """A code table that reads each entry of w0's rep as the entry of s1 s2
+    in its place makes the walk spell s1 s2: two letters, short of l(w0) =
+    9 in B3."""
     system = coxeter_system("B3")
-    n = len(system.positive_roots)
-    monkeypatch.setattr(system, "_left_images", ((0,) + (1,) * 2 * n,) * system.rank)
+    system._start_code()
+    w0, u = system.longest_element(), evaluate(system, [1, 2])
+    table = list(system._twice_codes)
+    for q, p in zip(w0.rep, u.rep):
+        table[q] = system._twice_codes[p]
+    monkeypatch.setattr(system, "_twice_codes", tuple(table))
     with pytest.raises(CoxeterError, match="spent 2 letters on an element of length 9"):
-        system.longest_element().word()
+        w0.word()
 
 
 def test_inverse():
@@ -525,14 +537,21 @@ def test_code_keyed_walk_matches_the_prefix_keyed_reference(name):
 
 def _code_from_scratch(system, rep):
     """The code of w(2 rho) = sum over beta > 0 of w(beta), summed root by
-    root from the rep and read in base 2 max_j (2 rho)_j + 1."""
-    roots, rank = system.positive_roots, system.rank
-    base = 2 * max(sum(root[j] for root in roots) for j in range(rank)) + 1
+    root from the rep in weight coordinates <w(beta), alpha_k-check> =
+    sum_j A[k][j] c_j for w(beta) = sum_j c_j alpha_j, and read in base
+    2 B + 1, B = max_k sum_beta |<beta, alpha_k-check>|."""
+    roots, rank, A = system.positive_roots, system.rank, system.cartan_matrix
+
+    def pairing(root, k):
+        return sum(A[k][j] * root[j] for j in range(rank))
+
+    bound = max(sum(abs(pairing(root, k)) for root in roots) for k in range(rank))
     vector = [0] * rank
     for q in rep:
-        for j, c in enumerate(roots[abs(q) - 1]):
-            vector[j] += c if q > 0 else -c
-    return sum(v * base**j for j, v in enumerate(vector))
+        for k in range(rank):
+            c = pairing(roots[abs(q) - 1], k)
+            vector[k] += c if q > 0 else -c
+    return sum(v * (2 * bound + 1) ** k for k, v in enumerate(vector))
 
 
 @pytest.mark.parametrize("name", [*WALK_GROUPS, pytest.param("E6", marks=pytest.mark.slow)])
@@ -553,3 +572,45 @@ def test_walk_codes_are_distinct_and_step_by_the_table(name):
         for i in range(1, system.rank + 1):
             got = system._right_code(w.rep, code[w], i)
             assert got == code[system.step(w, i)], (w.rep, i)
+
+
+def _inversion_set_word(system, w):
+    """The walk `word` replaced, kept as its reference: the lex-first reduced
+    word read off the inversion set N(w^-1) = {-q for q in rep if q < 0},
+    whose smallest root, when simple, is the smallest left descent i; then
+    N((s_i w)^-1) = s_i(N(w^-1) minus alpha_i), mapped root by root."""
+    roots = {-q for q in w.rep if q < 0}
+    letters = []
+    while roots:
+        i = min(roots)
+        if not 0 < i <= system.rank:
+            pytest.fail(f"no simple root left after {len(letters)} letters")
+        letters.append(i)
+        roots.discard(i)
+        images = system._left_images[i - 1]
+        roots = {images[p] for p in roots}
+    return tuple(letters)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5", "F4",
+     "G2", pytest.param("E6", marks=pytest.mark.slow)],
+)
+def test_word_matches_the_inversion_set_walk_on_every_element(name):
+    system = coxeter_system(name)
+    for w in system.elements():
+        assert w.word() == _inversion_set_word(system, w), w.rep
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_word_matches_the_inversion_set_walk_on_random_words(name):
+    """On w0, then 3000 seeded random words."""
+    system = coxeter_system(name)
+    w0 = system.longest_element()
+    assert w0.word() == _inversion_set_word(system, w0)
+    rng = random.Random(name)
+    for _ in range(3000):
+        word = [rng.randint(1, system.rank) for _ in range(rng.randint(0, 150))]
+        w = evaluate(system, word)
+        assert w.word() == _inversion_set_word(system, w), word
