@@ -6,16 +6,28 @@ signed permutation it induces on the list of positive roots. This gives
 O(#roots) multiplication, inversion-free length and descent queries, and a
 canonical representation (two elements are equal iff their tuples are).
 The roots and each generator's permutation of them come from one closure
-that reflects each root by each generator once.
+that reflects each root by each generator once; it keeps the pairings
+<beta, alpha_k-check> it computes and, for each non-simple root, where it
+first reached it, beta = beta' + k alpha_i: the plan by which a full rep is
+expanded from the images of the simple roots.
 
-`_right_rep(rep, i)` is the one right-step formula: the rep of w s_i from
-the rep of w. `step(w, i)` wraps it as an `Element`: it returns w s_i (s_i w
-with `left=True`) with its length l(w) - 1 or l(w) + 1 recorded, so the
-callers that walk reduced words one element at a time (the witness search
-of single queries, words and Bruhat order) never recount a length or
-multiply by a generator. A rep's first `rank` entries, the images of the
-simple roots, fix the element. `weak_order()` enumerates the group by one
-breadth-first walk of the right weak order that keeps every edge it steps.
+`_right_rep(rep, i)` is the one right-step formula on full reps: the rep of
+w s_i from the rep of w. `step(w, i)` wraps it as an `Element`: it returns
+w s_i (s_i w with `left=True`) with its length l(w) - 1 or l(w) + 1
+recorded, so the callers that walk reduced words one element at a time
+(words and Bruhat order) never recount a length or multiply by a
+generator. A rep's first `rank` entries, the images of the simple roots,
+fix the element (the representation is faithful, Bjorner-Brenti, ch. 4),
+and s_i moves only the image of alpha_i and those of its diagram
+neighbours: w s_i(alpha_j) = w(alpha_j) - A[i][j] w(alpha_i). So single
+queries run on the images. `product(letters)` evaluates a word on the
+codes of the images in simple-root coordinates, O(degree) per letter, and
+expands the full rep once; `_right_images(images, i)`, the images of w s_i
+as signed roots, is the witness search's step on the elements it is
+handed bare, and their descents and support are read off the images too.
+
+`weak_order()` enumerates the group by one breadth-first walk of the right
+weak order that keeps every edge it steps.
 It keys each element by one int, the code of w(2 rho), 2 rho the sum of the
 positive roots: 2 rho is regular, so w -> w(2 rho) is one-to-one
 (Humphreys, Reflection Groups and Coxeter Groups, 1.12; Bjorner-Brenti,
@@ -30,9 +42,8 @@ of its down-steps w s_i and its left descents, each read off a parent's
 record with no descent query.
 `elements()` is the list of their elements, and a census hands the records
 themselves to its searchers.
-`multiply` is the general product; `product(letters)` evaluates a word in
-one loop of `_right_rep` steps. `support(w)` reads only the images of the
-simple roots. `word(w)`, the lex-first reduced word
+`multiply` is the general product. `support(w)` reads only the images of
+the simple roots. `word(w)`, the lex-first reduced word
 that labels an element, steps no element: it reads w(2 rho) in
 fundamental-weight coordinates off those images through the walk's code
 table, which holds codes in those coordinates, then walks it to the
@@ -44,8 +55,8 @@ l(w) letters costs O(rank).
 `DihedralSystem` handles I2(m), which has no integral root basis for general
 m and whose root permutations would make every product O(m): it stores
 w = (s1 s2)^r s1^f as the pair (r mod m, f), with O(1) closed forms for
-products, lengths and descents. `CoxeterSystem.from_string` picks the class
-once, from the Cartan type.
+products, lengths and descents; there the images are the pair itself.
+`CoxeterSystem.from_string` picks the class once, from the Cartan type.
 
 Node labels are 1-based and follow the diagram conventions used by the test
 data: type A node i is the transposition (i, i+1); in E6/E7/E8 the chain is
@@ -226,26 +237,42 @@ class WeakOrderNode:
 
     `down` is always a sequence aligned with `descents`: `down[k]` is the
     record of w s_i for i = descents[k]. `CoxeterSystem.weak_order` fills
-    every field at once, with `down` a tuple of records and `left_descents`
-    the frozenset `left_descents(w)` returns. A record that a
-    `spherical.WitnessSearcher` makes for an element it is handed bare
+    every field at once but `images`, which it leaves None, with `down` a
+    tuple of records and `left_descents` the frozenset `left_descents(w)`
+    returns. A record that a `spherical.WitnessSearcher` makes for an
+    element it is handed bare (`lazy`) holds no `Element`: `element` is
+    None and `images` holds the images of the simple roots, the first
+    `rank` entries of the rep (the pair (r, f) in I2(m)), which fix the
+    element; its length is carried from the record it was stepped from. It
     leaves `left_descents` None, since the search never reads it, and
     leaves `descents` and `down` None until the search first admits it,
     then opens it with one empty slot per descent and fills a slot the
     first time the search takes that edge (most elements a search meets are
     never stepped from)."""
 
-    __slots__ = ("element", "length", "support", "descents", "down", "left_descents")
+    __slots__ = (
+        "element", "images", "length", "support", "descents", "down", "left_descents"
+    )
 
     def __init__(
         self, element: Element, support: frozenset, descents, down, left_descents
     ):
         self.element = element
+        self.images = None
         self.length = element.length
         self.support = support
         self.descents = descents
         self.down = down
         self.left_descents = left_descents
+
+    @classmethod
+    def lazy(cls, images: tuple, length: int, support: frozenset) -> "WeakOrderNode":
+        """A record of the element with these images of the simple roots,
+        with no `Element`, descents, down-steps or left descents yet."""
+        node = cls.__new__(cls)
+        node.element, node.images, node.length, node.support = None, images, length, support
+        node.descents = node.down = node.left_descents = None
+        return node
 
 
 @dataclass(frozen=True)
@@ -282,7 +309,9 @@ class CoxeterSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = _cartan_matrix(cartan_type)
-        self.positive_roots, generator_reps = self._roots_and_generators()
+        self.positive_roots, generator_reps, self._pairings, plan = (
+            self._roots_and_generators()
+        )
         # the nodes each positive root involves, for budgets and `typea`
         nodes = range(1, self.rank + 1)
         self._root_supports = tuple(
@@ -318,6 +347,27 @@ class CoxeterSystem:
             for j, bit in enumerate(bits)
         )
         self._support_sets: dict[int, frozenset] = {}  # mask -> its node set
+        # root codes, for `product` and `_right_images`: each root in
+        # simple-root coordinates, read in balanced base M = 2 c + 1 with c
+        # the largest coefficient of a root, so a code's sign is its root's.
+        # `_root_codes` is laid out as `_left_images`, `_code_roots` maps
+        # each signed root's code back to it, and `_plan` lists each
+        # non-simple root beta = beta' + k alpha_i, where the closure first
+        # reached it, as (index of beta', index of alpha_i, k), parents first.
+        base = 2 * max(map(max, roots)) + 1
+        powers = [base**j for j in range(self.rank)]
+        codes = [sum(map(mul, root, powers)) for root in roots]
+        self._root_codes = (0, *codes, *[-c for c in reversed(codes)])
+        self._code_roots = {c: k for k, c in enumerate(codes, start=1)}
+        self._code_roots.update({-c: -k for k, c in enumerate(codes, start=1)})
+        self._simple_codes = codes[: self.rank]
+        self._plan = plan
+        # per node i, the pairs (j, A[i][j]) over its diagram neighbours j
+        # (0-based): w s_i(alpha_j) = w(alpha_j) - A[i][j] w(alpha_i)
+        A, r = self.cartan_matrix, range(self.rank)
+        self._right_moves = tuple(
+            tuple((j, A[i][j]) for j in r if j != i and A[i][j]) for i in r
+        )
 
     # -- construction -----------------------------------------------------
 
@@ -339,43 +389,62 @@ class CoxeterSystem:
 
     def _roots_and_generators(self):
         """The positive roots, simple roots first and then by height and
-        coordinates, and each generator's signed root permutation.
+        coordinates, each generator's signed root permutation, the pairings
+        <beta, alpha_k-check> of each root, and the expansion plan of
+        `_rep_of_codes`.
 
         One closure reflects every root by every generator once and keeps
-        the image s_i(beta): a positive root, or -alpha_i for beta = alpha_i;
-        CoxeterError for anything else.
+        the image s_i(beta) = beta - <beta, alpha_i-check> alpha_i: a
+        positive root, or -alpha_i for beta = alpha_i; CoxeterError for
+        anything else. It keeps the pairings it computes on the way, and
+        where it first reaches a root beta, as s_i(beta') = beta' + k
+        alpha_i with k = -<beta', alpha_i-check> > 0, the plan entry
+        (index of beta', index of alpha_i, k), 0-based: beta' is lower than
+        beta, so it comes first in the sorted roots.
         """
         r, A = self.rank, self.cartan_matrix
         simple = [tuple(int(j == i) for j in range(r)) for i in range(r)]
         images: dict = {}  # each positive root -> its images under s_1..s_r
+        pairings: dict = {}  # each positive root -> <root, alpha_i-check> per i
+        reached: dict = {}  # each non-simple positive root -> (beta', i, k)
         frontier, seen = simple, set(simple)
         while frontier:
             nxt = []
             for root in frontier:
                 images[root] = row = []
-                for i in range(r):
+                pairings[root] = pairs = tuple([sum(map(mul, a, root)) for a in A])
+                for i, p in enumerate(pairs):
+                    if not p:  # s_i fixes the root
+                        row.append(root)
+                        continue
                     img = list(root)
-                    img[i] -= sum(map(mul, A[i], root))
+                    img[i] -= p
                     img = tuple(img)
                     row.append(img)
                     if min(img) >= 0 and img not in seen:
                         seen.add(img)
                         nxt.append(img)
+                        reached[img] = (root, i, -p)
             frontier = nxt
         tail = sorted(seen.difference(simple), key=lambda v: (sum(v), v))
         roots = tuple(simple + tail)
         index = {root: k for k, root in enumerate(roots, start=1)}
 
-        def label(img, i):
-            if img in index:
-                return index[img]
+        def label(img, i):  # an image that is not a positive root
             if img == tuple(-c for c in simple[i]):
                 return -(i + 1)
             raise CoxeterError(f"s{i + 1} maps a positive root to {img}, not a root")
 
-        return roots, [
-            tuple(label(images[root][i], i) for root in roots) for i in range(r)
+        rows = list(map(images.__getitem__, roots))
+        reps = [
+            tuple([index.get(row[i]) or label(row[i], i) for row in rows])
+            for i in range(r)
         ]
+        plan = tuple(
+            (index[parent] - 1, i, k)
+            for parent, i, k in map(reached.__getitem__, tail)
+        )
+        return roots, reps, tuple(map(pairings.__getitem__, roots)), plan
 
     def _coxeter_from_cartan(self):
         r = self.rank
@@ -454,23 +523,61 @@ class CoxeterSystem:
 
     def product(self, letters) -> Element:
         """s_{i1} ... s_{ik} for the letters i1, ..., ik, in one loop over
-        reps: per letter a range check (`step`'s CoxeterError), one
-        `_right_rep` and `step`'s descent test, which carries l(w); one
-        `Element` at the end."""
-        rank, right = self.rank, self._right_rep
-        rep, length = self._identity.rep, 0
+        the images of the simple roots, kept as root codes (`_root_codes`):
+        w s_i(alpha_j) = w(alpha_j) - A[i][j] w(alpha_i). Per letter a
+        range check (`step`'s CoxeterError), the descent test c_i < 0,
+        which carries l(w), then c_i turns to -c_i and each diagram
+        neighbour j of i loses A[i][j] c_i: O(degree), not O(#roots). The
+        full rep is expanded once at the end (`_rep_of_codes`), into one
+        `Element`."""
+        rank, moves = self.rank, self._right_moves
+        codes, length = list(self._simple_codes), 0
         for i in letters:
             if not 0 < i <= rank:
                 raise CoxeterError(f"generator index {i} out of range 1..{rank}")
-            length += -1 if rep[i - 1] < 0 else 1
-            rep = right(rep, i)
-        return self._with_length(rep, length)
-
-    def _with_length(self, rep: tuple, length: int) -> Element:
-        """The Element of rep with the length `product` carried."""
-        w = Element(self, rep)
+            i -= 1
+            x = codes[i]
+            if x < 0:
+                length -= 1
+            else:
+                length += 1
+            codes[i] = -x
+            for j, a in moves[i]:
+                codes[j] -= a * x
+        w = Element(self, self._rep_of_codes(codes))
         w._length = length
         return w
+
+    def _rep_of_codes(self, codes: list) -> tuple:
+        """The rep of w from the codes of w(alpha_1), ..., w(alpha_rank):
+        the plan of `_roots_and_generators` gives each further positive
+        root as beta = beta' + k alpha_i, so w(beta) = w(beta') + k
+        w(alpha_i), one add per root, parents first; `_code_roots` reads
+        each code back as its signed root. `codes` is extended in place."""
+        extend = codes.append
+        for p, i, k in self._plan:
+            extend(codes[p] + k * codes[i])
+        return tuple(map(self._code_roots.__getitem__, codes))
+
+    def _right_images(self, images: tuple, i: int) -> tuple:
+        """The images of the simple roots under w s_i, as signed roots, from
+        those of w and a valid i: `_right_rep(rep, i)[:rank]` without the
+        full rep. Entry i is negated and each diagram neighbour j of i
+        becomes w(alpha_j) - A[i][j] w(alpha_i), read through the root
+        codes: O(degree)."""
+        out = list(images)
+        q = images[i - 1]
+        out[i - 1] = -q
+        codes, roots = self._root_codes, self._code_roots
+        x = codes[q]
+        for j, a in self._right_moves[i - 1]:
+            out[j] = roots[codes[out[j]] - a * x]
+        return tuple(out)
+
+    def _image_descents(self, images: tuple) -> tuple:
+        """The right descents of w, ascending, from the images of the simple
+        roots: i is one iff w(alpha_i) < 0."""
+        return tuple([i for i, q in enumerate(images, start=1) if q < 0])
 
     def _right_rep(self, rep: tuple, i: int) -> tuple:
         """The rep of w s_i, given the rep of w and a valid i: w's entries
@@ -484,9 +591,9 @@ class CoxeterSystem:
         The first call builds the table `_right_code` and `word` read.
 
         code(v) = sum_k v_k M^k on the weight coordinates v_k = <v,
-        alpha_k-check>, read off the simple-root coordinates through the
-        Cartan matrix, with M = 2 B + 1 and B = max_k sum_beta |<beta,
-        alpha_k-check>| over the positive roots beta. code is linear, so
+        alpha_k-check>, the pairings the root closure kept (`_pairings`),
+        with M = 2 B + 1 and B = max_k sum_beta |<beta, alpha_k-check>|
+        over the positive roots beta. code is linear, so
         the rule code(w s_i) = code(w) - 2 code(w(alpha_i)) holds in these
         coordinates as in any. w(2 rho) is the sum of w(beta) over the
         positive roots, a signed sum of all of them, so |v_k| <= B, where
@@ -499,15 +606,14 @@ class CoxeterSystem:
         over its diagram neighbours j, the coordinates s_k moves.
         """
         if self._twice_codes is None:
-            A, nodes, roots = self.cartan_matrix, range(self.rank), self.positive_roots
-            weights = [[sum(map(mul, row, root)) for row in A] for root in roots]
+            A, nodes, weights = self.cartan_matrix, range(self.rank), self._pairings
             bound = max(sum(map(abs, column)) for column in zip(*weights))
             base = 2 * bound + 1
             powers = [base**k for k in nodes]
             codes = [sum(map(mul, wt, powers)) for wt in weights]
             self._start = sum(codes)
             self._code_base = base
-            self._two_rho = tuple(map(sum, zip(*roots)))
+            self._two_rho = tuple(map(sum, zip(*self.positive_roots)))
             self._neighbours = tuple(
                 tuple((j, A[j][k]) for j in nodes if j != k and A[j][k]) for k in nodes
             )
@@ -626,7 +732,12 @@ class CoxeterSystem:
         Reflection Groups and Coxeter Groups, 1.12), and the alpha_j span V.
         """
         self._check_member(w)
-        mask = reduce(or_, map(getitem, self._image_supports, w.rep), 0)
+        return self._image_support(w.rep)
+
+    def _image_support(self, images: tuple) -> frozenset[int]:
+        """`support` from the images of the simple roots (a rep's first
+        `rank` entries, or the whole rep)."""
+        mask = reduce(or_, map(getitem, self._image_supports, images), 0)
         supp = self._support_sets.get(mask)
         if supp is None:
             supp = self._support_sets[mask] = frozenset(
@@ -836,12 +947,22 @@ class DihedralSystem(CoxeterSystem):
     def _rep_length(self, r: int, f: int) -> int:
         return 2 * min(r, self.m - f - r) + f
 
-    def _with_length(self, rep: tuple, length) -> Element:
-        """The length rule of `product` and `step`: the closed form, not
-        the count the loop carried ((r, f) has no signed entries)."""
+    def _with_length(self, rep: tuple) -> Element:
+        """The Element of rep with its closed-form length, for `product`
+        and `step`."""
         w = Element(self, rep)
         w._length = self._rep_length(*rep)
         return w
+
+    def product(self, letters) -> Element:
+        """Closed form of `CoxeterSystem.product`: one `_dihedral_right` per
+        letter, after the same range check, and the closed-form length."""
+        rep, m = self._identity.rep, self.m
+        for i in letters:
+            if not 0 < i <= 2:
+                raise CoxeterError(f"generator index {i} out of range 1..2")
+            rep = _dihedral_right(rep, i, m)
+        return self._with_length(rep)
 
     def step(self, w: Element, i: int, left: bool = False) -> Element:
         """Closed form of `CoxeterSystem.step`, with the closed-form length.
@@ -854,11 +975,30 @@ class DihedralSystem(CoxeterSystem):
         if not 0 < i <= 2:
             raise CoxeterError(f"generator index {i} out of range 1..2")
         rep = self._left_prefix(w.rep, i) if left else self._right_rep(w.rep, i)
-        return self._with_length(rep, None)
+        return self._with_length(rep)
 
     def _right_rep(self, rep: tuple, i: int) -> tuple:
         """Closed form of `CoxeterSystem._right_rep`, as in `step`."""
         return _dihedral_right(rep, i, self.m)
+
+    def _right_images(self, images: tuple, i: int) -> tuple:
+        """Closed form of `CoxeterSystem._right_images`: the images are the
+        pair (r, f) itself."""
+        return _dihedral_right(images, i, self.m)
+
+    def _image_descents(self, images: tuple) -> tuple:
+        """Closed form of `CoxeterSystem._image_descents`: the left descents
+        of the inverse, ascending."""
+        r, f = images
+        return tuple(sorted(self._pair_left_descents(r if f else -r % self.m, f)))
+
+    def _image_support(self, images: tuple) -> frozenset[int]:
+        """Closed form of `CoxeterSystem._image_support`: J(w) up to length
+        1, both nodes beyond."""
+        r, f = images
+        if self._rep_length(r, f) <= 1:
+            return self._pair_left_descents(r, f)
+        return _S12
 
     def _start_code(self) -> tuple:
         """(r, f) is its own code in `weak_order`: the identity's rep."""
@@ -887,10 +1027,13 @@ class DihedralSystem(CoxeterSystem):
         return 0
 
     def left_descents(self, w: Element) -> frozenset[int]:
+        return self._pair_left_descents(*w.rep)
+
+    def _pair_left_descents(self, r: int, f: int) -> frozenset[int]:
+        """`left_descents` of the element with rep (r, f)."""
         # the reduced word starts with s1 when (s1 s2)^r s1^f is the shorter
         # spelling (r < m - f - r), with s2 when the other one is; both when
         # they tie, which happens only at w0
-        r, f = w.rep
         other = self.m - f - r
         if r < other:
             return _S1 if r or f else frozenset()
@@ -913,7 +1056,8 @@ class DihedralSystem(CoxeterSystem):
 
     def support(self, w: Element) -> frozenset[int]:
         """Nodes whose generator appears in every reduced word of w."""
-        return self.left_descents(w) if self.length(w) <= 1 else _S12
+        self._check_member(w)
+        return self._image_support(w.rep)
 
     def _component_budget(self, comp: tuple[int, ...]) -> int:
         return (self.m if len(comp) == 2 else 1) + len(comp)

@@ -26,9 +26,13 @@ walk that enumerates the group (`CoxeterSystem.weak_order`), which steps
 each edge of the right weak order once, by code, and hands each record
 to the searcher of its descent set, so the search makes no step and looks
 no element up. A searcher handed a bare `Element` (`find_witness`,
-`run_check`) makes its own records instead, lazily: a record gets its
-descents and empty slots when the search first admits it, and a slot is
-stepped the first time the search tries that edge.
+`run_check`) makes its own records instead, lazily, on the images of the
+simple roots (the first `rank` entries of the rep), which fix the element:
+a record is keyed by its images and holds no `Element`, gets its support
+off them when it is made, its descents and empty slots when the search
+first admits it, and a slot is stepped the first time the search tries
+that edge, by one image step (`CoxeterSystem._right_images`, O(degree))
+that carries the length l(w) - 1. No full rep is made.
 """
 
 from __future__ import annotations
@@ -88,9 +92,9 @@ class WitnessSearcher:
     `_seen` holds the records this searcher visited. Supports, descents and
     down-steps come from the records it is handed (a census's walk records)
     or, for an element handed in bare, from the records it makes itself:
-    `_records` holds those by rep. Both memos key on the record object, so
-    a walk record and a record made here for the same element are two
-    keys, never one key for two elements.
+    `_records` holds those by their images. Both memos key on the record
+    object, so a walk record and a record made here for the same element
+    are two keys, never one key for two elements.
     """
 
     def __init__(self, system: CoxeterSystem, I):
@@ -105,26 +109,32 @@ class WitnessSearcher:
         self._records: dict[tuple, WeakOrderNode] = {}
 
     def _record(self, w: Element) -> WeakOrderNode:
-        """This searcher's record of w, made on first sight with `descents`
-        and `down` None, and `left_descents` None for good: the search
-        never reads it."""
-        node = self._records.get(w.rep)
+        """This searcher's record of w: that of its images (`_lazy`)."""
+        return self._lazy(w.rep[: self.system.rank], w.length)
+
+    def _lazy(self, images: tuple, length: int) -> WeakOrderNode:
+        """This searcher's record of the element with these images of the
+        simple roots and this length, made on first sight with its support
+        read off the images (`WeakOrderNode.lazy`)."""
+        node = self._records.get(images)
         if node is None:
-            node = self._records[w.rep] = WeakOrderNode(
-                w, self.system.support(w), None, None, None
+            node = self._records[images] = WeakOrderNode.lazy(
+                images, length, self.system._image_support(images)
             )
         return node
 
     def _open(self, node: WeakOrderNode) -> None:
-        """Fill the right descents of a record made here, ascending, and
-        give it one empty down-edge slot per descent."""
-        node.descents = tuple(sorted(self.system.right_descents(node.element)))
+        """Fill the right descents of a record made here, ascending, read
+        off its images, and give it one empty down-edge slot per descent."""
+        node.descents = self.system._image_descents(node.images)
         node.down = [None] * len(node.descents)
 
     def _step(self, node: WeakOrderNode, k: int) -> WeakOrderNode:
-        """Fill slot k of an open record: the record of w s_i, i = descents[k]."""
-        w = self.system.step(node.element, node.descents[k])
-        node.down[k] = child = self._record(w)
+        """Fill slot k of an open record: the record of w s_i, i =
+        descents[k], one image step (`_right_images`, O(degree)) with its
+        length l(w) - 1, since i is a descent."""
+        images = self.system._right_images(node.images, node.descents[k])
+        node.down[k] = child = self._lazy(images, node.length - 1)
         return child
 
     def search(self, w) -> tuple[int, ...] | None:

@@ -28,8 +28,21 @@ def parse_word(text: str) -> tuple[int, ...]:
     return tuple(letters)
 
 
+class _LetterNames(dict):
+    """Letter -> its name "s{letter}": a table for 0..99, the f-string for
+    any other letter, which it does not keep."""
+
+    def __missing__(self, letter):
+        return f"s{letter}"
+
+
+_letter_name = _LetterNames((i, f"s{i}") for i in range(100)).__getitem__
+
+
 def format_word(letters) -> str:
-    return " ".join(f"s{i}" for i in letters) if letters else "<id>"
+    """'s2 s3 s4' for the letters (2, 3, 4), '<id>' for the empty word;
+    each name is one lookup in a table of letter names."""
+    return " ".join(map(_letter_name, letters)) if letters else "<id>"
 
 
 def evaluate(system: CoxeterSystem, letters) -> Element:

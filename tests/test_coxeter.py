@@ -614,3 +614,80 @@ def test_word_matches_the_inversion_set_walk_on_random_words(name):
         word = [rng.randint(1, system.rank) for _ in range(rng.randint(0, 150))]
         w = evaluate(system, word)
         assert w.word() == _inversion_set_word(system, w), word
+
+
+IMAGE_GROUPS = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
+    "F4", "G2",
+]
+
+
+def _check_images(system, rep):
+    """The image step, descents and support, and the expansion, at the
+    element of rep against its full rep."""
+    rank = system.rank
+    images = rep[:rank]
+    w = Element(system, rep)
+    for i in range(1, rank + 1):
+        assert system._right_images(images, i) == system._right_rep(rep, i)[:rank], (rep, i)
+    assert system._image_descents(images) == tuple(sorted(system.right_descents(w)))
+    assert system._image_support(images) == system.support(w)
+    codes = [system._root_codes[q] for q in images]
+    assert system._rep_of_codes(codes) == rep
+
+
+@pytest.mark.parametrize("name", IMAGE_GROUPS)
+def test_image_step_matches_the_full_right_step_on_every_element(name):
+    """`_right_images(images, i)` is `_right_rep(rep, i)[:rank]`, the
+    descents and support read off the images are those of the element, and
+    `_rep_of_codes` expands the images' codes back to the rep."""
+    system = coxeter_system(name)
+    for w in system.elements():
+        _check_images(system, w.rep)
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_image_step_matches_the_full_right_step_on_random_words(name):
+    system = coxeter_system(name)
+    rng = random.Random(name)
+    for _ in range(3000):
+        word = [rng.randint(1, system.rank) for _ in range(rng.randint(0, 150))]
+        _check_images(system, evaluate(system, word).rep)
+
+
+@pytest.mark.parametrize("name", [*IMAGE_GROUPS, "E6", "E7", "E8"])
+def test_expansion_plan_builds_each_root_from_an_earlier_one(name):
+    """The plan has one entry per non-simple positive root, in root order:
+    beta = beta' + k alpha_i with beta' earlier and k = -<beta',
+    alpha_i-check>; k > 1 only across a multiple bond (B, F, G2). The
+    pairings the closure kept are <beta, alpha_k-check> for every root."""
+    system = coxeter_system(name)
+    roots, rank, A = system.positive_roots, system.rank, system.cartan_matrix
+    plan = system._plan
+    assert len(plan) == len(roots) - rank
+    for n, (p, i, k) in enumerate(plan, start=rank):
+        assert p < n and 0 <= i < rank
+        beta = list(roots[p])
+        beta[i] += k
+        assert tuple(beta) == roots[n]
+        assert k == -system._pairings[p][i] > 0
+    if name[0] not in "BFG":
+        assert {k for _, _, k in plan} <= {1}
+    else:
+        assert max(k for _, _, k in plan) > 1
+    assert system._pairings == tuple(
+        tuple(sum(A[i][j] * root[j] for j in range(rank)) for i in range(rank))
+        for root in roots
+    )
+
+
+def test_root_codes_keep_the_sign_and_read_back():
+    """Each signed root's code is read back by `_code_roots`, and a code is
+    negative exactly on a negative root."""
+    for name in ("B5", "F4", "G2", "E8"):
+        system = coxeter_system(name)
+        n = len(system.positive_roots)
+        for q in [*range(1, n + 1), *range(-n, 0)]:
+            code = system._root_codes[q]
+            assert system._code_roots[code] == q
+            assert (code < 0) == (q < 0)

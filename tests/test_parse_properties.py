@@ -19,6 +19,31 @@ def test_word_round_trip(word):
     assert parse_word(format_word(word)) == word
 
 
+def _f_string_word(letters):
+    """The formatting `format_word` replaced, kept as its reference: one
+    f-string per letter."""
+    return " ".join(f"s{i}" for i in letters) if letters else "<id>"
+
+
+@_SETTINGS
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 120),
+            st.integers(-150, -1),
+            st.sampled_from((-100, -1, 0, 99, 100, 101)),
+            st.integers(),
+        ),
+        max_size=12,
+    ).map(tuple)
+)
+def test_format_word_matches_the_f_string_reference(word):
+    """The table of letter names gives the f-string's text for every integer
+    letter: inside the table, past it and negative."""
+    assert format_word(word) == _f_string_word(word)
+    assert format_word(iter(word)) == _f_string_word(iter(word))
+
+
 @_SETTINGS
 @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_permutation_round_trip(perm):

@@ -367,24 +367,46 @@ def test_diagram_shift_preserves_sphericality():
                 )
 
 
+def _expanded(system, images):
+    """The element whose simple-root images are `images`, expanded root by
+    root in simple-root coordinates, w(beta) = sum_j beta_j w(alpha_j),
+    apart from the root codes and the plan `_rep_of_codes` reads; in I2(m)
+    the images are the pair (r, f) itself."""
+    if system.positive_roots is None:
+        return Element(system, images)
+    roots = system.positive_roots
+    index = {root: k for k, root in enumerate(roots, start=1)}
+    index.update({tuple(-c for c in root): -k for root, k in list(index.items())})
+    columns = [
+        [c if q > 0 else -c for c in roots[abs(q) - 1]] for q in images
+    ]
+    rep = tuple(
+        index[tuple(sum(b * col[t] for b, col in zip(beta, columns)) for t in range(system.rank))]
+        for beta in roots
+    )
+    return Element(system, rep)
+
+
 @pytest.mark.parametrize("name", ["A4", "B3", "I2(7)"])
 def test_search_records_true_lengths_on_its_descent_steps(name, monkeypatch):
+    """Each record a search steps to carries l(w) - 1 from its parent: the
+    length of the element expanded from its images."""
     system = coxeter_system(name)
     elements = system.elements()
     visited = []
-    step = system.step
+    step = WitnessSearcher._step
 
-    def recording(w, i, left=False):
-        v = step(w, i, left)
-        visited.append((v, v._length))
-        return v
+    def recording(self, node, k):
+        child = step(self, node, k)
+        visited.append((child.images, child.length))
+        return child
 
-    monkeypatch.setitem(vars(system), "step", recording)
+    monkeypatch.setattr(WitnessSearcher, "_step", recording)
     for w in elements:
         WitnessSearcher(system, system.left_descents(w)).search(w)
     assert len(visited) > len(elements)
-    for w, carried in visited:
-        assert carried == system.length(w), w
+    for images, carried in visited:
+        assert carried == system.length(_expanded(system, images)), images
 
 
 @pytest.mark.parametrize(
@@ -554,6 +576,7 @@ def test_weak_order_table_matches_lazy_route(name):
     record of the same element holds once the searcher opens it and steps
     every slot: the support, the right descents and the down-steps."""
     system = coxeter_system(name)
+    rank = system.rank
     records = system.weak_order()
     assert [node.element for node in records] == system.elements()
     assert len({node.element.rep for node in records}) == len(records)
@@ -564,6 +587,8 @@ def test_weak_order_table_matches_lazy_route(name):
         lazy = WitnessSearcher(system, ())
         fresh = lazy._record(node.element)
         assert fresh not in walked
+        assert fresh.element is None and fresh.images == node.element.rep[:rank]
+        assert fresh.length == node.length
         assert fresh.descents is None and fresh.down is None
         assert lazy._record(node.element) is fresh
         lazy._open(fresh)
@@ -573,7 +598,10 @@ def test_weak_order_table_matches_lazy_route(name):
         assert not any(child in walked for child in stepped)
         assert fresh.support == node.support
         assert fresh.descents == node.descents
-        assert [c.element for c in fresh.down] == [c.element for c in node.down]
+        assert [c.images for c in fresh.down] == [c.element.rep[:rank] for c in node.down]
+        for child in fresh.down:
+            assert child.element is None
+            assert child.length == system.length(_expanded(system, child.images))
 
 
 @pytest.mark.parametrize(
@@ -671,29 +699,35 @@ def test_census_searchers_make_no_records(name, monkeypatch):
 def test_lazy_route_work_is_pinned(name, right, left, reads, monkeypatch):
     """Golden work of a cold `find_witness(w, J(w))` on every element: the
     right and left steps its lazy tables make, and the right-descent reads.
-    A lazy record reads its descents only when a search first admits it,
-    and steps one down-edge only when a search first takes it. Any later
-    change to these numbers must be explained."""
+    A lazy record reads its descents off its images only when a search
+    first admits it, and steps one down-edge by its images
+    (`_right_images`) only when a search first takes it; no element is
+    stepped and no full rep is made. Any later change to these numbers
+    must be explained."""
     system = coxeter_system(name)
-    step, right_descents = system.step, system.right_descents
-    steps, descent_reads = [], []
-
-    def counting_descents(w):
-        descent_reads.append(w)
-        return right_descents(w)
-
-    def counting_step(w, i, left=False):
-        steps.append(left)
-        return step(w, i, left)
-
-    monkeypatch.setitem(vars(system), "right_descents", counting_descents)
     elements = system.elements()
-    monkeypatch.setitem(vars(system), "step", counting_step)
+    steps, descent_reads, full = [], [], []
+
+    def counting(name, log, entry):
+        method = getattr(system, name)
+
+        def counted(*args, **kwargs):
+            log.append(entry(*args, **kwargs))
+            return method(*args, **kwargs)
+
+        monkeypatch.setitem(vars(system), name, counted)
+
+    counting("_right_images", steps, lambda images, i: False)
+    counting("_left_prefix", steps, lambda prefix, j: True)
+    counting("_image_descents", descent_reads, lambda images: images)
+    counting("step", full, lambda w, i, left=False: "step")
+    counting("_right_rep", full, lambda rep, i: "_right_rep")
     for w in elements:
         find_witness(system, w, system.left_descents(w))
     assert steps.count(False) == right
     assert steps.count(True) == left
     assert len(descent_reads) == reads
+    assert full == []
 
 
 @pytest.mark.parametrize(
@@ -740,3 +774,33 @@ def test_bad_query_raises():
         is_I_spherical(a4, w, {2})
     with pytest.raises(CoxeterError):
         find_witness(a4, w, {1, 2, 3, 4})
+
+
+@pytest.mark.parametrize("word", [E8_WORD_WITNESS, E8_WORD_NOT_WITNESS])
+def test_e8_check_makes_one_full_rep_and_no_full_right_step(word, monkeypatch):
+    """A positive E8 `run_check` on either 19-letter word makes one full rep,
+    where the word is evaluated (`_rep_of_codes`), and no `_right_rep`:
+    the lazy search steps images."""
+    from coxsph import harness
+
+    system = coxeter_system("E8")
+    calls = []
+
+    def counting(name):
+        method = getattr(system, name)
+
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setitem(vars(system), name, counted)
+
+    for name in ("_rep_of_codes", "_right_rep", "_right_images"):
+        counting(name)
+    J = system.left_descents(evaluate(system, parse_word(word)))
+    calls.clear()
+    report = harness.run_check("E8", word, J)
+    assert report.spherical
+    assert calls.count("_rep_of_codes") == 1
+    assert calls.count("_right_rep") == 0
+    assert calls.count("_right_images") > 0

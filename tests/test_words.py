@@ -180,8 +180,8 @@ def test_bruhat_deep_dihedral_needs_no_recursion():
 
 
 def test_evaluate_builds_one_element_per_word(monkeypatch):
-    """A word is evaluated on reps, letter by letter: one `Element` for the
-    whole word, not one per letter."""
+    """A word is evaluated on the images of the simple roots, letter by
+    letter: one `Element` for the whole word, not one per letter."""
     from coxsph.coxeter import Element
 
     system = coxeter_system("E8")
