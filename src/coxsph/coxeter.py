@@ -19,12 +19,10 @@ recorded, so the callers that walk reduced words one element at a time
 generator. A rep's first `rank` entries, the images of the simple roots,
 fix the element (the representation is faithful, Bjorner-Brenti, ch. 4),
 and s_i moves only the image of alpha_i and those of its diagram
-neighbours: w s_i(alpha_j) = w(alpha_j) - A[i][j] w(alpha_i). So single
-queries run on the images. `product(letters)` evaluates a word on the
-codes of the images in simple-root coordinates, O(degree) per letter, and
-expands the full rep once; `_right_images(images, i)`, the images of w s_i
-as signed roots, is the witness search's step on the elements it is
-handed bare, and their descents and support are read off the images too.
+neighbours, so single queries run on the images: `product(letters)`
+evaluates a word in O(degree) per letter and expands the full rep once,
+and `_right_images(images, i)` is the witness search's step on the
+elements it is handed bare.
 
 `weak_order()` enumerates the group by one breadth-first walk of the right
 weak order that keeps every edge it steps.
@@ -309,7 +307,8 @@ class CoxeterSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = _cartan_matrix(cartan_type)
-        self.positive_roots, generator_reps, self._pairings, plan = (
+        # the pairings feed `_start_code`, the plan `_rep_of_codes`
+        self.positive_roots, generator_reps, self._pairings, self._plan = (
             self._roots_and_generators()
         )
         # the nodes each positive root involves, for budgets and `typea`
@@ -347,13 +346,11 @@ class CoxeterSystem:
             for j, bit in enumerate(bits)
         )
         self._support_sets: dict[int, frozenset] = {}  # mask -> its node set
-        # root codes, for `product` and `_right_images`: each root in
-        # simple-root coordinates, read in balanced base M = 2 c + 1 with c
-        # the largest coefficient of a root, so a code's sign is its root's.
-        # `_root_codes` is laid out as `_left_images`, `_code_roots` maps
-        # each signed root's code back to it, and `_plan` lists each
-        # non-simple root beta = beta' + k alpha_i, where the closure first
-        # reached it, as (index of beta', index of alpha_i, k), parents first.
+        # root codes, for `product` and `_right_images`: each root's
+        # simple-root coordinates in balanced base M = 2 c + 1, c the largest
+        # coefficient of a root, so a code's sign is its root's.
+        # `_root_codes` is laid out as `_left_images`; `_code_roots` maps
+        # each signed root's code back to it.
         base = 2 * max(map(max, roots)) + 1
         powers = [base**j for j in range(self.rank)]
         codes = [sum(map(mul, root, powers)) for root in roots]
@@ -361,7 +358,6 @@ class CoxeterSystem:
         self._code_roots = {c: k for k, c in enumerate(codes, start=1)}
         self._code_roots.update({-c: -k for k, c in enumerate(codes, start=1)})
         self._simple_codes = codes[: self.rank]
-        self._plan = plan
         # per node i, the pairs (j, A[i][j]) over its diagram neighbours j
         # (0-based): w s_i(alpha_j) = w(alpha_j) - A[i][j] w(alpha_i)
         A, r = self.cartan_matrix, range(self.rank)
@@ -396,11 +392,9 @@ class CoxeterSystem:
         One closure reflects every root by every generator once and keeps
         the image s_i(beta) = beta - <beta, alpha_i-check> alpha_i: a
         positive root, or -alpha_i for beta = alpha_i; CoxeterError for
-        anything else. It keeps the pairings it computes on the way, and
-        where it first reaches a root beta, as s_i(beta') = beta' + k
-        alpha_i with k = -<beta', alpha_i-check> > 0, the plan entry
-        (index of beta', index of alpha_i, k), 0-based: beta' is lower than
-        beta, so it comes first in the sorted roots.
+        anything else. Where it first reaches a root beta = beta' + k
+        alpha_i, k = -<beta', alpha_i-check> > 0, the plan gets (index of
+        beta', i, k), 0-based; beta' is lower, so it comes first.
         """
         r, A = self.rank, self.cartan_matrix
         simple = [tuple(int(j == i) for j in range(r)) for i in range(r)]
