@@ -1,54 +1,42 @@
 """Exact arithmetic in finite Coxeter groups.
 
-`CoxeterSystem` realizes types A, B, D, E, F, G through their action on
-positive roots written in the simple-root basis: an element is stored as the
-signed permutation it induces on the list of positive roots. This gives
-O(#roots) multiplication, inversion-free length and descent queries, and a
-canonical representation (two elements are equal iff their tuples are).
-The roots and each generator's permutation of them come from one closure
-that reflects each root by each generator once; it keeps the pairings
-<beta, alpha_k-check> it computes and, for each non-simple root, where it
-first reached it, beta = beta' + k alpha_i: the plan by which a full rep is
-expanded from the images of the simple roots.
+`CoxeterSystem` realizes types A, B, D, E, F, G through their action on the
+roots, written in the simple-root basis. An element w is stored as the images
+of the simple roots, w(alpha_1), ..., w(alpha_rank), each a signed index
+into the list of positive roots (-k for the negative of root k). The
+geometric representation is faithful, so the images fix the element
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4), and two elements
+are equal iff their tuples are. The roots, each generator's action on them
+and the pairings <beta, alpha_k-check> come from one closure that reflects
+each root by each generator once.
 
-`_right_rep(rep, i)` is the one right-step formula on full reps: the rep of
-w s_i from the rep of w. `step(w, i)` wraps it as an `Element`: it returns
-w s_i (s_i w with `left=True`) with its length l(w) - 1 or l(w) + 1
-recorded, so the callers that walk reduced words one element at a time
-(words and Bruhat order) never recount a length or multiply by a
-generator. A rep's first `rank` entries, the images of the simple roots,
-fix the element (the representation is faithful, Bjorner-Brenti, ch. 4),
-and s_i moves only the image of alpha_i and those of its diagram
-neighbours, so single queries run on the images: `product(letters)`
-evaluates a word in O(degree) per letter and expands the full rep once,
-and `_right_images(images, i)` is the witness search's step on the
-elements it is handed bare.
+s_i moves only the image of alpha_i and those of its diagram neighbours,
+w s_i(alpha_j) = w(alpha_j) - A[i][j] w(alpha_i), so a right step
+(`_right_images`), a word's evaluation (`product`) and `step` cost
+O(degree); a left step maps each image through s_i (`_left_prefix`).
+w(2 rho), 2 rho the sum of the positive roots, is read off the images in
+fundamental-weight coordinates (`_weights`): k is a left descent of w iff
+<w(2 rho), alpha_k-check> < 0, which gives `left_descents`, and `word()`
+walks w(2 rho) to the dominant chamber, O(rank) per letter (Casselman,
+Machine calculations in Weyl groups, 1994). `multiply` and `inverse`
+evaluate words. The one place an element is expanded to all positive roots
+is `length()` of an element that carries no length: the closure records
+each non-simple root as beta = beta' + k alpha_i, so w(beta) = w(beta') + k
+w(alpha_i), and l(w) counts the roots sent negative.
 
 `weak_order()` enumerates the group by one breadth-first walk of the right
-weak order that keeps every edge it steps.
-It keys each element by one int, the code of w(2 rho), 2 rho the sum of the
-positive roots: 2 rho is regular, so w -> w(2 rho) is one-to-one
-(Humphreys, Reflection Groups and Coxeter Groups, 1.12; Bjorner-Brenti,
-ch. 4), and w(2 rho), a signed sum of all positive roots, has weight
-coordinate <w(2 rho), alpha_k-check> in [-B, B], B = max_k sum_beta
-|<beta, alpha_k-check>|, so reading it in base 2 B + 1 is one-to-one and
-linear. As s_i(2 rho) = 2 rho - 2 alpha_i, the code of w s_i is the code
-of w minus 2 code(w(alpha_i)): one lookup (`_right_code`) per edge, one
-`_right_rep` and `Element` per element. It builds one
-`WeakOrderNode` per element: its support, its right descents, the records
-of its down-steps w s_i and its left descents, each read off a parent's
-record with no descent query.
-`elements()` is the list of their elements, and a census hands the records
-themselves to its searchers.
-`multiply` is the general product. `support(w)` reads only the images of
-the simple roots. `word(w)`, the lex-first reduced word
-that labels an element, steps no element: it reads w(2 rho) in
-fundamental-weight coordinates off those images through the walk's code
-table, which holds codes in those coordinates, then walks it to the
-dominant chamber. i is a left descent of w iff <w(2 rho), alpha_i-check> <
-0, and s_i moves only coordinate i and those of i's diagram neighbours
-(Casselman, Machine calculations in Weyl groups, 1994), so each of the
-l(w) letters costs O(rank).
+weak order that keeps every edge it steps. It keys each element by one int,
+the code of w(2 rho): 2 rho is regular, so w -> w(2 rho) is one-to-one
+(Humphreys, Reflection Groups and Coxeter Groups, 1.12), and its weight
+coordinates lie in [-B, B], B = max_k sum_beta |<beta, alpha_k-check>|, so
+reading them in base 2 B + 1 is one-to-one and linear. As s_i(2 rho) = 2
+rho - 2 alpha_i, the code of w s_i is the code of w minus 2 code(w(alpha_i)):
+one lookup (`_right_code`) per edge, and one image step and `Element` per
+element. It builds one `WeakOrderNode` per element: its support, its right
+descents, the records of its down-steps w s_i and its left descents, each
+read off a parent's record with no descent query. `elements()` is the list
+of their elements, and a census hands the records themselves to its
+searchers. `support(w)` reads the images through one table of bit masks.
 
 `DihedralSystem` handles I2(m), which has no integral root basis for general
 m and whose root permutations would make every product O(m): it stores
@@ -71,7 +59,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import compress
-from operator import getitem, itemgetter, mul, or_
+from operator import getitem, mul, or_
 
 ENUM_CAP_ENV = "COXSPH_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10**7
@@ -184,8 +172,9 @@ _BOND_TO_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 class Element:
     """Canonical group element of a CoxeterSystem.
 
-    `rep` is the signed root permutation (`CoxeterSystem`) or the rotation
-    and reflection pair (r, f) (`DihedralSystem`). Immutable and hashable.
+    `rep` is the images of the simple roots as signed root indices
+    (`CoxeterSystem`), or the rotation and reflection pair (r, f)
+    (`DihedralSystem`), which is its own images. Immutable and hashable.
     """
 
     __slots__ = ("system", "rep", "_length")
@@ -239,14 +228,13 @@ class WeakOrderNode:
     tuple of records and `left_descents` the frozenset `left_descents(w)`
     returns. A record that a `spherical.WitnessSearcher` makes for an
     element it is handed bare (`lazy`) holds no `Element`: `element` is
-    None and `images` holds the images of the simple roots, the first
-    `rank` entries of the rep (the pair (r, f) in I2(m)), which fix the
-    element; its length is carried from the record it was stepped from. It
-    leaves `left_descents` None, since the search never reads it, and
-    leaves `descents` and `down` None until the search first admits it,
-    then opens it with one empty slot per descent and fills a slot the
-    first time the search takes that edge (most elements a search meets are
-    never stepped from)."""
+    None and `images` holds the images of the simple roots, the rep the
+    element would have (the pair (r, f) in I2(m)); its length is carried
+    from the record it was stepped from. It leaves `left_descents` None,
+    since the search never reads it, and leaves `descents` and `down` None
+    until the search first admits it, then opens it with one empty slot per
+    descent and fills a slot the first time the search takes that edge
+    (most elements a search meets are never stepped from)."""
 
     __slots__ = (
         "element", "images", "length", "support", "descents", "down", "left_descents"
@@ -284,7 +272,9 @@ class ComponentDecomposition:
     their budgets; `slot[i]` is the group of node i. The witness search,
     its certificate and `verify_witness` all read this table.
     `CoxeterSystem.decompose_subset` keys the decompositions by their
-    subset, so each table is built once per subset and system.
+    subset, so each table is built once per subset and system. `touched`
+    is the searchers' cache of the groups each support meets, shared by
+    every searcher of the subset.
     """
 
     components: tuple[tuple[int, ...], ...]
@@ -292,13 +282,14 @@ class ComponentDecomposition:
     groups: tuple[tuple[int, ...], ...]
     allowances: tuple[int, ...]
     slot: dict = field(compare=False)  # derived from `groups`
+    touched: dict = field(compare=False, default_factory=dict)
 
 
 class CoxeterSystem:
     """A finite Weyl group (types A-G) with exact element arithmetic.
 
-    Elements are signed permutations of the positive roots; `from_string`
-    returns a `DihedralSystem` for I2(m).
+    Elements are the images of the simple roots; `from_string` returns a
+    `DihedralSystem` for I2(m).
     """
 
     _twice_codes = None  # the code table of `_right_code` and `word`, built on first use
@@ -307,7 +298,7 @@ class CoxeterSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = _cartan_matrix(cartan_type)
-        # the pairings feed `_start_code`, the plan `_rep_of_codes`
+        # the pairings feed `_start_code`, the plan `_images_length`
         self.positive_roots, generator_reps, self._pairings, self._plan = (
             self._roots_and_generators()
         )
@@ -316,23 +307,15 @@ class CoxeterSystem:
         self._root_supports = tuple(
             frozenset(compress(nodes, root)) for root in self.positive_roots
         )
-        self._negative_simple = frozenset(range(-self.rank, 0))
         self.coxeter_matrix = self._coxeter_from_cartan()
         self._set_elements(
-            tuple(range(1, len(self.positive_roots) + 1)), generator_reps
+            tuple(range(1, self.rank + 1)), [rep[: self.rank] for rep in generator_reps]
         )
-        # `step` tables, one per generator. w s_i lists w's entries in the
-        # order of s_i's root permutation, then negates entry i; with a single
-        # root (A1) that order is the identity, and `tuple` stands in for an
-        # itemgetter of one index, which would return a scalar. s_i w maps
-        # each entry q of w through s_i: a tuple with s_i's images at 1..N
-        # and their negatives at -N..-1, read from its end.
-        self._right_orders = tuple(
-            itemgetter(*(abs(q) - 1 for q in s.rep)) if len(s.rep) > 1 else tuple
-            for s in self._generators
-        )
+        # `_left_prefix` tables, one per generator: s_i maps each signed root
+        # q through a tuple with s_i's images at 1..N and their negatives at
+        # -N..-1, read from its end.
         self._left_images = tuple(
-            (0, *s.rep, *(-q for q in reversed(s.rep))) for s in self._generators
+            (0, *rep, *(-q for q in reversed(rep))) for rep in generator_reps
         )
         # `support` tables, one per node j, laid out as `_left_images`: the
         # bit mask of supp(q - alpha_j) for each signed root q. Coefficient
@@ -346,9 +329,9 @@ class CoxeterSystem:
             for j, bit in enumerate(bits)
         )
         self._support_sets: dict[int, frozenset] = {}  # mask -> its node set
-        # root codes, for `product` and `_right_images`: each root's
-        # simple-root coordinates in balanced base M = 2 c + 1, c the largest
-        # coefficient of a root, so a code's sign is its root's.
+        # root codes, for `product`, `_right_images` and `_images_length`:
+        # each root's simple-root coordinates in balanced base M = 2 c + 1, c
+        # the largest coefficient of a root, so a code's sign is its root's.
         # `_root_codes` is laid out as `_left_images`; `_code_roots` maps
         # each signed root's code back to it.
         base = 2 * max(map(max, roots)) + 1
@@ -387,7 +370,7 @@ class CoxeterSystem:
         """The positive roots, simple roots first and then by height and
         coordinates, each generator's signed root permutation, the pairings
         <beta, alpha_k-check> of each root, and the expansion plan of
-        `_rep_of_codes`.
+        `_images_length`.
 
         One closure reflects every root by every generator once and keeps
         the image s_i(beta) = beta - <beta, alpha_i-check> alpha_i: a
@@ -482,36 +465,26 @@ class CoxeterSystem:
             raise CoxeterError("element belongs to a different Coxeter system")
 
     def multiply(self, u: Element, v: Element) -> Element:
-        self._check_member(u)
-        self._check_member(v)
-        urep = u.rep
-        out = []
-        for q in v.rep:
-            if q > 0:
-                out.append(urep[q - 1])
-            else:
-                out.append(-urep[-q - 1])
-        return Element(self, tuple(out))
+        """uv, by evaluating a reduced word of u followed by one of v."""
+        return self.product(self.word(u) + self.word(v))
+
+    def inverse(self, w: Element) -> Element:
+        """w^-1, by evaluating a reduced word of w backwards."""
+        return self.product(reversed(self.word(w)))
 
     def step(self, w: Element, i: int, left: bool = False) -> Element:
-        """w s_i, or s_i w when `left`, carrying its length l(w) +- 1.
-
-        i is a right descent of w iff w sends alpha_i negative (entry i of
-        rep is negative), and a left descent iff some root goes to -alpha_i
-        (-i is in rep); the length drops by one exactly then.
-        """
+        """w s_i, or s_i w when `left`, by one image step (`_right_images`,
+        `_left_prefix`), carrying its length l(w) - 1 if i is a right (left)
+        descent of w and l(w) + 1 otherwise."""
         self._check_member(w)
         if not 0 < i <= self.rank:
             raise CoxeterError(f"generator index {i} out of range 1..{self.rank}")
-        rep = w.rep
         if left:
-            down = -i in rep
-            images = self._left_images[i - 1]
-            out = itemgetter(*rep)(images) if len(rep) > 1 else (images[rep[0]],)
+            down = self._left_descent(w.rep, i)
+            v = Element(self, self._left_prefix(w.rep, i))
         else:
-            down = rep[i - 1] < 0
-            out = self._right_rep(rep, i)
-        v = Element(self, out)
+            down = i in self._image_descents(w.rep)
+            v = Element(self, self._right_images(w.rep, i))
         v._length = w.length - 1 if down else w.length + 1
         return v
 
@@ -521,8 +494,8 @@ class CoxeterSystem:
         w s_i(alpha_j) = w(alpha_j) - A[i][j] w(alpha_i). Per letter a
         range check (`step`'s CoxeterError), the descent test c_i < 0,
         which carries l(w), then c_i turns to -c_i and each diagram
-        neighbour j of i loses A[i][j] c_i: O(degree), not O(#roots). The
-        full rep is expanded once at the end (`_rep_of_codes`), into one
+        neighbour j of i loses A[i][j] c_i: O(degree), not O(#roots).
+        `_code_roots` reads the codes back as signed roots, into one
         `Element`."""
         rank, moves = self.rank, self._right_moves
         codes, length = list(self._simple_codes), 0
@@ -538,27 +511,15 @@ class CoxeterSystem:
             codes[i] = -x
             for j, a in moves[i]:
                 codes[j] -= a * x
-        w = Element(self, self._rep_of_codes(codes))
+        w = Element(self, tuple(map(self._code_roots.__getitem__, codes)))
         w._length = length
         return w
 
-    def _rep_of_codes(self, codes: list) -> tuple:
-        """The rep of w from the codes of w(alpha_1), ..., w(alpha_rank):
-        the plan of `_roots_and_generators` gives each further positive
-        root as beta = beta' + k alpha_i, so w(beta) = w(beta') + k
-        w(alpha_i), one add per root, parents first; `_code_roots` reads
-        each code back as its signed root. `codes` is extended in place."""
-        extend = codes.append
-        for p, i, k in self._plan:
-            extend(codes[p] + k * codes[i])
-        return tuple(map(self._code_roots.__getitem__, codes))
-
     def _right_images(self, images: tuple, i: int) -> tuple:
         """The images of the simple roots under w s_i, as signed roots, from
-        those of w and a valid i: `_right_rep(rep, i)[:rank]` without the
-        full rep. Entry i is negated and each diagram neighbour j of i
-        becomes w(alpha_j) - A[i][j] w(alpha_i), read through the root
-        codes: O(degree)."""
+        those of w and a valid i. Entry i is negated and each diagram
+        neighbour j of i becomes w(alpha_j) - A[i][j] w(alpha_i), read
+        through the root codes: O(degree)."""
         out = list(images)
         q = images[i - 1]
         out[i - 1] = -q
@@ -573,16 +534,9 @@ class CoxeterSystem:
         roots: i is one iff w(alpha_i) < 0."""
         return tuple([i for i, q in enumerate(images, start=1) if q < 0])
 
-    def _right_rep(self, rep: tuple, i: int) -> tuple:
-        """The rep of w s_i, given the rep of w and a valid i: w's entries
-        in the order of s_i's root permutation, with entry i negated."""
-        out = list(self._right_orders[i - 1](rep))
-        out[i - 1] = -out[i - 1]
-        return tuple(out)
-
     def _start_code(self) -> int:
         """The code of the identity, where `weak_order` starts: code(2 rho).
-        The first call builds the table `_right_code` and `word` read.
+        The first call builds the table `_right_code` and `_weights` read.
 
         code(v) = sum_k v_k M^k on the weight coordinates v_k = <v,
         alpha_k-check>, the pairings the root closure kept (`_pairings`),
@@ -595,9 +549,9 @@ class CoxeterSystem:
         is regular (<2 rho, alpha_k-check> = 2), so w -> w(2 rho) is
         one-to-one (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
         Entry q of the table, laid out as `_left_images`, is 2 code(q) for
-        the signed root q. Beside it, for `word`: M, the simple-root
-        coordinates of 2 rho, and for each node k the pairs (j, A[j][k])
-        over its diagram neighbours j, the coordinates s_k moves.
+        the signed root q. Beside it, for `_weights` and `word`: M, the
+        simple-root coordinates of 2 rho, and for each node k the pairs (j,
+        A[j][k]) over its diagram neighbours j, the coordinates s_k moves.
         """
         if self._twice_codes is None:
             A, nodes, weights = self.cartan_matrix, range(self.rank), self._pairings
@@ -622,10 +576,40 @@ class CoxeterSystem:
         entry i of rep. One lookup in the table `_start_code` builds."""
         return code - self._twice_codes[rep[i - 1]]
 
-    def _left_prefix(self, prefix: tuple, j: int) -> tuple:
-        """The prefix of s_j w from the prefix of w: s_j maps each image."""
+    def _weight_code(self, images: tuple) -> int:
+        """code(w(2 rho)) from the images of the simple roots, plus B in
+        every digit, so that its plain base-M digits are v_k + B for the
+        weight coordinates v_k = <w(2 rho), alpha_k-check>: with 2 rho =
+        sum_j c_j alpha_j, w(2 rho) = sum_j c_j w(alpha_j), so sum_j c_j
+        times entry w(alpha_j) of the `_start_code` table is 2 code(w(2
+        rho)). v_k = <2 rho, w^-1(alpha_k-check)> < 0 iff k is a left
+        descent of w."""
+        if self._twice_codes is None:
+            self._start_code()
+        twice = map(self._twice_codes.__getitem__, images)
+        shift = self._code_base**self.rank // 2  # B in every digit
+        return (sum(map(mul, self._two_rho, twice)) >> 1) + shift
+
+    def _weights(self, images: tuple) -> list:
+        """The weight coordinates of w(2 rho): `rank` divmods of
+        `_weight_code`."""
+        code, base = self._weight_code(images), self._code_base
+        bound = base >> 1
+        v = []
+        for _ in range(self.rank):
+            code, digit = divmod(code, base)
+            v.append(digit - bound)
+        return v
+
+    def _left_descent(self, images: tuple, i: int) -> bool:
+        """Whether i is a left descent of w: digit i of `_weight_code`."""
+        code, base = self._weight_code(images), self._code_base
+        return code // base ** (i - 1) % base < base >> 1
+
+    def _left_prefix(self, rep: tuple, j: int) -> tuple:
+        """The images of s_j w from those of w: s_j maps each image."""
         images = self._left_images[j - 1]
-        return tuple([images[q] for q in prefix])
+        return tuple([images[q] for q in rep])
 
     def _left_gain(self, node: WeakOrderNode, i: int) -> int:
         """The left descent that v s_i has and v lacks, 0 if none, for the
@@ -635,59 +619,47 @@ class CoxeterSystem:
         j = node.element.rep[i - 1]
         return j if j <= self.rank else 0
 
-    def inverse(self, w: Element) -> Element:
-        self._check_member(w)
-        out = [0] * len(w.rep)
-        for p, q in enumerate(w.rep):
-            if q > 0:
-                out[q - 1] = p + 1
-            else:
-                out[-q - 1] = -(p + 1)
-        return Element(self, tuple(out))
-
     def length(self, w: Element) -> int:
+        """l(w), counted afresh from the rep (`_images_length`)."""
         self._check_member(w)
-        return sum(1 for q in w.rep if q < 0)
+        return self._images_length(w.rep)
+
+    def _images_length(self, images: tuple) -> int:
+        """l(w), the number of positive roots w sends negative, from the
+        images of the simple roots: the closure's plan gives each further
+        positive root as beta = beta' + k alpha_i, so w(beta) = w(beta') +
+        k w(alpha_i), one add of root codes per root, parents first, and a
+        code's sign is its root's. The one place an element is expanded to
+        all positive roots."""
+        codes = list(map(self._root_codes.__getitem__, images))
+        extend = codes.append
+        for p, i, k in self._plan:
+            extend(codes[p] + k * codes[i])
+        return sum(c < 0 for c in codes)
 
     def right_descents(self, w: Element) -> frozenset[int]:
-        return frozenset(i for i in range(1, self.rank + 1) if w.rep[i - 1] < 0)
+        return frozenset(self._image_descents(w.rep))
 
     def left_descents(self, w: Element) -> frozenset[int]:
-        # i is a left descent iff w^-1 sends alpha_i negative, that is iff
-        # some positive root goes to -alpha_i, whose entry in rep is -i; the
-        # set intersection scans rep in C, faster than building the inverse
-        return frozenset([-q for q in self._negative_simple.intersection(w.rep)])
+        """J(w): the k with <w(2 rho), alpha_k-check> < 0 (`_weights`)."""
+        self._check_member(w)
+        return frozenset([k for k, x in enumerate(self._weights(w.rep), start=1) if x < 0])
 
     def word(self, w: Element) -> tuple[int, ...]:
         """The lex-first reduced word of w, by the chamber walk of w(2 rho).
 
-        i is a left descent of w iff w^-1(alpha_i) < 0, that is iff v_i =
-        <w(2 rho), alpha_i-check> = <2 rho, w^-1(alpha_i-check)> < 0; v = 2
-        rho, dominant, only at the identity. So the walk takes the first k
-        with v_k < 0, spells k and reflects: s_k(v) = v - v_k alpha_k, and
-        alpha_k has weight coordinates A[j][k], so v_k turns to -v_k and
-        only k's diagram neighbours j move, by -v_k A[j][k]; then it goes on
-        from s_k w until v is dominant (Casselman, Machine calculations in
-        Weyl groups, Invent. Math. 116, 1994). v is read off the first
-        `rank` entries of rep, the images of the simple roots: with 2 rho =
-        sum_j c_j alpha_j, w(2 rho) = sum_j c_j w(alpha_j), so sum_j c_j
-        times entry w(alpha_j) of the `_start_code` table is 2 code(w(2
-        rho)), and `rank` divmods read its balanced digits. Each letter
-        costs O(rank). Raises CoxeterError if the walk spends a number of
-        letters other than l(w); it stops after l(w) + 1.
+        k is a left descent of w iff v_k = <w(2 rho), alpha_k-check> < 0
+        (`_weights`), and v = 2 rho, dominant, only at the identity. So the
+        walk takes the first k with v_k < 0, spells k and reflects: s_k(v) =
+        v - v_k alpha_k, and alpha_k has weight coordinates A[j][k], so v_k
+        turns to -v_k and only k's diagram neighbours j move, by -v_k
+        A[j][k]; then it goes on from s_k w until v is dominant (Casselman,
+        Machine calculations in Weyl groups, Invent. Math. 116, 1994). Each
+        letter costs O(rank). Raises CoxeterError if the walk spends a
+        number of letters other than l(w); it stops after l(w) + 1.
         """
         self._check_member(w)
-        if self._twice_codes is None:
-            self._start_code()
-        base, neighbours = self._code_base, self._neighbours
-        bound = base >> 1
-        twice = map(self._twice_codes.__getitem__, w.rep)
-        # adding M^rank // 2, B in every digit, makes the balanced digits plain
-        code = (sum(map(mul, self._two_rho, twice)) >> 1) + base**self.rank // 2
-        v = []
-        for _ in range(self.rank):
-            code, digit = divmod(code, base)
-            v.append(digit - bound)
+        v, neighbours = self._weights(w.rep), self._neighbours
         letters, length = [], w.length
         for _ in range(length + 1):
             k = 0  # counted by hand: `enumerate` pairs cost more here
@@ -718,8 +690,8 @@ class CoxeterSystem:
 
     def support(self, w: Element) -> frozenset[int]:
         """Nodes whose generator appears in every reduced word of w:
-        the union over j of supp(w(alpha_j) - alpha_j), read off the first
-        `rank` entries of rep, one table lookup each.
+        the union over j of supp(w(alpha_j) - alpha_j), one table lookup
+        per image.
 
         w is in W_K iff (w - 1)V lies in the span of alpha_K, since
         pointwise stabilizers are parabolic (Steinberg; Humphreys,
@@ -729,8 +701,7 @@ class CoxeterSystem:
         return self._image_support(w.rep)
 
     def _image_support(self, images: tuple) -> frozenset[int]:
-        """`support` from the images of the simple roots (a rep's first
-        `rank` entries, or the whole rep)."""
+        """`support` from the images of the simple roots."""
         mask = reduce(or_, map(getitem, self._image_supports, images), 0)
         supp = self._support_sets.get(mask)
         if supp is None:
@@ -759,16 +730,14 @@ class CoxeterSystem:
         such step is a down-edge of its result, and the letters run in the
         outer loop, so each element collects its edges in ascending order
         and its right descents are their letters: no descent query. A new
-        element's rep (`_right_rep` from its first down-edge) and
+        element's rep (one `_right_images` from its first down-edge) and
         `Element`, with its length k + 1, are made once, not once per
-        edge, and the level is sorted by rep; the images of the simple
-        roots, its first `rank` entries, already fix the element (the
-        representation is faithful, Bjorner-Brenti, ch. 4), so they decide
-        the order. The support and the left descents come off the first
-        parent's, v = w s_i with i = descents[0]: supp(w) = supp(v) + {i},
-        and J(w) is J(v) plus the letter `_left_gain` reads off v and i, if
-        any (the lifting property of the weak order, Bjorner-Brenti, ch.
-        3), so no record pays a `left_descents` query. Equal sets are one
+        edge, and the level is sorted by rep. The support and the left
+        descents come off the first parent's, v = w s_i with i =
+        descents[0]: supp(w) = supp(v) + {i}, and J(w) is J(v) plus the
+        letter `_left_gain` reads off v and i, if any (the lifting property
+        of the weak order, Bjorner-Brenti, ch. 3), so no record pays a
+        `left_descents` query. Equal sets are one
         frozenset, kept in one table for both: one support per record took
         87 MB max RSS on the A7 census, against 69 MB shared. Raises
         CoxeterError when |W| exceeds the cap (COXSPH_ENUM_CAP environment
@@ -786,7 +755,7 @@ class CoxeterSystem:
             raise CoxeterError(
                 f"group order {self.order()} exceeds enumeration cap {cap}"
             )
-        out, right, gain, code_of = [], self._right_rep, self._left_gain, self._right_code
+        out, right, gain, code_of = [], self._right_images, self._left_gain, self._right_code
         empty = frozenset()
         level = [WeakOrderNode(self.identity, empty, (), (), empty)]
         codes = [self._start_code()]  # codes[k] is the code of level[k]
@@ -922,31 +891,10 @@ class DihedralSystem(CoxeterSystem):
     def order(self) -> int:
         return 2 * self.m
 
-    def multiply(self, u: Element, v: Element) -> Element:
-        self._check_member(u)
-        self._check_member(v)
-        (r1, f1), (r2, f2) = u.rep, v.rep
-        # s1 (s1 s2)^r = (s1 s2)^-r s1
-        return Element(self, ((r1 - r2 if f1 else r1 + r2) % self.m, f1 ^ f2))
-
-    def inverse(self, w: Element) -> Element:
-        self._check_member(w)
-        r, f = w.rep
-        return w if f else Element(self, (-r % self.m, 0))
-
-    def length(self, w: Element) -> int:
-        self._check_member(w)
-        return self._rep_length(*w.rep)
-
-    def _rep_length(self, r: int, f: int) -> int:
+    def _images_length(self, images: tuple) -> int:
+        """Closed form of `CoxeterSystem._images_length`."""
+        r, f = images
         return 2 * min(r, self.m - f - r) + f
-
-    def _with_length(self, rep: tuple) -> Element:
-        """The Element of rep with its closed-form length, for `product`
-        and `step`."""
-        w = Element(self, rep)
-        w._length = self._rep_length(*rep)
-        return w
 
     def product(self, letters) -> Element:
         """Closed form of `CoxeterSystem.product`: one `_dihedral_right` per
@@ -956,24 +904,9 @@ class DihedralSystem(CoxeterSystem):
             if not 0 < i <= 2:
                 raise CoxeterError(f"generator index {i} out of range 1..2")
             rep = _dihedral_right(rep, i, m)
-        return self._with_length(rep)
-
-    def step(self, w: Element, i: int, left: bool = False) -> Element:
-        """Closed form of `CoxeterSystem.step`, with the closed-form length.
-
-        Both generators flip f. With s2 = (s1 s2)^-1 s1: w s1 keeps r, w s2
-        turns r by one (up when f = 1), s1 w negates r and s2 w sends r to
-        -r - 1.
-        """
-        self._check_member(w)
-        if not 0 < i <= 2:
-            raise CoxeterError(f"generator index {i} out of range 1..2")
-        rep = self._left_prefix(w.rep, i) if left else self._right_rep(w.rep, i)
-        return self._with_length(rep)
-
-    def _right_rep(self, rep: tuple, i: int) -> tuple:
-        """Closed form of `CoxeterSystem._right_rep`, as in `step`."""
-        return _dihedral_right(rep, i, self.m)
+        w = Element(self, rep)
+        w._length = self._images_length(rep)
+        return w
 
     def _right_images(self, images: tuple, i: int) -> tuple:
         """Closed form of `CoxeterSystem._right_images`: the images are the
@@ -989,9 +922,8 @@ class DihedralSystem(CoxeterSystem):
     def _image_support(self, images: tuple) -> frozenset[int]:
         """Closed form of `CoxeterSystem._image_support`: J(w) up to length
         1, both nodes beyond."""
-        r, f = images
-        if self._rep_length(r, f) <= 1:
-            return self._pair_left_descents(r, f)
+        if self._images_length(images) <= 1:
+            return self._pair_left_descents(*images)
         return _S12
 
     def _start_code(self) -> tuple:
@@ -1000,11 +932,13 @@ class DihedralSystem(CoxeterSystem):
 
     def _right_code(self, rep: tuple, code: tuple, i: int) -> tuple:
         """Closed form of `CoxeterSystem._right_code`: the rep of w s_i, as
-        `_right_rep` gives it."""
+        `_right_images` gives it."""
         return _dihedral_right(code, i, self.m)
 
     def _left_prefix(self, rep: tuple, j: int) -> tuple:
-        """Closed form of `CoxeterSystem._left_prefix`: the rep of s_j w."""
+        """Closed form of `CoxeterSystem._left_prefix`: the rep of s_j w.
+        With s2 = (s1 s2)^-1 s1, s1 w negates r and s2 w sends r to -r - 1;
+        both flip f."""
         r, f = rep
         return ((-r - j + 1) % self.m, 1 - f)
 
@@ -1023,6 +957,9 @@ class DihedralSystem(CoxeterSystem):
     def left_descents(self, w: Element) -> frozenset[int]:
         return self._pair_left_descents(*w.rep)
 
+    def _left_descent(self, images: tuple, i: int) -> bool:
+        return i in self._pair_left_descents(*images)
+
     def _pair_left_descents(self, r: int, f: int) -> frozenset[int]:
         """`left_descents` of the element with rep (r, f)."""
         # the reduced word starts with s1 when (s1 s2)^r s1^f is the shorter
@@ -1032,9 +969,6 @@ class DihedralSystem(CoxeterSystem):
         if r < other:
             return _S1 if r or f else frozenset()
         return _S2 if r > other else _S12
-
-    def right_descents(self, w: Element) -> frozenset[int]:
-        return self.left_descents(self.inverse(w))
 
     def word(self, w: Element) -> tuple[int, ...]:
         """Closed form of `CoxeterSystem.word`: l(w) letters that alternate,
@@ -1047,11 +981,6 @@ class DihedralSystem(CoxeterSystem):
             raise CoxeterError(f"no left descent on an element of length {n}")
         a = min(J)
         return (a, 3 - a) * (n // 2) + (a,) * (n % 2)
-
-    def support(self, w: Element) -> frozenset[int]:
-        """Nodes whose generator appears in every reduced word of w."""
-        self._check_member(w)
-        return self._image_support(w.rep)
 
     def _component_budget(self, comp: tuple[int, ...]) -> int:
         return (self.m if len(comp) == 2 else 1) + len(comp)

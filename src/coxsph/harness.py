@@ -93,27 +93,27 @@ def _from_parents(system: CoxeterSystem, rows, root, step):
     left parent s_j w, j = min J(w).
 
     The record is a `WeakOrderNode` of `CoxeterSystem.weak_order`. Its
-    down-edges are the right steps w s_i, so values are kept by prefix,
-    the first `rank` entries of the rep, and the left parent's is
-    `_left_prefix` of w's: no element is stepped. The identity gets
-    `root`; any other w gets step(j, value of s_j w). The rows must come
+    down-edges are the right steps w s_i, so values are kept by rep, the
+    images of the simple roots, and the left parent's is `_left_prefix` of
+    w's: no element is stepped. The identity gets `root`; any other w gets
+    step(j, value of s_j w). The rows must come
     in enumeration order, which is breadth-first by length, so the parent
     s_j w of every w lies in the previous length level: values of two
     levels are all that is kept.
     """
-    rank, left = system.rank, system._left_prefix
+    left = system._left_prefix
     before, now, level = {}, {}, 0
     for row in rows:
         node, J = row[0], row[1]
         if node.length > level:
             level, before, now = node.length, now, {}
-        prefix = node.element.rep[:rank]
+        rep = node.element.rep
         if J:
             j = min(J)
-            value = step(j, before[left(prefix, j)])
+            value = step(j, before[left(rep, j)])
         else:
             value = root
-        now[prefix] = value
+        now[rep] = value
         yield value, row
 
 
@@ -412,7 +412,7 @@ def run_consistency(n: int) -> ConsistencyReport:
     Each I gets one searcher and one split set D = [n-1] - I. The sweep
     iterates the records of `system.weak_order()`, reads J(w) off each
     record as `spherical.census` does, and hands each record to its
-    searchers, so it steps one prefix per weak-order edge and one rep per
+    searchers, so it steps one code per weak-order edge and one rep per
     element, all in the walk, and its searches none. Each verdict reads
     D-Schur coefficients off the key by `polyring.is_D_multiplicity_free`,
     which builds no D-Schur product; each key scans its symmetry in x_j,

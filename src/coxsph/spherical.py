@@ -27,12 +27,11 @@ each edge of the right weak order once, by code, and hands each record
 to the searcher of its descent set, so the search makes no step and looks
 no element up. A searcher handed a bare `Element` (`find_witness`,
 `run_check`) makes its own records instead, lazily, on the images of the
-simple roots (the first `rank` entries of the rep), which fix the element:
-a record is keyed by its images and holds no `Element`, gets its support
-off them when it is made, its descents and empty slots when the search
-first admits it, and a slot is stepped the first time the search tries
-that edge, by one image step (`CoxeterSystem._right_images`, O(degree))
-that carries the length l(w) - 1. No full rep is made.
+simple roots, the element's rep: a record is keyed by its images and holds
+no `Element`, gets its support off them when it is made, its descents and
+empty slots when the search first admits it, and a slot is stepped the
+first time the search tries that edge, by one image step
+(`CoxeterSystem._right_images`, O(degree)) that carries the length l(w) - 1.
 """
 
 from __future__ import annotations
@@ -94,7 +93,9 @@ class WitnessSearcher:
     or, for an element handed in bare, from the records it makes itself:
     `_records` holds those by their images. Both memos key on the record
     object, so a walk record and a record made here for the same element
-    are two keys, never one key for two elements.
+    are two keys, never one key for two elements. `_touched` maps each
+    support to the groups it meets, a table of the decomposition that
+    every searcher of the subset shares.
     """
 
     def __init__(self, system: CoxeterSystem, I):
@@ -102,15 +103,14 @@ class WitnessSearcher:
         self.I = frozenset(I)
         decomp = system.decompose_subset(self.I)
         self.groups, self.budgets, self.slot = decomp.groups, decomp.allowances, decomp.slot
+        self._touched: dict[frozenset, tuple[int, ...]] = decomp.touched
         self._fail: set = set()
         self._seen: set[WeakOrderNode] = set()
-        # support -> the groups whose letters it contains
-        self._touched: dict[frozenset, tuple[int, ...]] = {}
         self._records: dict[tuple, WeakOrderNode] = {}
 
     def _record(self, w: Element) -> WeakOrderNode:
         """This searcher's record of w: that of its images (`_lazy`)."""
-        return self._lazy(w.rep[: self.system.rank], w.length)
+        return self._lazy(w.rep, w.length)
 
     def _lazy(self, images: tuple, length: int) -> WeakOrderNode:
         """This searcher's record of the element with these images of the

@@ -2,9 +2,9 @@
 
 Permutations are tuples (w(1), ..., w(n)). Compositions and partitions are
 plain integer tuples. A permutation becomes a `coxeter` Element through its
-canonical reduced word; an Element becomes a permutation by reading which
-positive roots e_i - e_j its root permutation inverts (w(i) > w(j) exactly
-then), with no products at all.
+canonical reduced word; an Element becomes a permutation by reading the
+images of the simple roots, w(alpha_j) = e_w(j) - e_w(j+1), with no
+products at all.
 """
 
 from __future__ import annotations
@@ -219,26 +219,20 @@ def perm_to_element(system: CoxeterSystem, line) -> Element:
 
 
 @lru_cache(maxsize=None)
-def _root_ends(system: CoxeterSystem) -> tuple[tuple[int, int], ...]:
-    """(i, j), 0-based, of each positive root e_i - e_j, in root order.
-
-    e_i - e_j = alpha_(i+1) + ... + alpha_j has support {i+1, ..., j}.
-    """
-    return tuple((min(s) - 1, max(s)) for s in system._root_supports)
+def _root_ends(system: CoxeterSystem) -> tuple:
+    """(a, b) of each signed root e_a - e_b, 1-based, indexed by the signed
+    root: e_a - e_b = alpha_a + ... + alpha_(b-1) has support {a, ..., b -
+    1}, entry q is positive root q, and entry -q, read from the end, its
+    negative e_b - e_a."""
+    ends = [(min(s), max(s) + 1) for s in system._root_supports]
+    return (None, *ends, *[(b, a) for a, b in reversed(ends)])
 
 
 def element_to_perm(system: CoxeterSystem, w: Element) -> tuple[int, ...]:
-    """One-line notation of w, read off the signs of its root permutation.
-
-    w(i) = i + #{k > i : w(i) > w(k)} - #{k < i : w(k) > w(i)}, and
-    w(i) > w(j) for i < j exactly when w sends e_i - e_j negative; so each
-    inverted root adds 1 at its first end and takes 1 off at its second.
-    """
+    """One-line notation of w, read off the images of the simple roots:
+    w(alpha_j) = w(e_j - e_(j+1)) = e_w(j) - e_w(j+1), so the image of
+    alpha_j gives w(j) and w(j + 1). O(n)."""
     n = system.rank + 1
     _check_type_a(system, n)
-    line = list(range(1, n + 1))
-    for (i, j), q in zip(_root_ends(system), w.rep):
-        if q < 0:
-            line[i] += 1
-            line[j] -= 1
-    return tuple(line)
+    ends = list(map(_root_ends(system).__getitem__, w.rep))
+    return (*[a for a, _ in ends], ends[-1][1])

@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import compress
 
 import pytest
 
@@ -11,6 +13,8 @@ from coxsph import (
     reduced_words,
 )
 from coxsph.coxeter import Element, WeakOrderNode
+from coxsph.typea import element_to_perm
+from coxeter_model import full_rep
 
 
 @pytest.mark.parametrize(
@@ -68,8 +72,6 @@ def test_lengths():
 
 
 def test_longest_element_one_line():
-    from coxsph.typea import element_to_perm
-
     a3 = coxeter_system("A3")
     assert element_to_perm(a3, a3.longest_element()) == (4, 3, 2, 1)
 
@@ -125,10 +127,7 @@ def test_elements_is_breadth_first_with_true_lengths(name):
     elements = system.elements()
     assert [w.rep for w in elements] == [w.rep for w in _breadth_first(system)]
     for w in elements:
-        if name.startswith("I2"):
-            fresh = system.length(w)
-        else:
-            fresh = sum(1 for q in w.rep if q < 0)
+        fresh = sum(1 for q in full_rep(system, w) if q < 0)
         assert w._length == fresh, w
 
 
@@ -220,7 +219,7 @@ def test_word_stops_after_length_letters_under_a_faulty_step(name, monkeypatch):
 
 
 def test_left_step_with_one_root_keeps_a_tuple():
-    """A1 has one positive root, where an itemgetter would return a scalar."""
+    """A1 has one positive root: a step keeps the rep a one-entry tuple."""
     system = coxeter_system("A1")
     s = system.generator(1)
     assert system.step(s, 1, left=True).rep == system.identity.rep == (1,)
@@ -402,7 +401,7 @@ def test_one_pass_root_build_matches_the_two_pass_reference(name):
     system = coxeter_system(name)
     roots, reps = _two_pass_roots_and_generators(system)
     assert system.positive_roots == roots
-    assert [s.rep for s in system._generators] == reps
+    assert [full_rep(system, s) for s in system._generators] == reps
 
 
 def test_root_build_rejects_an_image_that_is_not_a_root(monkeypatch):
@@ -415,14 +414,20 @@ def test_root_build_rejects_an_image_that_is_not_a_root(monkeypatch):
         coxeter.CoxeterSystem(CartanType.parse("A2"))
 
 
+@lru_cache(maxsize=None)
+def _root_nodes(system):
+    """The nodes each positive root involves, read off its coordinates."""
+    return tuple(
+        frozenset(j for j, c in enumerate(root, start=1) if c)
+        for root in system.positive_roots
+    )
+
+
 def _inversion_set_support(system, w):
-    """The support loop `support` replaced, kept as its reference: the union
-    of the supports of the positive roots that w sends negative."""
-    supp = set()
-    for root_support, q in zip(system._root_supports, w.rep):
-        if q < 0:
-            supp |= root_support
-    return frozenset(supp)
+    """The support by its definition on the full rep: the union of the
+    supports of the positive roots that w sends negative."""
+    inverted = [q < 0 for q in full_rep(system, w)]
+    return frozenset().union(*compress(_root_nodes(system), inverted))
 
 
 @pytest.mark.parametrize(
@@ -481,32 +486,28 @@ def test_invalid_cartan_type_names_only_what_is_wrong():
 
 
 def _prefix_keyed_walk(system):
-    """The walk `weak_order` replaced, kept as its reference: each level
-    deduped and sorted by the prefix of w s_i, the first `rank` entries of
-    its rep, stepped per edge."""
+    """The walk `weak_order` makes, by steps and the model: each edge w s_i
+    stepped (`step`), each level deduped and sorted by rep, the images of
+    the simple roots, which lead the model's full rep and fix the element;
+    J(w) is read off the full rep, -i in it for each left descent i."""
     rank, empty = system.rank, frozenset()
     level = [WeakOrderNode(system.identity, empty, (), (), empty)]
-    out, length = [], 0
+    out = []
     while level:
         out.extend(level)
-        length += 1
         nxt = {}
         for i in range(1, rank + 1):
             for node in level:
                 if i not in node.descents:
-                    prefix = system._right_rep(node.element.rep, i)[:rank]
-                    nxt.setdefault(prefix, []).append((i, node))
+                    v = system.step(node.element, i)
+                    nxt.setdefault(v.rep, [v]).append((i, node))
         level = []
-        for prefix in sorted(nxt):
-            descents = tuple(i for i, _ in nxt[prefix])
-            down = tuple(node for _, node in nxt[prefix])
-            parent, i = down[0], descents[0]
-            J, j = parent.left_descents, system._left_gain(parent, i)
-            v = Element(system, system._right_rep(parent.element.rep, i))
-            v._length = length
-            level.append(WeakOrderNode(
-                v, parent.support | {i}, descents, down, J | {j} if j else J
-            ))
+        for key in sorted(nxt):
+            v, *edges = nxt[key]
+            descents = tuple(i for i, _ in edges)
+            down = tuple(node for _, node in edges)
+            J = frozenset(-q for q in full_rep(system, v) if -rank <= q < 0)
+            level.append(WeakOrderNode(v, down[0].support | {descents[0]}, descents, down, J))
     return out
 
 
@@ -535,23 +536,25 @@ def test_code_keyed_walk_matches_the_prefix_keyed_reference(name):
         assert g.left_descents == w.left_descents
 
 
-def _code_from_scratch(system, rep):
-    """The code of w(2 rho) = sum over beta > 0 of w(beta), summed root by
-    root from the rep in weight coordinates <w(beta), alpha_k-check> =
-    sum_j A[k][j] c_j for w(beta) = sum_j c_j alpha_j, and read in base
-    2 B + 1, B = max_k sum_beta |<beta, alpha_k-check>|."""
+def _root_weight_codes(system):
+    """Each positive root beta's weight coordinates <beta, alpha_k-check> =
+    sum_j A[k][j] c_j, for beta = sum_j c_j alpha_j, read in base 2 B + 1,
+    B = max_k sum_beta |<beta, alpha_k-check>|: built once per system from
+    the Cartan matrix and the roots."""
     roots, rank, A = system.positive_roots, system.rank, system.cartan_matrix
+    pairings = [
+        [sum(A[k][j] * root[j] for j in range(rank)) for k in range(rank)]
+        for root in roots
+    ]
+    base = 2 * max(sum(abs(p[k]) for p in pairings) for k in range(rank)) + 1
+    return [sum(c * base**k for k, c in enumerate(p)) for p in pairings]
 
-    def pairing(root, k):
-        return sum(A[k][j] * root[j] for j in range(rank))
 
-    bound = max(sum(abs(pairing(root, k)) for root in roots) for k in range(rank))
-    vector = [0] * rank
-    for q in rep:
-        for k in range(rank):
-            c = pairing(roots[abs(q) - 1], k)
-            vector[k] += c if q > 0 else -c
-    return sum(v * (2 * bound + 1) ** k for k, v in enumerate(vector))
+def _code_from_scratch(codes, full):
+    """The code of w(2 rho) = sum over beta > 0 of w(beta), summed root by
+    root over the full rep: the code is linear, so it is the signed sum of
+    the codes of the roots w(beta)."""
+    return sum(codes[q - 1] if q > 0 else -codes[-q - 1] for q in full)
 
 
 @pytest.mark.parametrize("name", [*WALK_GROUPS, pytest.param("E6", marks=pytest.mark.slow)])
@@ -565,7 +568,8 @@ def test_walk_codes_are_distinct_and_step_by_the_table(name):
     if system.positive_roots is None:
         code = {w: w.rep for w in elements}
     else:
-        code = {w: _code_from_scratch(system, w.rep) for w in elements}
+        codes = _root_weight_codes(system)
+        code = {w: _code_from_scratch(codes, full_rep(system, w)) for w in elements}
     assert len(set(code.values())) == len(elements) == system.order()
     assert system._start_code() == code[system.identity]
     for w in elements:
@@ -575,11 +579,12 @@ def test_walk_codes_are_distinct_and_step_by_the_table(name):
 
 
 def _inversion_set_word(system, w):
-    """The walk `word` replaced, kept as its reference: the lex-first reduced
-    word read off the inversion set N(w^-1) = {-q for q in rep if q < 0},
-    whose smallest root, when simple, is the smallest left descent i; then
-    N((s_i w)^-1) = s_i(N(w^-1) minus alpha_i), mapped root by root."""
-    roots = {-q for q in w.rep if q < 0}
+    """The lex-first reduced word read off the inversion set N(w^-1) =
+    {-q for q in the full rep if q < 0}, whose smallest root, when simple,
+    is the smallest left descent i; then N((s_i w)^-1) = s_i(N(w^-1) minus
+    alpha_i), mapped root by root through the full rep of s_i."""
+    roots = {-q for q in full_rep(system, w) if q < 0}
+    generators = _generator_reps(system)
     letters = []
     while roots:
         i = min(roots)
@@ -587,8 +592,8 @@ def _inversion_set_word(system, w):
             pytest.fail(f"no simple root left after {len(letters)} letters")
         letters.append(i)
         roots.discard(i)
-        images = system._left_images[i - 1]
-        roots = {images[p] for p in roots}
+        images = generators[i - 1]
+        roots = {images[p - 1] for p in roots}
     return tuple(letters)
 
 
@@ -622,28 +627,46 @@ IMAGE_GROUPS = [
 ]
 
 
-def _check_images(system, rep):
-    """The image step, descents and support, and the expansion, at the
-    element of rep against its full rep."""
-    rank = system.rank
-    images = rep[:rank]
-    w = Element(system, rep)
-    for i in range(1, rank + 1):
-        assert system._right_images(images, i) == system._right_rep(rep, i)[:rank], (rep, i)
-    assert system._image_descents(images) == tuple(sorted(system.right_descents(w)))
-    assert system._image_support(images) == system.support(w)
-    codes = [system._root_codes[q] for q in images]
-    assert system._rep_of_codes(codes) == rep
+def _compose(u, v):
+    """The full rep of uv from those of u and v: uv(beta) = u(v(beta))."""
+    return tuple(u[q - 1] if q > 0 else -u[-q - 1] for q in v)
+
+
+@lru_cache(maxsize=None)
+def _generator_reps(system):
+    """The full reps of s_1, ..., s_rank."""
+    return tuple(full_rep(system, s) for s in system._generators)
+
+
+def _has_full_rep(system, v, full):
+    """Whether v is the element with this full rep. In a root system its
+    images lead the full rep and fix it; in I2(m) the pair (r, f) is
+    compared through the model."""
+    if system.positive_roots is None:
+        return full_rep(system, v) == full
+    return v.rep == full[: system.rank]
+
+
+def _check_images(system, w):
+    """The image step, descents and support at w against its full rep:
+    w s_i is the composite of w's full rep and s_i's, whose first `rank`
+    entries are the images; i is a right descent iff entry i is negative."""
+    rank, images, full = system.rank, w.rep, full_rep(system, w)
+    assert full[:rank] == images
+    for i, s in enumerate(_generator_reps(system), start=1):
+        assert system._right_images(images, i) == _compose(full, s)[:rank], (images, i)
+    assert system._image_descents(images) == tuple(i for i in range(1, rank + 1) if full[i - 1] < 0)
+    assert system._image_support(images) == _inversion_set_support(system, w)
 
 
 @pytest.mark.parametrize("name", IMAGE_GROUPS)
 def test_image_step_matches_the_full_right_step_on_every_element(name):
-    """`_right_images(images, i)` is `_right_rep(rep, i)[:rank]`, the
-    descents and support read off the images are those of the element, and
-    `_rep_of_codes` expands the images' codes back to the rep."""
+    """`_right_images(images, i)` is the first `rank` entries of the full
+    rep of w s_i, and the descents and support read off the images are
+    those of the full rep."""
     system = coxeter_system(name)
     for w in system.elements():
-        _check_images(system, w.rep)
+        _check_images(system, w)
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
@@ -652,7 +675,92 @@ def test_image_step_matches_the_full_right_step_on_random_words(name):
     rng = random.Random(name)
     for _ in range(3000):
         word = [rng.randint(1, system.rank) for _ in range(rng.randint(0, 150))]
-        _check_images(system, evaluate(system, word).rep)
+        _check_images(system, evaluate(system, word))
+
+
+def _check_public_bodies(system, w, v):
+    """`length` of the bare images, `multiply` (by v), `inverse`,
+    `left_descents`, `step(left=True)` and, in type A, `element_to_perm`
+    at w, each against a computation on the full rep."""
+    rank, full = system.rank, full_rep(system, w)
+    assert len(w.rep) == rank
+    negatives = sum(q < 0 for q in full)
+    assert system.length(Element(system, w.rep)) == negatives == w.length
+    product = _compose(full, full_rep(system, v))
+    uv = system.multiply(w, v)
+    assert _has_full_rep(system, uv, product)
+    assert uv.length == sum(q < 0 for q in product)
+    inverse = [0] * len(full)
+    for p, q in enumerate(full, start=1):
+        inverse[abs(q) - 1] = p if q > 0 else -p
+    assert _has_full_rep(system, system.inverse(w), tuple(inverse))
+    assert system.inverse(w).length == negatives
+    J = frozenset(-q for q in full if -rank <= q < 0)
+    assert system.left_descents(w) == J
+    for i, s in enumerate(_generator_reps(system), start=1):
+        u = system.step(w, i, left=True)
+        assert _has_full_rep(system, u, _compose(s, full)), i
+        assert u._length == (negatives - 1 if i in J else negatives + 1), i
+    if system.cartan_type.family == "A":
+        # each inverted root e_a - e_b, a < b, adds 1 at a and takes 1 off at b
+        line = list(range(1, rank + 2))
+        for root, q in zip(system.positive_roots, full):
+            if q < 0:
+                nodes = [j for j, c in enumerate(root) if c]
+                line[nodes[0]] += 1
+                line[nodes[-1] + 1] -= 1
+        assert element_to_perm(system, w) == tuple(line)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B4", "D4", "D5", "F4", "G2", "I2(7)"]
+)
+def test_public_bodies_match_the_full_rep_on_every_element(name):
+    """Every element of the group, each multiplied by a seeded random one."""
+    system = coxeter_system(name)
+    elements = system.elements()
+    rng = random.Random(name)
+    for w in elements:
+        _check_public_bodies(system, w, rng.choice(elements))
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_public_bodies_match_the_full_rep_on_random_words(name):
+    """3000 seeded random words, each element multiplied by the next."""
+    system = coxeter_system(name)
+    rng = random.Random(name)
+    words = [
+        [rng.randint(1, system.rank) for _ in range(rng.randint(0, 150))]
+        for _ in range(3001)
+    ]
+    elements = [evaluate(system, word) for word in words]
+    for w, v in zip(elements, elements[1:]):
+        _check_public_bodies(system, w, v)
+
+
+@pytest.mark.parametrize("name", ["B4", "E8"])
+def test_length_of_bare_images_makes_one_expansion(name, monkeypatch):
+    """`length()` of an element that carries no length expands it once,
+    through the plan (`_images_length`), and keeps the result; evaluating
+    words, stepping, multiplying, inverting, spelling and reading descents
+    expand nothing."""
+    system = coxeter_system(name)
+    calls = []
+    expand = system._images_length
+
+    def counted(images):
+        calls.append(images)
+        return expand(images)
+
+    monkeypatch.setitem(vars(system), "_images_length", counted)
+    w = evaluate(system, [1, 2, 3, 2, 1, 4, 3, 2, 1, 4])
+    u = system.inverse(system.multiply(w, system.step(w, 2, left=True)))
+    u.word(), system.left_descents(u), system.support(u), system.right_descents(u)
+    assert calls == []
+    bare = Element(system, w.rep)
+    assert bare.length == w.length > 0
+    assert bare.length == w.length
+    assert calls == [w.rep]
 
 
 @pytest.mark.parametrize("name", [*IMAGE_GROUPS, "E6", "E7", "E8"])

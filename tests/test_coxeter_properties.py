@@ -1,7 +1,7 @@
 """Group axioms and the generator step on random words (needs Hypothesis).
 
-B5, E6 and E7 store signed root permutations and I2(m) the dihedral normal
-form, so every property runs on both element representations. Examples are
+B5, E6 and E7 store the images of the simple roots and I2(m) the dihedral
+normal form, so every property runs on both element representations. Examples are
 drawn as words, and each assertion reads only plain values: an Element's
 repr spells a reduced word through `word()`, so reporting a failure must
 not need a working `word()`.

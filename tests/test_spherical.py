@@ -23,6 +23,7 @@ from coxsph.coxeter import Element
 from coxsph.spherical import WitnessSearcher
 from coxsph.typea import element_to_perm, format_permutation, perm_to_element
 
+from coxeter_model import full_rep
 from golden_data import (
     B3_NONSPHERICAL,
     E8_WORD_NOT_WITNESS,
@@ -367,24 +368,10 @@ def test_diagram_shift_preserves_sphericality():
                 )
 
 
-def _expanded(system, images):
-    """The element whose simple-root images are `images`, expanded root by
-    root in simple-root coordinates, w(beta) = sum_j beta_j w(alpha_j),
-    apart from the root codes and the plan `_rep_of_codes` reads; in I2(m)
-    the images are the pair (r, f) itself."""
-    if system.positive_roots is None:
-        return Element(system, images)
-    roots = system.positive_roots
-    index = {root: k for k, root in enumerate(roots, start=1)}
-    index.update({tuple(-c for c in root): -k for root, k in list(index.items())})
-    columns = [
-        [c if q > 0 else -c for c in roots[abs(q) - 1]] for q in images
-    ]
-    rep = tuple(
-        index[tuple(sum(b * col[t] for b, col in zip(beta, columns)) for t in range(system.rank))]
-        for beta in roots
-    )
-    return Element(system, rep)
+def _model_length(system, images):
+    """The length of the element with these images of the simple roots:
+    the positive roots its full rep (`coxeter_model`) sends negative."""
+    return sum(q < 0 for q in full_rep(system, Element(system, images)))
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "I2(7)"])
@@ -406,7 +393,7 @@ def test_search_records_true_lengths_on_its_descent_steps(name, monkeypatch):
         WitnessSearcher(system, system.left_descents(w)).search(w)
     assert len(visited) > len(elements)
     for images, carried in visited:
-        assert carried == system.length(_expanded(system, images)), images
+        assert carried == _model_length(system, images), images
 
 
 @pytest.mark.parametrize(
@@ -518,20 +505,20 @@ def test_weak_order_makes_one_element_per_element(name, built, monkeypatch):
     "name, full", [("A5", 719), ("D5", 1919), ("F4", 1151), ("I2(60)", 119)]
 )
 def test_weak_order_makes_one_full_right_step_per_element(name, full, monkeypatch):
-    """Golden count of the full reps one `weak_order()` walk computes: one
-    `_right_rep` per element but the identity, |W| - 1, from its first
+    """Golden count of the reps one `weak_order()` walk computes: one
+    `_right_images` per element but the identity, |W| - 1, from its first
     down-edge; each edge steps only a code. A level's reps are made before
     it is sorted, so the steps are compared level by level, not in call
     order. Any later change to these numbers must be explained."""
     system = coxeter_system(name)
     calls = []
-    right_rep = type(system)._right_rep
+    right_images = type(system)._right_images
 
     def counting(self, rep, i):
         calls.append((rep, i))
-        return right_rep(self, rep, i)
+        return right_images(self, rep, i)
 
-    monkeypatch.setattr(type(system), "_right_rep", counting)
+    monkeypatch.setattr(type(system), "_right_images", counting)
     records = system.weak_order()
     assert len(calls) == full == system.order() - 1
     length = {node.element.rep: node.length for node in records}
@@ -549,23 +536,37 @@ def test_weak_order_makes_one_full_right_step_per_element(name, full, monkeypatc
      pytest.param("E6", marks=pytest.mark.slow)],
 )
 def test_rep_prefixes_fix_and_order_the_elements(name):
-    """The first `rank` entries of a rep, the images of the simple roots
-    (the whole pair in I2(m)), are pairwise distinct over the group, and
-    sorting by them sorts by the full rep: they decide the order of each
-    level of the walk, and census labels are kept by them. The prefix of w
-    s_i is `_right_rep(rep, i)[:rank]`, and `_left_prefix` gives that of
-    s_i w."""
+    """The reps, the images of the simple roots (the pair (r, f) in I2(m)),
+    are pairwise distinct over the group; in a root system they are the
+    first `rank` entries of the full rep (`coxeter_model`), so sorting by
+    them sorts by the full rep: they decide the order of each level of the
+    walk, and census labels are kept by them. The rep of w s_i is
+    `_right_images(rep, i)` and that of s_i w `_left_prefix(rep, i)`: the
+    full reps of w and s_i composed."""
     system = coxeter_system(name)
     rank = system.rank
-    reps = [w.rep for w in system.elements()]
-    assert len({rep[:rank] for rep in reps}) == len(reps) == system.order()
-    assert sorted(reps, key=lambda rep: rep[:rank]) == sorted(reps)
-    for rep in reps:
-        w = Element(system, rep)
-        for i in range(1, rank + 1):
-            assert system._right_rep(rep, i)[:rank] == system.step(w, i).rep[:rank]
-            want = system.step(w, i, left=True).rep[:rank]
-            assert system._left_prefix(rep[:rank], i) == want
+    elements = system.elements()
+    reps = [w.rep for w in elements]
+    assert len(set(reps)) == len(reps) == system.order()
+    full = {w: full_rep(system, w) for w in elements}
+    if system.positive_roots is not None:
+        assert all(full[w][:rank] == w.rep for w in elements)
+        assert [w.rep for w in sorted(elements, key=full.get)] == sorted(reps)
+    by_full = {f: w for w, f in full.items()}
+
+    def compose(u, v):  # the full rep of uv, or its first len(v) entries
+        return tuple(u[q - 1] if q > 0 else -u[-q - 1] for q in v)
+
+    for w in elements:
+        f = full[w]
+        for i, s in enumerate(system._generators, start=1):
+            s = full[s]
+            if system.positive_roots is None:
+                right, left = by_full[compose(f, s)].rep, by_full[compose(s, f)].rep
+            else:
+                right, left = compose(f, s[:rank]), compose(s, f[:rank])
+            assert system._right_images(w.rep, i) == right
+            assert system._left_prefix(w.rep, i) == left
 
 
 @pytest.mark.parametrize(
@@ -576,7 +577,6 @@ def test_weak_order_table_matches_lazy_route(name):
     record of the same element holds once the searcher opens it and steps
     every slot: the support, the right descents and the down-steps."""
     system = coxeter_system(name)
-    rank = system.rank
     records = system.weak_order()
     assert [node.element for node in records] == system.elements()
     assert len({node.element.rep for node in records}) == len(records)
@@ -587,7 +587,7 @@ def test_weak_order_table_matches_lazy_route(name):
         lazy = WitnessSearcher(system, ())
         fresh = lazy._record(node.element)
         assert fresh not in walked
-        assert fresh.element is None and fresh.images == node.element.rep[:rank]
+        assert fresh.element is None and fresh.images == node.element.rep
         assert fresh.length == node.length
         assert fresh.descents is None and fresh.down is None
         assert lazy._record(node.element) is fresh
@@ -598,10 +598,10 @@ def test_weak_order_table_matches_lazy_route(name):
         assert not any(child in walked for child in stepped)
         assert fresh.support == node.support
         assert fresh.descents == node.descents
-        assert [c.images for c in fresh.down] == [c.element.rep[:rank] for c in node.down]
+        assert [c.images for c in fresh.down] == [c.element.rep for c in node.down]
         for child in fresh.down:
             assert child.element is None
-            assert child.length == system.length(_expanded(system, child.images))
+            assert child.length == _model_length(system, child.images)
 
 
 @pytest.mark.parametrize(
@@ -702,8 +702,8 @@ def test_lazy_route_work_is_pinned(name, right, left, reads, monkeypatch):
     A lazy record reads its descents off its images only when a search
     first admits it, and steps one down-edge by its images
     (`_right_images`) only when a search first takes it; no element is
-    stepped and no full rep is made. Any later change to these numbers
-    must be explained."""
+    stepped and no element is expanded to all roots (`_images_length`).
+    Any later change to these numbers must be explained."""
     system = coxeter_system(name)
     elements = system.elements()
     steps, descent_reads, full = [], [], []
@@ -721,13 +721,33 @@ def test_lazy_route_work_is_pinned(name, right, left, reads, monkeypatch):
     counting("_left_prefix", steps, lambda prefix, j: True)
     counting("_image_descents", descent_reads, lambda images: images)
     counting("step", full, lambda w, i, left=False: "step")
-    counting("_right_rep", full, lambda rep, i: "_right_rep")
+    if system.positive_roots is not None:  # I2(m) reads it in closed form
+        counting("_images_length", full, lambda images: "_images_length")
     for w in elements:
         find_witness(system, w, system.left_descents(w))
     assert steps.count(False) == right
     assert steps.count(True) == left
     assert len(descent_reads) == reads
     assert full == []
+
+
+@pytest.mark.parametrize("name", ["D5", "E8", "I2(9)"])
+def test_cold_searchers_of_one_subset_share_the_touched_table(name):
+    """The groups each support meets are worked out once per subset, on the
+    decomposition `decompose_subset` caches: a second cold `find_witness`
+    with the same (system, I), on an element whose supports the first one
+    saw, adds no entry, and every searcher of I reads the same table."""
+    system = coxeter_system(name)
+    w = system.longest_element()
+    I = frozenset({1, 2})
+    table = system.decompose_subset(I).touched
+    first = find_witness(system, w, I)
+    seen = dict(table)
+    assert seen
+    assert find_witness(system, w, I) == first
+    assert table == seen
+    assert WitnessSearcher(system, I)._touched is table
+    assert system.decompose_subset({1}).touched is not table
 
 
 @pytest.mark.parametrize(
@@ -778,9 +798,10 @@ def test_bad_query_raises():
 
 @pytest.mark.parametrize("word", [E8_WORD_WITNESS, E8_WORD_NOT_WITNESS])
 def test_e8_check_makes_one_full_rep_and_no_full_right_step(word, monkeypatch):
-    """A positive E8 `run_check` on either 19-letter word makes one full rep,
-    where the word is evaluated (`_rep_of_codes`), and no `_right_rep`:
-    the lazy search steps images."""
+    """A positive E8 `run_check` on either 19-letter word expands no
+    element to all roots (`_images_length`), where evaluating the word
+    once made one full rep: the word is evaluated on the images, J(w) is
+    read off w(2 rho), and the lazy search steps images."""
     from coxsph import harness
 
     system = coxeter_system("E8")
@@ -795,12 +816,11 @@ def test_e8_check_makes_one_full_rep_and_no_full_right_step(word, monkeypatch):
 
         monkeypatch.setitem(vars(system), name, counted)
 
-    for name in ("_rep_of_codes", "_right_rep", "_right_images"):
+    for name in ("_images_length", "_right_images"):
         counting(name)
     J = system.left_descents(evaluate(system, parse_word(word)))
     calls.clear()
     report = harness.run_check("E8", word, J)
     assert report.spherical
-    assert calls.count("_rep_of_codes") == 1
-    assert calls.count("_right_rep") == 0
+    assert calls.count("_images_length") == 0
     assert calls.count("_right_images") > 0
