@@ -18,11 +18,15 @@ w(2 rho), 2 rho the sum of the positive roots, is read off the images in
 fundamental-weight coordinates (`_weights`): k is a left descent of w iff
 <w(2 rho), alpha_k-check> < 0, which gives `left_descents`, and `word()`
 walks w(2 rho) to the dominant chamber, O(rank) per letter (Casselman,
-Machine calculations in Weyl groups, 1994). `multiply` and `inverse`
-evaluate words. The one place an element is expanded to all positive roots
-is `length()` of an element that carries no length: the closure records
-each non-simple root as beta = beta' + k alpha_i, so w(beta) = w(beta') + k
-w(alpha_i), and l(w) counts the roots sent negative.
+Machine calculations in Weyl groups, 1994). An element decodes w(2 rho) at
+most once and keeps it, as it keeps its length, and a left step hands s_i w
+the reflected coordinates in O(degree), so the elements a walk over left
+descents reaches decode nothing; `product`, right steps and `weak_order`
+leave them undecoded. `multiply` and `inverse` evaluate words. The one
+place an element is expanded to all positive roots is `length()` of an
+element that carries no length: the closure records each non-simple root as
+beta = beta' + k alpha_i, so w(beta) = w(beta') + k w(alpha_i), and l(w)
+counts the roots sent negative.
 
 `weak_order()` enumerates the group by one breadth-first walk of the right
 weak order that keeps every edge it steps. It keys each element by one int,
@@ -175,14 +179,18 @@ class Element:
     `rep` is the images of the simple roots as signed root indices
     (`CoxeterSystem`), or the rotation and reflection pair (r, f)
     (`DihedralSystem`), which is its own images. Immutable and hashable.
+    `_length` and, in a root system, `_weights`, the weight coordinates of
+    w(2 rho), are filled on first use: `_weights` by one decode of the
+    images or, on s_i w, from those of w by a left step, never again.
     """
 
-    __slots__ = ("system", "rep", "_length")
+    __slots__ = ("system", "rep", "_length", "_weights")
 
     def __init__(self, system: "CoxeterSystem", rep: tuple):
         self.system = system
         self.rep = rep
         self._length = None
+        self._weights = None
 
     def __eq__(self, other):
         return (
@@ -474,14 +482,13 @@ class CoxeterSystem:
 
     def step(self, w: Element, i: int, left: bool = False) -> Element:
         """w s_i, or s_i w when `left`, by one image step (`_right_images`,
-        `_left_prefix`), carrying its length l(w) - 1 if i is a right (left)
+        `_left_step`), carrying its length l(w) - 1 if i is a right (left)
         descent of w and l(w) + 1 otherwise."""
         self._check_member(w)
         if not 0 < i <= self.rank:
             raise CoxeterError(f"generator index {i} out of range 1..{self.rank}")
         if left:
-            down = self._left_descent(w.rep, i)
-            v = Element(self, self._left_prefix(w.rep, i))
+            v, down = self._left_step(w, i)
         else:
             down = i in self._image_descents(w.rep)
             v = Element(self, self._right_images(w.rep, i))
@@ -549,9 +556,10 @@ class CoxeterSystem:
         is regular (<2 rho, alpha_k-check> = 2), so w -> w(2 rho) is
         one-to-one (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
         Entry q of the table, laid out as `_left_images`, is 2 code(q) for
-        the signed root q. Beside it, for `_weights` and `word`: M, the
-        simple-root coordinates of 2 rho, and for each node k the pairs (j,
-        A[j][k]) over its diagram neighbours j, the coordinates s_k moves.
+        the signed root q. Beside it, for `_weights`, `_left_step` and
+        `word`: M, the simple-root coordinates of 2 rho, and for each node k
+        the pairs (j, A[j][k]) over its diagram neighbours j, the
+        coordinates s_k moves.
         """
         if self._twice_codes is None:
             A, nodes, weights = self.cartan_matrix, range(self.rank), self._pairings
@@ -590,7 +598,7 @@ class CoxeterSystem:
         shift = self._code_base**self.rank // 2  # B in every digit
         return (sum(map(mul, self._two_rho, twice)) >> 1) + shift
 
-    def _weights(self, images: tuple) -> list:
+    def _weights(self, images: tuple) -> tuple:
         """The weight coordinates of w(2 rho): `rank` divmods of
         `_weight_code`."""
         code, base = self._weight_code(images), self._code_base
@@ -599,12 +607,31 @@ class CoxeterSystem:
         for _ in range(self.rank):
             code, digit = divmod(code, base)
             v.append(digit - bound)
+        return tuple(v)
+
+    def _carried_weights(self, w: Element) -> tuple:
+        """The weight coordinates of w(2 rho) that w carries; the first read
+        of an element that carries none decodes them (`_weights`) onto it."""
+        v = w._weights
+        if v is None:
+            v = w._weights = self._weights(w.rep)
         return v
 
-    def _left_descent(self, images: tuple, i: int) -> bool:
-        """Whether i is a left descent of w: digit i of `_weight_code`."""
-        code, base = self._weight_code(images), self._code_base
-        return code // base ** (i - 1) % base < base >> 1
+    def _left_step(self, w: Element, i: int) -> tuple:
+        """s_i w, carrying the weight coordinates of (s_i w)(2 rho), and
+        whether i is a left descent of w (v_i < 0). s_i(v) = v - v_i
+        alpha_i, as in `word`: v_i turns to -v_i and each diagram neighbour
+        j of i moves by -v_i A[j][i], O(degree) on top of the image step
+        (`_left_prefix`)."""
+        v = list(self._carried_weights(w))
+        k = i - 1
+        x = v[k]
+        v[k] = -x
+        for j, a in self._neighbours[k]:
+            v[j] -= x * a
+        u = Element(self, self._left_prefix(w.rep, i))
+        u._weights = tuple(v)
+        return u, x < 0
 
     def _left_prefix(self, rep: tuple, j: int) -> tuple:
         """The images of s_j w from those of w: s_j maps each image."""
@@ -641,25 +668,28 @@ class CoxeterSystem:
         return frozenset(self._image_descents(w.rep))
 
     def left_descents(self, w: Element) -> frozenset[int]:
-        """J(w): the k with <w(2 rho), alpha_k-check> < 0 (`_weights`)."""
+        """J(w): the k with <w(2 rho), alpha_k-check> < 0
+        (`_carried_weights`)."""
         self._check_member(w)
-        return frozenset([k for k, x in enumerate(self._weights(w.rep), start=1) if x < 0])
+        v = self._carried_weights(w)
+        return frozenset([k for k, x in enumerate(v, start=1) if x < 0])
 
     def word(self, w: Element) -> tuple[int, ...]:
         """The lex-first reduced word of w, by the chamber walk of w(2 rho).
 
         k is a left descent of w iff v_k = <w(2 rho), alpha_k-check> < 0
-        (`_weights`), and v = 2 rho, dominant, only at the identity. So the
-        walk takes the first k with v_k < 0, spells k and reflects: s_k(v) =
-        v - v_k alpha_k, and alpha_k has weight coordinates A[j][k], so v_k
-        turns to -v_k and only k's diagram neighbours j move, by -v_k
+        (`_carried_weights`), and v = 2 rho, dominant, only at the identity.
+        So the walk takes the first k with v_k < 0, spells k and reflects:
+        s_k(v) = v - v_k alpha_k, and alpha_k has weight coordinates A[j][k],
+        so v_k turns to -v_k and only k's diagram neighbours j move, by -v_k
         A[j][k]; then it goes on from s_k w until v is dominant (Casselman,
         Machine calculations in Weyl groups, Invent. Math. 116, 1994). Each
-        letter costs O(rank). Raises CoxeterError if the walk spends a
-        number of letters other than l(w); it stops after l(w) + 1.
+        letter costs O(rank), on a copy of the coordinates w carries. Raises
+        CoxeterError if the walk spends a number of letters other than l(w);
+        it stops after l(w) + 1.
         """
         self._check_member(w)
-        v, neighbours = self._weights(w.rep), self._neighbours
+        v, neighbours = list(self._carried_weights(w)), self._neighbours
         letters, length = [], w.length
         for _ in range(length + 1):
             k = 0  # counted by hand: `enumerate` pairs cost more here
@@ -957,8 +987,10 @@ class DihedralSystem(CoxeterSystem):
     def left_descents(self, w: Element) -> frozenset[int]:
         return self._pair_left_descents(*w.rep)
 
-    def _left_descent(self, images: tuple, i: int) -> bool:
-        return i in self._pair_left_descents(*images)
+    def _left_step(self, w: Element, i: int) -> tuple:
+        """Closed form of `CoxeterSystem._left_step`; nothing is carried."""
+        down = i in self._pair_left_descents(*w.rep)
+        return Element(self, self._left_prefix(w.rep, i)), down
 
     def _pair_left_descents(self, r: int, f: int) -> frozenset[int]:
         """`left_descents` of the element with rep (r, f)."""

@@ -8,6 +8,8 @@ The images of the simple roots, `w.rep`, fix it by linearity. For a root
 system it is expanded over `system.positive_roots` as plain vectors,
 w(beta) = w(beta - alpha_i) + w(alpha_i) for the first i with
 beta - alpha_i a positive root, and reads no table of the system.
+`weights(system, w)` sums the same vectors to w(2 rho) and pairs it with
+each simple coroot through the Cartan matrix.
 
 I2(m) has no integral roots. Its 2m roots are the unit vectors at the
 angles a pi / m, a in Z/2m, positive for 0 <= a < m, with alpha_1 at a = 0
@@ -21,7 +23,7 @@ strips.
 """
 
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
 
 @lru_cache(maxsize=None)
@@ -66,3 +68,16 @@ def full_rep(system, w):
     for p, i in chain:
         append(tuple(map(add, vectors[p], vectors[i])))
     return tuple(map(index.__getitem__, vectors))
+
+
+def weights(system, w, full=None):
+    """The weight coordinates <w(2 rho), alpha_k-check>, k = 1..rank, of an
+    element of a root system: w(2 rho) is the sum of w(beta) over the
+    positive roots beta, the signed roots of its full rep (`full`, if the
+    caller has it at hand) as plain vectors, and row k of the Cartan matrix
+    pairs a vector in the simple-root basis with alpha_k-check."""
+    if full is None:
+        full = full_rep(system, w)
+    signed = _root_tables(system)[0]
+    total = [sum(column) for column in zip(*[signed[q] for q in full])]
+    return tuple(sum(map(mul, row, total)) for row in system.cartan_matrix)

@@ -14,7 +14,8 @@ from coxsph import (
 )
 from coxsph.coxeter import Element, WeakOrderNode
 from coxsph.typea import element_to_perm
-from coxeter_model import full_rep
+from coxeter_model import full_rep, weights
+from golden_data import E8_WORD_NOT_WITNESS
 
 
 @pytest.mark.parametrize(
@@ -229,7 +230,9 @@ def test_left_step_with_one_root_keeps_a_tuple():
 def test_word_rejects_a_walk_of_the_wrong_length(monkeypatch):
     """A code table that reads each entry of w0's rep as the entry of s1 s2
     in its place makes the walk spell s1 s2: two letters, short of l(w0) =
-    9 in B3."""
+    9 in B3. The walk is on a fresh element of w0's rep, which decodes
+    w(2 rho) through the planted table; the cached w0 may carry its
+    coordinates already and read no table."""
     system = coxeter_system("B3")
     system._start_code()
     w0, u = system.longest_element(), evaluate(system, [1, 2])
@@ -238,7 +241,7 @@ def test_word_rejects_a_walk_of_the_wrong_length(monkeypatch):
         table[q] = system._twice_codes[p]
     monkeypatch.setattr(system, "_twice_codes", tuple(table))
     with pytest.raises(CoxeterError, match="spent 2 letters on an element of length 9"):
-        w0.word()
+        Element(system, w0.rep).word()
 
 
 def test_inverse():
@@ -678,29 +681,50 @@ def test_image_step_matches_the_full_right_step_on_random_words(name):
         _check_images(system, evaluate(system, word))
 
 
+def _check_weights(system, x, carried, full):
+    """The weight coordinates of x(2 rho) that x carries (`carried`: from a
+    left step) or decodes on first use (`carried` False: `product`, a right
+    step, `multiply`, `inverse`) against the model's, from x's full rep
+    `full`. I2(m) carries none."""
+    if system.positive_roots is None:
+        assert x._weights is None
+        return
+    assert (x._weights is not None) == carried, x.rep
+    assert system._carried_weights(x) == weights(system, x, full), x.rep
+
+
 def _check_public_bodies(system, w, v):
     """`length` of the bare images, `multiply` (by v), `inverse`,
-    `left_descents`, `step(left=True)` and, in type A, `element_to_perm`
-    at w, each against a computation on the full rep."""
+    `left_descents`, `step` and, in type A, `element_to_perm` at w, each
+    against a computation on the full rep; and the weight coordinates of
+    x(2 rho) that each result x carries or decodes, against the model's
+    (one right step per element, its letter cycling with l(w))."""
     rank, full = system.rank, full_rep(system, w)
     assert len(w.rep) == rank
     negatives = sum(q < 0 for q in full)
     assert system.length(Element(system, w.rep)) == negatives == w.length
+    _check_weights(system, system.product(w.word()), False, full)
     product = _compose(full, full_rep(system, v))
     uv = system.multiply(w, v)
     assert _has_full_rep(system, uv, product)
     assert uv.length == sum(q < 0 for q in product)
+    _check_weights(system, uv, False, product)
     inverse = [0] * len(full)
     for p, q in enumerate(full, start=1):
         inverse[abs(q) - 1] = p if q > 0 else -p
     assert _has_full_rep(system, system.inverse(w), tuple(inverse))
     assert system.inverse(w).length == negatives
+    _check_weights(system, system.inverse(w), False, inverse)
     J = frozenset(-q for q in full if -rank <= q < 0)
     assert system.left_descents(w) == J
-    for i, s in enumerate(_generator_reps(system), start=1):
+    generators = _generator_reps(system)
+    for i, s in enumerate(generators, start=1):
         u = system.step(w, i, left=True)
         assert _has_full_rep(system, u, _compose(s, full)), i
         assert u._length == (negatives - 1 if i in J else negatives + 1), i
+        _check_weights(system, u, True, _compose(s, full))
+    i = negatives % rank + 1
+    _check_weights(system, system.step(w, i), False, _compose(full, generators[i - 1]))
     if system.cartan_type.family == "A":
         # each inverted root e_a - e_b, a < b, adds 1 at a and takes 1 off at b
         line = list(range(1, rank + 2))
@@ -761,6 +785,50 @@ def test_length_of_bare_images_makes_one_expansion(name, monkeypatch):
     assert bare.length == w.length > 0
     assert bare.length == w.length
     assert calls == [w.rep]
+
+
+def _counted_decodes(system, monkeypatch):
+    """The images that each later decode of w(2 rho) (`_weights`) reads."""
+    calls = []
+    decode = system._weights
+
+    def counted(images):
+        calls.append(images)
+        return decode(images)
+
+    monkeypatch.setitem(vars(system), "_weights", counted)
+    return calls
+
+
+def test_w_2rho_is_decoded_at_most_once_per_element(monkeypatch):
+    """An element decodes w(2 rho) on its first descent or word query and
+    keeps it, and a left step hands s_i w its coordinates: one decode per
+    E8 `run_check` (the README's word, I = {2, 3}), one per
+    `reduced_word_count` of B4's w0, none for an I2(60) request, whose
+    descents are closed forms, and none for the elements the walk of
+    `weak_order` makes."""
+    from coxsph import harness, reduced_word_count
+
+    e8 = coxeter_system("E8")
+    calls = _counted_decodes(e8, monkeypatch)
+    for paranoid in (False, True):
+        calls.clear()
+        report = harness.run_check("E8", E8_WORD_NOT_WITNESS, {2, 3}, paranoid)
+        assert report.left_descents and len(calls) == 1
+    b4 = coxeter_system("B4")
+    w0 = b4.longest_element()
+    count = reduced_word_count(b4, w0)
+    fresh = evaluate(b4, w0.word())
+    calls = _counted_decodes(b4, monkeypatch)
+    assert reduced_word_count(b4, fresh) == count
+    assert calls == [w0.rep]
+    walk = b4.weak_order()  # after the shared identity, |W| - 1 new elements
+    assert all(node.element._weights is None for node in walk[1:])
+    assert calls == [w0.rep]
+    i2 = coxeter_system("I2(60)")
+    calls = _counted_decodes(i2, monkeypatch)
+    harness.run_check("I2(60)", "s1 s2 s1", {1}, paranoid=True)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", [*IMAGE_GROUPS, "E6", "E7", "E8"])
