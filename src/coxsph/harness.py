@@ -315,7 +315,8 @@ def run_key_expand(
     sequences. `cross_check` runs peeling, the tableau rule and the
     bialternant oracle (named 'solver') once each and raises
     `CrossCheckFailure`, naming the oracles that disagree, unless all three
-    agree.
+    agree: one comparison of their packed `terms`, and the odd ones sought
+    only when it fails.
     """
     alpha = tuple(alpha)
     if n is None:
@@ -332,9 +333,10 @@ def run_key_expand(
     }
     found = {name: runs[name]() for name in (runs if cross_check else (oracle,))}
     if cross_check:
-        coeffs = {name: e.coefficients for name, e in found.items()}
-        odd = [a for a in coeffs if sum(coeffs[a] == c for c in coeffs.values()) < 2]
-        if odd:
+        terms = {name: e.terms for name, e in found.items()}
+        peel, ry, solver = terms.values()
+        if not peel == ry == solver:
+            odd = [a for a in terms if sum(terms[a] == t for t in terms.values()) < 2]
             raise CrossCheckFailure(
                 "expansion cross-check failed: "
                 f"{', '.join(odd)} {'disagrees' if len(odd) == 1 else 'disagree'} "

@@ -8,15 +8,20 @@ recursion, and expansions subtract basis elements until the remainder is 0.
 A split set D = {d_1 < ... < d_k} inside [n-1] cuts x_1..x_n into consecutive
 blocks. Polynomials symmetric within every block form the ring Pi_D, whose
 basis is the products of one Schur polynomial per block ("D-Schur" products).
-Both expansions run one lazy peel loop, `_peel`: it yields the basis element
-that a picked monomial of the remainder names, with its coefficient, and
-only then subtracts it. `split_expand` picks the lexicographically largest
-monomial, whose per-block exponents are weakly decreasing and name a D-Schur
-product. `expand_in_keys` picks the lexicographically smallest monomial,
-which names a key polynomial.
+A D-Schur label (lam^(1), ..., lam^(k)), each block padded with zeros to its
+size, laid side by side is the exponent vector of its product's lead
+monomial, so a `SplitExpansion` keys each product by that monomial's packed
+key, as `Poly.terms` does. Both expansions run one lazy peel loop, `_peel`:
+it yields a picked key of the remainder, with its coefficient, and only
+then subtracts the basis element that key leads. `split_expand` picks the
+lexicographically largest monomial, whose per-block exponents are weakly
+decreasing: its key is the label, and `_d_schur_terms` reads each block's
+Schur terms through that block's field of it. `expand_in_keys` picks the
+lexicographically smallest monomial, which names a key polynomial.
 
 The module keeps two caches. `_schur_cached` holds one Schur polynomial
-per (partition, variable count), for `schur` and `d_schur`.
+per (packed partition, variable count), for `schur` and the D-Schur
+products.
 `_alternant_shifts` holds one entry of read tables per split: the shifts
 delta - sigma delta of Jacobi's bialternant formula for sigma != 1, split by
 the sign of sigma.
@@ -38,14 +43,16 @@ instead of aliasing another monomial, so the fields need no bias. Moving c
 from x_j to x_(j+1) subtracts c (2^8 - 1) 2^(8(n-j-1)), and block
 dominance of a whole key is one guarded subtract-and-mask (`_read_tables`).
 Tuples live only at the edges: the `Poly` constructor, `monomial`, `coeff`,
-`items`, `__str__`, the `SplitExpansion` labels and the error messages. The
-edges raise ValueError for a negative exponent, one above 127 or a tuple of
-the wrong length. No packed int leaves this module.
+`items`, `__str__`, the `SplitExpansion` constructor and its
+`coefficients`, and the error messages. The edges raise ValueError for a
+negative exponent, one above 127 or a tuple of the wrong length. Packed
+ints leave this module only as the `terms` of a `Poly` or a
+`SplitExpansion`, which `splitrule` and the cross-check compare as they are.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product as _iproduct
 from math import prod
 from operator import lt
@@ -106,8 +113,9 @@ class Poly:
 
     @staticmethod
     def _from_packed(nvars: int, terms: dict) -> "Poly":
-        f = Poly(nvars)
-        f.terms = terms
+        """A Poly on packed keys, taken as they are; no `__init__` runs."""
+        f = object.__new__(Poly)
+        f.nvars, f.terms = nvars, terms
         return f
 
     @staticmethod
@@ -328,23 +336,19 @@ def key_via_kohnert(alpha) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _schur_cached(lam: tuple[int, ...], m: int) -> Poly:
-    if m == 0:
-        return Poly.one(0)
-    if not lam:
-        return Poly.one(m)
-    if len(lam) > m:
-        raise ValueError(f"partition {lam} has more than {m} parts")
-    out: dict = {}
-    ranges = [range(lam[i + 1] if i + 1 < len(lam) else 0, lam[i] + 1)
-              for i in range(len(lam))]
-    total = sum(lam)
+def _schur_cached(lam: int, m: int) -> Poly:
+    """s_lam(x_1..x_m) for a partition lam packed with m fields, zeros
+    included, by branching on x_m: the sum over the mu with lam_1 >= mu_1 >=
+    lam_2 >= ... >= mu_(m-1) >= lam_m of s_mu(x_1..x_(m-1)) x_m^(|lam| - |mu|).
+    A block's field of a packed key is such a lam (`_d_schur_terms`)."""
+    if m <= 1:
+        return Poly._from_packed(m, {lam: 1})
+    parts = lam.to_bytes(m, "big")
+    ranges = [range(parts[i + 1], parts[i] + 1) for i in range(m - 1)]
+    total, out = sum(parts), {}
     for mu in _iproduct(*ranges):
-        mu_clean = tuple(p for p in mu if p)
-        if len(mu_clean) > m - 1:
-            continue
         last = total - sum(mu)  # x_m's field, appended below the others
-        sub = _schur_cached(mu_clean, m - 1).terms.items()
+        sub = _schur_cached(int.from_bytes(bytes(mu), "big"), m - 1).terms.items()
         _add_into(out, (((e << _W) + last, c) for e, c in sub), 1)
     return Poly._from_packed(m, out)
 
@@ -363,7 +367,10 @@ def schur(lam, m: int) -> Poly:
     """Schur polynomial s_lam(x_1..x_m) via the one-variable branching rule.
 
     lam may end in zeros, as in (2, 1, 0); (2, 0, 1) is not a partition."""
-    return _schur_cached(_partition(lam), m)
+    lam = _partition(lam)
+    if len(lam) > m:
+        raise ValueError(f"partition {lam} has more than {m} parts")
+    return _schur_cached(_pack(lam + (0,) * (m - len(lam)), m), m)
 
 
 @dataclass(frozen=True)
@@ -390,6 +397,15 @@ class SplitSet:
         object.__setattr__(self, "pairs", tuple(
             (j - 1, j) for a, b in self.blocks for j in range(a, b)
         ))
+        # a packed key's block fields: the mask of the one-variable blocks,
+        # whose Schur polynomial is their own monomial, and (shift, mask,
+        # size) of each other block
+        shift = lambda b: _W * (self.n - b)
+        object.__setattr__(self, "_block_fields", (
+            sum(255 << shift(b) for a, b in self.blocks if a == b),
+            tuple((shift(b), (1 << _W * (b - a + 1)) - 1, b - a + 1)
+                  for a, b in self.blocks if a != b),
+        ))
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b - a + 1 for a, b in self.blocks)
@@ -408,24 +424,58 @@ class SplitSet:
         return alpha
 
 
-@dataclass
 class SplitExpansion:
     """Coefficients of a polynomial on the D-Schur basis of Pi_D.
 
-    Keys are tuples of per-block partitions, each padded with zeros to its
-    block size; values are the (nonzero) integer coefficients.
+    `terms` keys each D-Schur product by the packed key of its lead
+    monomial, the per-block partitions (each padded with zeros to its block
+    size) side by side, as `Poly.terms` keys a monomial; values are the
+    nonzero integer coefficients. Tuple labels, one partition per block,
+    live only at the edges: the constructor packs them, ValueError for the
+    wrong number of blocks, a block not padded to its size, a part that is
+    not a partition or one above 127, and `coefficients` unpacks them.
     """
 
-    split: SplitSet
-    coefficients: dict
+    __slots__ = ("split", "terms")
+
+    def __init__(self, split: SplitSet, coefficients: dict):
+        self.split = split
+        self.terms = {_label_key(split, lams): c for lams, c in coefficients.items()}
+
+    @staticmethod
+    def _from_packed(split: SplitSet, terms: dict) -> "SplitExpansion":
+        expansion = object.__new__(SplitExpansion)
+        expansion.split, expansion.terms = split, terms
+        return expansion
+
+    @property
+    def coefficients(self) -> dict:
+        """The tuple label of each product, one padded partition per block,
+        to its coefficient."""
+        n, blocks = self.split.n, self.split.blocks
+        out = {}
+        for key, c in self.terms.items():
+            e = _unpack(key, n)
+            out[tuple(e[a - 1 : b] for a, b in blocks)] = c
+        return out
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SplitExpansion)
+            and self.split == other.split
+            and self.terms == other.terms
+        )
+
+    def __repr__(self):
+        return f"SplitExpansion({self.split!r}, {self.coefficients!r})"
 
     def is_multiplicity_free(self) -> bool:
-        return all(c == 1 for c in self.coefficients.values())
+        return all(c == 1 for c in self.terms.values())
 
     def reconstruct(self) -> Poly:
         out: dict = {}
-        for lams, c in self.coefficients.items():
-            _add_into(out, d_schur(self.split, lams).terms.items(), c)
+        for key, c in self.terms.items():
+            _add_into(out, _d_schur_terms(self.split, key), c)
         return Poly._from_packed(self.split.n, out)
 
     def to_json_dict(self) -> dict:
@@ -436,33 +486,60 @@ class SplitExpansion:
         return {"n": self.split.n, "D": list(self.split.D), "terms": terms}
 
 
-def d_schur(split: SplitSet, lams) -> Poly:
-    """Product of one Schur polynomial per block.
+def _label_key(split: SplitSet, lams, pad: bool = False) -> int:
+    """The packed lead key of the D-Schur label `lams`, one partition per
+    block; ValueError for the wrong number of blocks, a part that is not a
+    partition or one above 127, and a block with more parts than variables
+    or, unless `pad`, with fewer."""
+    lams = tuple(map(tuple, lams))
+    if len(lams) != len(split.blocks):
+        raise ValueError(f"{len(lams)} partitions for the {len(split.blocks)} blocks")
+    exps = ()
+    for size, lam in zip(split.block_sizes(), lams):
+        part = _partition(lam)
+        if len(part) > size or not pad and len(lam) != size:
+            raise ValueError(f"block {lam} is not a partition padded to {size} parts")
+        exps += part + (0,) * (size - len(part))
+    return int.from_bytes(bytes(exps), "big")
+
+
+def _d_schur_terms(split: SplitSet, key: int) -> list:
+    """The (key, coefficient) pairs of the D-Schur product whose lead
+    monomial has the packed key `key`, block-dominant.
 
     The blocks use disjoint variables, so each monomial of the product is one
     Schur monomial per block written side by side, with the product of their
-    coefficients, and no two choices meet on the same monomial.
-
-    Each block must be a partition padded with zeros, checked by the one-pass
-    `_partition` that `schur` also uses before the Schur polynomial is looked
-    up in the cache `schur` reads.
+    coefficients, and no two choices meet on the same monomial. Each block's
+    partition is its field of the key (`key >> shift & mask`), which the
+    Schur cache reads as it is. A block whose Schur polynomial has one term
+    (one variable, or a rectangle filling it) contributes its own field, so
+    those fields fold into one offset. `d_schur`, `SplitExpansion.reconstruct`
+    and `split_expand`'s peel all read this one routine.
     """
-    blocks, n = split.blocks, split.n
-    if len(lams) != len(blocks):
-        raise ValueError("one partition per block required")
-    factors = []
-    for (a, b), lam in zip(blocks, lams):
-        low = _W * (n - b)  # each block's keys, moved up to its own fields
-        block = _schur_cached(_partition(lam), b - a + 1).terms.items()
-        factors.append([(e << low, c) for e, c in block])
-    out = {}
-    for pick in _iproduct(*factors):
-        exps, coeff = 0, 1
-        for e, c in pick:
-            exps += e
-            coeff *= c
-        out[exps] = coeff
-    return Poly._from_packed(n, out)
+    single, blocks = split._block_fields
+    offset, factors = key & single, []
+    for shift, mask, size in blocks:
+        lam = key >> shift & mask
+        terms = _schur_cached(lam, size).terms
+        if len(terms) == 1:
+            offset += lam << shift
+        else:
+            factors.append((shift, terms.items()))
+    out = [(offset, 1)]
+    for shift, terms in factors:
+        out = [(e + (g << shift), c * d) for e, c in out for g, d in terms]
+    return out
+
+
+def d_schur(split: SplitSet, lams) -> Poly:
+    """Product of one Schur polynomial per block (`_d_schur_terms`).
+
+    Each block must be a partition, padded with zeros or not, checked by the
+    one-pass `_partition` that `schur` also uses.
+    """
+    return Poly._from_packed(
+        split.n, dict(_d_schur_terms(split, _label_key(split, lams, pad=True)))
+    )
 
 
 def is_split_symmetric(f: Poly, split: SplitSet) -> bool:
@@ -471,25 +548,24 @@ def is_split_symmetric(f: Poly, split: SplitSet) -> bool:
     return all(f.is_symmetric_in(j) for _, j in split.pairs)
 
 
-def _peel(f: Poly, pick, name, element):
+def _peel(f: Poly, pick, element):
     """Lazy lead-term peeling, the one loop behind every expansion.
 
-    Yields (name(m), c) for the monomial m = pick(remainder) and its
-    coefficient c, and only after that subtracts c * element(name(m)), which
-    must have coefficient 1 at m: ValueError if m survives the subtraction,
-    which would pick it again forever. A consumer that stops early builds no
-    further basis element.
+    Yields (m, c) for the packed key m = pick(remainder) and its coefficient
+    c, and only after that subtracts c times the basis element that m leads,
+    `element(m)`: its (key, coefficient) pairs, with coefficient 1 at m.
+    ValueError if m survives the subtraction, which would pick it again
+    forever. A consumer that stops early builds no further basis element.
     """
     rem = dict(f.terms)
     while rem:
         m = pick(rem)
         c = rem[m]
-        label = name(_unpack(m, f.nvars))
-        yield label, c
-        _add_into(rem, element(label).terms.items(), -c)
+        yield m, c
+        _add_into(rem, element(m), -c)
         if m in rem:
             raise ValueError(
-                f"basis element {label} does not clear monomial {_unpack(m, f.nvars)}"
+                f"the basis element led by {_unpack(m, f.nvars)} does not clear it"
             )
 
 
@@ -498,17 +574,16 @@ def split_expand(f: Poly, split: SplitSet) -> SplitExpansion:
 
     Greedy peeling: the lex-largest monomial of any element of Pi_D is
     weakly decreasing inside each block and is the lead monomial (with
-    coefficient 1) of exactly one D-Schur product; subtract and repeat.
-    With one variable per block the coefficients are those of f.
+    coefficient 1) of exactly one D-Schur product, which its packed key
+    names; subtract and repeat. With one variable per block the
+    coefficients are those of f.
     """
     if not is_split_symmetric(f, split):
         raise ValueError("polynomial is not split-symmetric for this D")
     if all(s == 1 for s in split.block_sizes()):
-        terms = ((tuple((p,) for p in e), c) for e, c in f.items())
-    else:
-        name = lambda lead: tuple(lead[a - 1 : b] for a, b in split.blocks)
-        terms = _peel(f, max, name, lambda lams: d_schur(split, lams))
-    return SplitExpansion(split, dict(terms))
+        return SplitExpansion._from_packed(split, dict(f.terms))
+    terms = _peel(f, max, partial(_d_schur_terms, split))
+    return SplitExpansion._from_packed(split, dict(terms))
 
 
 @lru_cache(maxsize=None)
@@ -591,7 +666,9 @@ def expand_in_keys(f: Poly) -> dict:
     coefficient 1), so peeling from the bottom is exact. Each key peeled
     off is built afresh by `key_polynomial`.
     """
-    return dict(_peel(f, min, lambda low: low, key_polynomial))
+    n = f.nvars
+    keys = _peel(f, min, lambda low: key_polynomial(_unpack(low, n)).terms.items())
+    return {_unpack(low, n): c for low, c in keys}
 
 
 def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
@@ -617,10 +694,9 @@ def split_expand_via_solver(f: Poly, split: SplitSet) -> SplitExpansion:
                 ((lam | guards) - ((lam << _W) & pairs)) & guards == guards
             ):
                 totals[lam] = totals.get(lam, 0) + sgn * c
-    lams = ((_unpack(k, split.n), c) for k, c in totals.items() if c)
-    return SplitExpansion(split, {
-        tuple(lam[a - 1 : b] for a, b in split.blocks): c for lam, c in lams
-    })
+    return SplitExpansion._from_packed(
+        split, {lam: c for lam, c in totals.items() if c}
+    )
 
 
 def staircase_composition(line) -> tuple[int, ...]:

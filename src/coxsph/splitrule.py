@@ -27,13 +27,18 @@ as column insertion writes a cell outside the target's shape or below the
 target's entry (cells only decrease as insertion proceeds), or the
 remaining permutation still needs a letter that no later block may read.
 
-Each state returns every way to finish from it, as a dict from suffix (the
-marked rows of each block from the current one on) to multiplicity, and is
-worked out once per search. `ry_expand` marks a row by its length and so
-counts shapes; `ry_tableau_sequences` marks a row by itself and so lists
-each sequence once, in the order of the depth-first walk. The rule uses
-no polynomial arithmetic, so it stays an independent check of peeling and
-of the bialternant solver.
+Each state returns every way to finish from it, as a dict from suffix to
+multiplicity, and is worked out once per search. A suffix is the sum of
+`mark(row, field)` over the rows closed from the state on, field being the
+row's position among all n rows, so a state adds the mark of the row it
+closes to each suffix below it and no block is padded. `ry_expand` marks a
+row by its length in its field of a packed key, so a suffix is the packed
+lead key of its shapes, the key `SplitExpansion.terms` uses, and the counts
+need no regrouping. `ry_tableau_sequences` marks a row by the 1-tuple
+((field, row),), so a suffix lists the rows in order and each sequence
+comes once, in the order of the depth-first walk. The rule uses no
+polynomial arithmetic, so it stays an independent check of peeling and of
+the bialternant solver.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .polyring import SplitExpansion, SplitSet
+from .polyring import _W, SplitExpansion, SplitSet
 from .typea import apply_word, inverse, inversions, perm_from_code
 
 
@@ -212,17 +217,18 @@ class _RuleSearch:
     (`_fits`): (j,) + row for an extension, and (j,), that is j > last[0], for
     a new row of block b. So every state's open row fits and closes with no
     check; extending cannot make a row fit, so nothing counted is skipped.
-    `_visit` returns a dict from suffix to multiplicity, where a suffix holds,
-    for each block from b on, the tuple of `mark(row)` over the rows closed
-    from its state on. `memo` keys each state by the tuple above and
-    `tableaux` each `_Tableau` by its columns, so each letter is inserted
-    into each tableau once. Both live as long as the search.
+    `_visit` returns a dict from suffix to multiplicity, where a suffix is
+    `zero` plus the `mark(row, field)` of each row closed from its state
+    on, field = cuts[b] + nrows for a row of block b. `memo` keys each
+    state by the tuple above and `tableaux` each `_Tableau` by its columns,
+    so each letter is inserted into each tableau once. Both live as long as
+    the search.
     """
 
-    def __init__(self, alpha, split: SplitSet, mark):
+    def __init__(self, alpha, split: SplitSet, mark, zero=0):
         self.cuts = (0,) + split.D
         self.sizes = split.block_sizes()
-        self.mark = mark
+        self.mark, self.zero = mark, zero
         self.memo: dict = {}
         line = perm_from_code(alpha)
         self.target_cols = _target_columns(line)
@@ -230,7 +236,7 @@ class _RuleSearch:
         self.tableaux = {(): self.start}
 
     def run(self) -> dict:
-        """Every suffix from the start, one tuple of marked rows per block."""
+        """Every suffix from the start, the sum of the marks of its rows."""
         return self._visit(self.start, 0, 0, (), ())
 
     def _child(self, t: _Tableau, j: int):
@@ -257,7 +263,7 @@ class _RuleSearch:
             return out
         out = self.memo[state] = {}
         left = t.left
-        head = ()  # the marked row this state closes, if it has one
+        head = self.zero  # the mark of the row this state closes, if any
         if run:
             row = run[::-1]
             for j in left:
@@ -269,10 +275,11 @@ class _RuleSearch:
                         child, b, nrows, last, run + (j,)
                     ).items():
                         out[suffix] = out.get(suffix, 0) + m
-            nrows, last, head = nrows + 1, row, (self.mark(row),)
+            head = self.mark(row, self.cuts[b] + nrows)
+            nrows, last = nrows + 1, row
         if not left:
             if t.cols == self.target_cols:
-                out[(head,) + ((),) * (len(self.sizes) - b - 1)] = 1
+                out[head] = 1
             return out
         # When the remaining permutation does not fix 1..d_c it still needs a
         # letter <= d_c, which neither block c nor any later block may read.
@@ -280,29 +287,19 @@ class _RuleSearch:
             lo = self.cuts[c]
             if lo > t.fixed:
                 break
-            if c == b:
-                if nrows >= self.sizes[b]:
-                    continue
-                floor = max(lo, last[0]) if last else lo
-                for j in left:
-                    if j > floor:
-                        child = self._child(t, j)
-                        if child is None:
-                            continue
-                        for suffix, m in self._visit(
-                            child, b, nrows, last, (j,)
-                        ).items():
-                            key = (head + suffix[0],) + suffix[1:]
-                            out[key] = out.get(key, 0) + m
+            if c > b:  # a new block, after blocks b+1..c-1 left empty
+                floor, closed = lo, (0, ())
+            elif nrows < self.sizes[b]:
+                floor, closed = max(lo, last[0]) if last else lo, (nrows, last)
+            else:
                 continue
-            prefix = (head,) + ((),) * (c - b - 1)  # then blocks b+1..c-1 empty
             for j in left:
-                if j > lo:
+                if j > floor:
                     child = self._child(t, j)
                     if child is None:
                         continue
-                    for suffix, m in self._visit(child, c, 0, (), (j,)).items():
-                        key = prefix + suffix
+                    for suffix, m in self._visit(child, c, *closed, (j,)).items():
+                        key = head + suffix
                         out[key] = out.get(key, 0) + m
         return out
 
@@ -314,31 +311,30 @@ def _fits(row: tuple, last: tuple) -> bool:
     )
 
 
-def _shape_key(shapes, sizes) -> tuple:
-    """Pad each block's row lengths with zeros to the block's size."""
-    return tuple(
-        shape + (0,) * (size - len(shape)) for shape, size in zip(shapes, sizes)
-    )
+def _length_mark(n: int):
+    """`ry_expand`'s mark: a row's length in its field of a packed key of n
+    fields, so a suffix sums to the packed lead key of its shapes."""
+    return lambda row, field: len(row) << _W * (n - 1 - field)
 
 
 def ry_expand(alpha, split: SplitSet) -> SplitExpansion:
     """Block-Schur expansion of the key polynomial of alpha by the tableau rule."""
-    found = _RuleSearch(split.pad_composition(alpha), split, len).run()
-    sizes = split.block_sizes()
-    counts: dict = {}
-    for suffix, m in found.items():
-        key = _shape_key(suffix, sizes)
-        counts[key] = counts.get(key, 0) + m
-    return SplitExpansion(split, counts)
+    search = _RuleSearch(split.pad_composition(alpha), split, _length_mark(split.n))
+    return SplitExpansion._from_packed(split, search.run())
 
 
 def ry_tableau_sequences(alpha, split: SplitSet) -> dict:
     """All counted tableau sequences, grouped by their shape tuple."""
-    found = _RuleSearch(split.pad_composition(alpha), split, tuple).run()
-    sizes = split.block_sizes()
+    found = _RuleSearch(
+        split.pad_composition(alpha), split, lambda row, field: ((field, row),), ()
+    ).run()
+    block_of = [i for i, (a, b) in enumerate(split.blocks) for _ in range(a, b + 1)]
     sequences: dict = {}
     for suffix in found:
-        seq = tuple(map(IncreasingTableau, suffix))
-        key = _shape_key((t.shape for t in seq), sizes)
-        sequences.setdefault(key, []).append(seq)
+        rows, shape = [[] for _ in split.blocks], [0] * split.n
+        for field, row in suffix:
+            rows[block_of[field]].append(row)
+            shape[field] = len(row)
+        key = tuple(tuple(shape[a - 1 : b]) for a, b in split.blocks)
+        sequences.setdefault(key, []).append(tuple(map(IncreasingTableau, rows)))
     return sequences

@@ -57,16 +57,26 @@ def reduced_words(system: CoxeterSystem, w: Element):
     """Yield every reduced word of w exactly once, lexicographically.
 
     A depth-first walk over left descents with an explicit stack, so the
-    length of w sets no recursion limit.
+    length of w sets no recursion limit. Each stack frame keeps an iterator
+    over its element's left descents and steps one child at a time, so a
+    word is yielded as soon as its last letter is stepped: the first word
+    costs l(w) steps.
     """
-    stack = [((), w)]
+    if w.length == 0:
+        yield ()
+        return
+    stack = [((), w, iter(sorted(system.left_descents(w))))]
     while stack:
-        prefix, u = stack.pop()
-        if u.length == 0:
-            yield prefix
+        prefix, u, descents = stack[-1]
+        i = next(descents, None)
+        if i is None:
+            stack.pop()
             continue
-        for i in sorted(system.left_descents(u), reverse=True):
-            stack.append((prefix + (i,), system.step(u, i, left=True)))
+        word, v = prefix + (i,), system.step(u, i, left=True)
+        if v.length == 0:
+            yield word
+        else:
+            stack.append((word, v, iter(sorted(system.left_descents(v)))))
 
 
 def reduced_word_count(system: CoxeterSystem, w: Element) -> int:

@@ -394,6 +394,83 @@ def test_poly_cancellation_leaves_no_zero_terms():
     assert dict(((x1 - x2) * (x1 + x2)).items()) == {(2, 0): 1, (0, 2): -1}
 
 
+def _one_line_error(build, match):
+    with pytest.raises(ValueError, match=match) as caught:
+        build()
+    assert "\n" not in str(caught.value)
+
+
+def test_split_expansion_rejects_the_wrong_number_of_blocks():
+    split = SplitSet(4, (2,))
+    _one_line_error(
+        lambda: polyring.SplitExpansion(split, {((2, 0),): 1}),
+        "1 partitions for the 2 blocks",
+    )
+
+
+def test_split_expansion_rejects_a_block_not_padded_to_its_size():
+    split = SplitSet(4, (2,))
+    for lams in (((2,), (1, 0)), ((2, 0, 0), (1, 0))):
+        _one_line_error(
+            lambda: polyring.SplitExpansion(split, {lams: 1}),
+            "not a partition padded to 2 parts",
+        )
+
+
+def test_split_expansion_rejects_a_part_that_is_not_a_partition():
+    split = SplitSet(4, (2,))
+    for lams in (((1, 2), (0, 0)), ((1, 0), (1, -1))):
+        _one_line_error(
+            lambda: polyring.SplitExpansion(split, {lams: 1}), "is not a partition"
+        )
+
+
+def test_split_expansion_rejects_a_part_above_127():
+    split = SplitSet(4, (2,))
+    _one_line_error(
+        lambda: polyring.SplitExpansion(split, {((128, 0), (0, 0)): 1}), "127"
+    )
+    top = polyring.SplitExpansion(split, {((127, 0), (0, 0)): 1})
+    assert top.coefficients == {((127, 0), (0, 0)): 1}
+
+
+def test_split_expansion_packs_its_labels_and_unpacks_them_at_the_edges():
+    kappa, split = key_polynomial((1, 5, 2, 4, 3)), SplitSet(5, (2, 4))
+    built = polyring.SplitExpansion(split, KEY_15243_D24_EXPANSION)
+    assert built == split_expand(kappa, split)
+    assert built.coefficients == KEY_15243_D24_EXPANSION
+    # the lead monomial of each product, the padded blocks side by side
+    assert set(built.terms) == {
+        int.from_bytes(bytes(sum(lams, ())), "big") for lams in KEY_15243_D24_EXPANSION
+    }
+    assert built.reconstruct() == kappa
+    assert built != polyring.SplitExpansion(SplitSet(5, (2, 3)), {})
+
+
+def test_peel_steps_are_pinned_and_build_no_poly(monkeypatch):
+    """One step per term of the expansion, each reading the D-Schur product
+    off the picked key; no public `d_schur` and no `Poly.__init__` while
+    peeling, even with the Schur cache cold."""
+    kappa, split = key_polynomial((1, 5, 2, 4, 3)), SplitSet(5, (2, 4))
+    steps = []
+    real_terms = polyring._d_schur_terms
+
+    def counted(split, key):
+        steps.append(key)
+        return real_terms(split, key)
+
+    def forbidden(*args):
+        raise AssertionError("the peel must build no Poly and call no d_schur")
+
+    polyring._schur_cached.cache_clear()
+    monkeypatch.setattr(polyring, "_d_schur_terms", counted)
+    monkeypatch.setattr(polyring, "d_schur", forbidden)
+    monkeypatch.setattr(polyring.Poly, "__init__", forbidden)
+    expansion = split_expand(kappa, split)
+    assert steps == list(expansion.terms) and len(steps) == 17
+    assert expansion.coefficients == KEY_15243_D24_EXPANSION
+
+
 def test_reconstruct_when_terms_cancel():
     split = SplitSet(2, ())
     # s_(2) - s_(1,1) = x1^2 + x2^2: the x1 x2 terms cancel
@@ -505,7 +582,7 @@ def test_d_schur_rejects_what_is_not_a_partition_per_block():
 
 def test_peel_raises_when_the_element_does_not_clear_its_lead():
     f = key_polynomial((0, 1, 2))
-    peel = polyring._peel(f, max, lambda lead: lead, lambda label: Poly.zero(3))
+    peel = polyring._peel(f, max, lambda lead: ())  # an element with no terms
     with pytest.raises(ValueError, match=r"\(2, 1, 0\)"):
         list(islice(peel, 3))
 

@@ -9,6 +9,7 @@ from coxsph.splitrule import (
     EMPTY_TABLEAU,
     IncreasingTableau,
     _RuleSearch,
+    _length_mark,
     build_t_alpha,
     eg_column_insert,
     row_word,
@@ -201,7 +202,7 @@ def test_rule_search_states_are_pinned():
     cases = states = 0
     for length in range(1, 5):
         for alpha, split in _splits(length, 4):
-            search = _RuleSearch(alpha, split, len)
+            search = _RuleSearch(alpha, split, _length_mark(split.n))
             search.run()
             cases += 1
             states += len(search.memo)
@@ -227,7 +228,7 @@ def test_rule_search_insertions_are_pinned(monkeypatch):
     monkeypatch.setattr(polyring.Poly, "__init__", forbidden)
     for length in range(1, 5):
         for alpha, split in _splits(length, 4):
-            _RuleSearch(alpha, split, len).run()
+            _RuleSearch(alpha, split, _length_mark(split.n)).run()
     assert calls == 21627
 
 

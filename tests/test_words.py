@@ -83,6 +83,26 @@ def test_reduced_word_counts():
     assert list(reduced_words(a3, a3.identity)) == [()]
 
 
+def test_first_reduced_word_costs_one_step_per_letter(monkeypatch):
+    """Each stack frame steps one left descent at a time, so the first word
+    of E6's w0, 36 letters, costs 36 left steps; pushing every child of
+    each element first cost 83."""
+    e6 = coxeter_system("E6")
+    w0 = e6.longest_element()
+    steps = []
+    real_step = type(e6).step
+
+    def counted(self, w, i, left=False):
+        steps.append((i, left))
+        return real_step(self, w, i, left=left)
+
+    monkeypatch.setattr(type(e6), "step", counted)
+    first = next(reduced_words(e6, w0))
+    assert len(first) == w0.length == 36
+    assert steps == [(i, True) for i in first]
+    assert first == w0.word()
+
+
 def test_reduced_words_of_a_long_dihedral_element():
     """l(w0) = 1500 levels: no recursion limit on either function."""
     i2 = coxeter_system("I2(1500)")
